@@ -1,14 +1,25 @@
 """Exact homological predicates over F_p and the integers.
 
-Boundary matrices are dense and labeled; ranks over F_p come from
-Gaussian elimination with a fixed pivoting order (columns in label
-order, first nonzero row), and integral torsion from a Smith normal
-form computed with arbitrary-precision integers.  Instances are desk
-scale, so determinism is worth more than asymptotics.
+Boundary matrices are built as sparse rows (column index -> entry)
+straight from edge ends and face trails.  Every rank and every set of
+elementary divisors comes from one sparse elimination that pivots only
+on unit entries -- any nonzero entry over F_p, +-1 over Z -- taking at
+each step the entry of least Markowitz cost (row nonzeros - 1) *
+(column nonzeros - 1), ties broken by row and then column, so the
+order is deterministic and fill stays low.  A unit pivot splits off a
+diagonal 1 of the Smith normal form: over F_p nothing is left and the
+rank is the number of pivots; over Z only the block left without a
+unit entry goes to the dense Smith normal form `snf_diagonal`, with
+exact big-integer arithmetic.  (Dumas, Saunders and Villard, "On
+efficient sparse integer matrix Smith normal form computations",
+J. Symb. Comput. 2001.)  The dense routines (`fp_rank`, `snf_diagonal`,
+the `FpMatrix` rows of `boundary_matrices`) stay as the reference the
+tests compare against.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .complexes import PreComplex
@@ -18,16 +29,21 @@ from .rotation import RotationSystem
 from .surfaces import dual_complex
 from .tracing import is_planar_rotation_system, link_tracer
 
+SparseRows = list[dict[int, int]]
+
+
+def least_prime_factor(n: int) -> int:
+    """The least prime dividing ``n`` (n >= 2), by trial division."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and least_prime_factor(p) == p
 
 
 def _require_prime(p: int) -> None:
@@ -45,7 +61,9 @@ class FpMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def rank(self) -> int:
-        return fp_rank(self.p, [list(r) for r in self.rows])
+        return sparse_fp_rank(
+            self.p, [{j: x for j, x in enumerate(row) if x} for row in self.rows]
+        )
 
     def mul(self, other: "FpMatrix") -> "FpMatrix":
         assert self.col_labels == other.row_labels
@@ -66,8 +84,9 @@ class FpMatrix:
 
 
 def fp_rank(p: int, rows: list[list[int]]) -> int:
-    """Rank by elimination; pivots scan columns left to right (labels
-    ascending) and take the first row with a nonzero entry."""
+    """Rank by dense elimination; pivots scan columns left to right
+    (labels ascending) and take the first row with a nonzero entry.
+    The reference for `sparse_fp_rank`."""
     if not rows:
         return 0
     m, n = len(rows), len(rows[0])
@@ -95,7 +114,106 @@ def fp_rank(p: int, rows: list[list[int]]) -> int:
     return rank
 
 
-def _integer_d1_d2(c: PreComplex) -> tuple[list[list[int]], list[list[int]], list[str], list[str], list[str]]:
+def _unit_pivot_elimination(rows: SparseRows, p: int | None) -> tuple[int, SparseRows]:
+    """(number of unit pivots, rows left without a unit entry) of an
+    integer matrix, reduced mod the prime ``p`` or, for None, over Z.
+
+    Each pivot clears its column by row operations; the column
+    operations that would then clear its row touch no other row, so
+    they are left implicit and the pivot row is dropped.  The input is
+    thus equivalent to an identity block of the pivot count plus the
+    leftover rows, which over F_p are all zero and are not returned.
+    The caller's rows are not modified.
+    """
+    if p is None:
+        rows = [{j: x for j, x in row.items() if x} for row in rows]
+    else:
+        rows = [{j: x % p for j, x in row.items() if x % p} for row in rows]
+
+    def unit(x: int) -> bool:
+        return p is not None or x == 1 or x == -1
+
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    # (Markowitz cost, row, column) of every unit entry, plus stale
+    # keys: a key counts only while it equals the entry's current cost
+    heap = [
+        ((len(row) - 1) * (len(cols[j]) - 1), i, j)
+        for i, row in enumerate(rows)
+        for j, x in row.items()
+        if unit(x)
+    ]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        cost, r, c = heapq.heappop(heap)
+        pivot = rows[r]
+        x = pivot.get(c)
+        if x is None or not unit(x) or cost != (len(pivot) - 1) * (len(cols[c]) - 1):
+            continue
+        pivots += 1
+        rows[r] = {}
+        for j in pivot:
+            cols[j].discard(r)
+        targets, cols[c] = cols[c], set()
+        del pivot[c]
+        inv = x if p is None else pow(x, p - 2, p)
+        for i in targets:
+            row = rows[i]
+            f = row.pop(c) * inv
+            for j, y in pivot.items():
+                z = row.get(j, 0) - f * y
+                if p is not None:
+                    z %= p
+                if z:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = z
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        # costs changed in the rows that took fill and in the columns
+        # of the pivot row, whose counts moved
+        for i in targets:
+            row = rows[i]
+            for j, y in row.items():
+                if unit(y):
+                    heapq.heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
+        for j in pivot:
+            col = cols[j]
+            for i in col - targets:
+                row = rows[i]
+                if unit(row[j]):
+                    heapq.heappush(heap, ((len(row) - 1) * (len(col) - 1), i, j))
+    return pivots, [row for row in rows if row]
+
+
+def sparse_fp_rank(p: int, rows: SparseRows) -> int:
+    """Rank over F_p of an integer matrix given as sparse rows."""
+    return _unit_pivot_elimination(rows, p)[0]
+
+
+def sparse_snf_divisors(rows: SparseRows) -> list[int]:
+    """Nonzero diagonal of the Smith normal form of an integer matrix
+    given as sparse rows, in divisor-chain order: a 1 per unit pivot,
+    then `snf_diagonal` of the leftover block."""
+    pivots, left = _unit_pivot_elimination(rows, None)
+    if not left:
+        return [1] * pivots
+    columns = sorted({j for row in left for j in row})
+    return [1] * pivots + snf_diagonal([[row.get(j, 0) for j in columns] for row in left])
+
+
+def boundary_rows(c: PreComplex) -> tuple[SparseRows, SparseRows, list[str], list[str], list[str]]:
+    """Integer (d1, d2) as sparse rows, with the vertex, edge and face
+    labels (sorted) that index their columns and rows.
+
+    Row of d1 for edge e is head(e) - tail(e); row of d2 for face f is
+    the net signed traversal count of each edge.  Zero entries are
+    omitted.
+    """
     vertices = sorted(c.vertices)
     edges = sorted(c.edges)
     faces = sorted(c.faces)
@@ -104,39 +222,35 @@ def _integer_d1_d2(c: PreComplex) -> tuple[list[list[int]], list[list[int]], lis
     d1 = []
     for e in edges:
         tail, head = c.edges[e]
-        row = [0] * len(vertices)
-        row[v_index[head]] += 1
-        row[v_index[tail]] -= 1
-        d1.append(row)
+        d1.append({} if tail == head else {v_index[head]: 1, v_index[tail]: -1})
     d2 = []
     for f in faces:
-        row = [0] * len(edges)
+        row: dict[int, int] = {}
         for ref in c.faces[f].trail:
-            row[e_index[ref.edge]] += ref.sign
-        d2.append(row)
+            j = e_index[ref.edge]
+            row[j] = row.get(j, 0) + ref.sign
+        d2.append({j: x for j, x in row.items() if x})
     return d1, d2, vertices, edges, faces
 
 
-def boundary_matrices(c: PreComplex, p: int) -> tuple[FpMatrix, FpMatrix]:
-    """(d1: edges x vertices, d2: faces x edges) over F_p.
+def dense_rows(rows: SparseRows, n_cols: int) -> list[list[int]]:
+    """Sparse rows as dense lists of ``n_cols`` entries."""
+    return [[row.get(j, 0) for j in range(n_cols)] for row in rows]
 
-    Row of d1 for edge e is head(e) - tail(e); row of d2 for face f is
-    the net signed traversal count of each edge.  d2 . d1 = 0 mod p.
+
+def boundary_matrices(c: PreComplex, p: int) -> tuple[FpMatrix, FpMatrix]:
+    """(d1: edges x vertices, d2: faces x edges) over F_p, dense.
+
+    The rows of `boundary_rows` reduced mod p.  d2 . d1 = 0 mod p.
     """
     _require_prime(p)
-    d1, d2, vertices, edges, faces = _integer_d1_d2(c)
-    m1 = FpMatrix(
-        p,
-        tuple(edges),
-        tuple(vertices),
-        tuple(tuple(x % p for x in row) for row in d1),
-    )
-    m2 = FpMatrix(
-        p,
-        tuple(faces),
-        tuple(edges),
-        tuple(tuple(x % p for x in row) for row in d2),
-    )
+    d1, d2, vertices, edges, faces = boundary_rows(c)
+
+    def fp(rows: SparseRows, n_cols: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(x % p for x in row) for row in dense_rows(rows, n_cols))
+
+    m1 = FpMatrix(p, tuple(edges), tuple(vertices), fp(d1, len(vertices)))
+    m2 = FpMatrix(p, tuple(faces), tuple(edges), fp(d2, len(edges)))
     return m1, m2
 
 
@@ -176,12 +290,12 @@ class HomologySummary:
 
 def homology_summary(c: PreComplex, p: int) -> HomologySummary:
     _require_prime(p)
-    d1, d2 = boundary_matrices(c, p)
+    d1, d2, *_ = boundary_rows(c)
     z_c = cycle_space_dimension(c)
-    r2 = d2.rank()
+    r2 = sparse_fp_rank(p, d2)
     return HomologySummary(
         p=p,
-        rank_d1=d1.rank(),
+        rank_d1=sparse_fp_rank(p, d1),
         rank_d2=r2,
         z_c=z_c,
         k_c=len(c.components()),
@@ -192,14 +306,15 @@ def homology_summary(c: PreComplex, p: int) -> HomologySummary:
 def is_p_nullhomologous(c: PreComplex, p: int) -> bool:
     """H_1(c, F_p) trivial: the face boundaries span the cycle space."""
     _require_prime(p)
-    _, d2 = boundary_matrices(c, p)
-    return d2.rank() == cycle_space_dimension(c)
+    _, d2, *_ = boundary_rows(c)
+    return sparse_fp_rank(p, d2) == cycle_space_dimension(c)
 
 
 def snf_diagonal(rows: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix, as
-    nonnegative integers in divisor-chain order.  Exact big-integer
-    arithmetic throughout."""
+    """Nonzero diagonal of the Smith normal form of a dense integer
+    matrix, as positive integers in divisor-chain order.  Exact
+    big-integer arithmetic throughout; cubic in the matrix size, so
+    homology sends it only the block `_unit_pivot_elimination` leaves."""
     a = [list(row) for row in rows]
     m = len(a)
     n = len(a[0]) if a else 0
@@ -270,23 +385,23 @@ def h1_integral(c: PreComplex) -> tuple[int, list[int]]:
     torsion of H_1 equals the nontrivial elementary divisors of d2
     itself; betti1 is the cycle-space dimension minus rank(d2).
     """
-    _, d2, _, _, _ = _integer_d1_d2(c)
-    divisors = snf_diagonal(d2)
-    rank = len(divisors)
-    betti1 = cycle_space_dimension(c) - rank
-    torsion = [d for d in divisors if d > 1]
-    return betti1, torsion
+    _, d2, *_ = boundary_rows(c)
+    return _h1(cycle_space_dimension(c), sparse_snf_divisors(d2))
+
+
+def _h1(z_c: int, d2_divisors: list[int]) -> tuple[int, list[int]]:
+    return z_c - len(d2_divisors), [d for d in d2_divisors if d > 1]
 
 
 def integral_summary(c: PreComplex) -> HomologySummary:
-    d1, d2, _, _, _ = _integer_d1_d2(c)
-    betti1, torsion = h1_integral(c)
+    d1, d2, *_ = boundary_rows(c)
     z_c = cycle_space_dimension(c)
-    rank_d2 = len(snf_diagonal(d2))
+    divisors = sparse_snf_divisors(d2)
+    betti1, torsion = _h1(z_c, divisors)
     return HomologySummary(
         p="Z",
-        rank_d1=len(snf_diagonal(d1)),
-        rank_d2=rank_d2,
+        rank_d1=len(sparse_snf_divisors(d1)),
+        rank_d2=len(divisors),
         z_c=z_c,
         k_c=len(c.components()),
         h1_trivial=(betti1 == 0 and not torsion),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .complexes import PreComplex, VertexId
 from .errors import NotPrimeError
-from .homology import h1_integral, is_p_nullhomologous, is_prime
+from .homology import h1_integral, is_p_nullhomologous, is_prime, least_prime_factor
 from .links import attached_complexes, cut_vertices
 from .presentation import Pi1Verdict, pi1_trivial_heuristic
 from .rotation import RotationSystem
@@ -103,23 +103,8 @@ def _split(c: PreComplex, path: str, out: list[tuple[str, PreComplex]]) -> None:
         _split(attached, f"{path}@{v}.{k}" if path else f"@{v}.{k}", out)
 
 
-def _mixed_prime_reason(
-    primes: list[int], null_prime: int, betti1: int, torsion: list[int]
-) -> str:
-    witness = None
-    for t in sorted(torsion):
-        d = 2
-        while d * d <= t:
-            if t % d == 0:
-                witness = d if witness is None else min(witness, d)
-                break
-            d += 1
-        else:
-            witness = t if witness is None else min(witness, t)
-        if witness == 2:
-            break
-    if witness is None:
-        witness = "betti"
+def _mixed_prime_reason(null_prime: int, torsion: list[int]) -> str:
+    witness = min((least_prime_factor(t) for t in torsion), default="betti")
     return f"MixedPrimeHomology({null_prime},{witness})"
 
 
@@ -166,9 +151,7 @@ def _block_verdict(
                 null_prime = p
                 break
         if null_prime is not None:
-            reasons.append(
-                _mixed_prime_reason(primes, null_prime, betti1, torsion)
-            )
+            reasons.append(_mixed_prime_reason(null_prime, torsion))
             return BlockVerdict(
                 path, YES, NO, tuple(reasons), sigma_doc, homology_doc, pi1.to_doc()
             )

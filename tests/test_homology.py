@@ -13,7 +13,14 @@ from rotsys import (
     is_p_nullhomologous,
 )
 from rotsys.errors import NotConnectedError, NotLocallyConnectedError, NotPrimeError
-from rotsys.homology import fp_rank, snf_diagonal
+from rotsys.homology import (
+    boundary_rows,
+    dense_rows,
+    fp_rank,
+    snf_diagonal,
+    sparse_fp_rank,
+    sparse_snf_divisors,
+)
 from rotsys.rotation import canonical_rotation_system
 
 
@@ -102,11 +109,9 @@ def test_h1_integral_classical_values(complexes):
 
 
 def test_snf_against_sympy_on_boundaries(complexes):
-    from rotsys.homology import _integer_d1_d2
-
     for c in complexes.values():
-        d1, d2, *_ = _integer_d1_d2(c)
-        for mat in (d1, d2):
+        d1, d2, vertices, edges, _ = boundary_rows(c)
+        for mat in (dense_rows(d1, len(vertices)), dense_rows(d2, len(edges))):
             ours = [d for d in snf_diagonal(mat) if d != 0]
             assert ours == sympy_divisors(mat)
 
@@ -137,6 +142,64 @@ def test_fp_rank_consistent_with_snf_mod_p(rows, p):
     expected = sum(1 for d in snf_diagonal(rows) if d != 0 and d % p != 0)
     got = fp_rank(p, [[x % p for x in row] for row in rows])
     assert got == expected
+
+
+def _sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Dense integer matrices: some rows of +-1 entries, the rest with
+    entries up to +-9; empty and all-zero shapes included."""
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 6))
+    if n == 0:
+        return [[] for _ in range(m)]
+    rows = []
+    for _ in range(m):
+        bound = draw(st.sampled_from([0, 1, 9]))
+        rows.append(draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n)))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_sparse_elimination_matches_dense_oracles(rows):
+    ours = sparse_snf_divisors(_sparse(rows))
+    assert ours == [d for d in snf_diagonal(rows) if d != 0]
+    assert ours == (sympy_divisors(rows) if rows and rows[0] else [])
+    for p in (2, 3, 5, 7):
+        assert sparse_fp_rank(p, _sparse(rows)) == fp_rank(p, [[x % p for x in r] for r in rows])
+
+
+def _grid_surface(n, twisted):
+    """The n x n grid torus or, with the closing seam glued with
+    j -> -j, Klein bottle, triangulated along one diagonal."""
+    import make_fixtures
+
+    def v(i, j):
+        return (i % n) * n + j % n
+
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a, b = v(i, j), v(i, j + 1)
+            if twisted and i == n - 1:
+                c, d = v(0, -j), v(0, -j - 1)
+            else:
+                c, d = v(i + 1, j), v(i + 1, j + 1)
+            triangles += [(a, b, d), (a, c, d)]
+    return make_fixtures._triangle_complex(n * n, triangles)
+
+
+@pytest.mark.parametrize("twisted, expected", [(False, (2, [])), (True, (1, [2]))])
+def test_h1_of_20x20_grid_surfaces(twisted, expected):
+    c = _grid_surface(20, twisted)
+    assert c.counts() == (400, 1200, 800)
+    assert h1_integral(c) == expected
+    assert not is_p_nullhomologous(c, 2)
+    assert not is_p_nullhomologous(c, 3)
 
 
 def test_not_prime_rejected(complexes):
