@@ -10,7 +10,7 @@ that pieces obtained by splitting at cut vertices remain representable;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import (
     EmptyKindError,
@@ -188,15 +188,6 @@ class PreComplex:
                 out[ref.edge].append(Incidence(f, i))
         return out
 
-    def edge_degree(self, e: EdgeId) -> int:
-        """Number of face incidences at ``e``."""
-        n = 0
-        for boundary in self.faces.values():
-            for ref in boundary.trail:
-                if ref.edge == e:
-                    n += 1
-        return n
-
     # -- 1-skeleton ---------------------------------------------------------
 
     def skeleton_adjacency(self) -> dict[VertexId, set[VertexId]]:
@@ -308,7 +299,22 @@ def validate(c: PreComplex) -> list[Violation]:
     return violations
 
 
-def iter_all_corners(c: PreComplex) -> Iterator[Corner]:
-    """Corners of every face, faces in id order, positions ascending."""
-    for f in sorted(c.faces):
-        yield from c.corners(f)
+def connected_classes(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Classes of 0..n-1 under the equivalence generated by ``pairs``
+    (union-find), each class ascending, classes ordered by least member."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    classes: dict[int, list[int]] = {}
+    for x in range(n):
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())

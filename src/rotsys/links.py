@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import networkx as nx
 
-from .complexes import EdgeId, FaceId, PreComplex, VertexId
+from .complexes import EdgeId, FaceId, PreComplex, VertexId, connected_classes
 from .errors import NotACutVertexError, UnknownVertexError
 
 HEAD = "h"
@@ -61,22 +61,12 @@ class LinkGraph:
         """Connected components over link vertices, least label first.
         Isolated link vertices (only possible for faceless edges of a
         PreComplex) form their own components."""
-        parent = {lv: lv for lv in self.vertices}
-
-        def find(x: LinkVertex) -> LinkVertex:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for le in self.edges:
-            ra, rb = find(le.u), find(le.w)
-            if ra != rb:
-                parent[rb] = ra
-        groups: dict[LinkVertex, set[LinkVertex]] = {}
-        for lv in self.vertices:
-            groups.setdefault(find(lv), set()).add(lv)
-        return sorted(groups.values(), key=lambda g: min(g))
+        index = {lv: i for i, lv in enumerate(self.vertices)}
+        classes = connected_classes(
+            len(self.vertices), ((index[le.u], index[le.w]) for le in self.edges)
+        )
+        groups = [{self.vertices[i] for i in members} for members in classes]
+        return sorted(groups, key=min)
 
     def is_connected(self) -> bool:
         return len(self.component_partition()) <= 1
@@ -122,11 +112,6 @@ def link_graph(c: PreComplex, v: VertexId) -> LinkGraph:
             w = LinkVertex(corner.next_ref.edge, _end_of_departure(corner.next_ref.sign))
             edges.append(LinkEdge(f, corner.pos, u, w))
     return LinkGraph(v, tuple(vertices), tuple(edges), frozenset(loops))
-
-
-def link_counts(c: PreComplex, v: VertexId) -> tuple[int, int]:
-    lg = link_graph(c, v)
-    return len(lg.vertices), len(lg.edges)
 
 
 def is_locally_connected(c: PreComplex) -> tuple[bool, VertexId | None]:

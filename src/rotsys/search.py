@@ -1,16 +1,24 @@
 """Backtracking searches for (generalized) planar rotation systems.
 
-Candidates are assigned edge by edge in bytewise id order; cyclic
-orders fix the least incidence first and permute the rest, which makes
-the whole search lexicographic and its outcome machine-independent.
-Pruning is twofold: a per-vertex planarity precheck of the link graph
-(a sphere-union link complex is a plane embedding, so a non-planar
-link kills every candidate), and an incremental sphere-union check of
-each link as soon as all edges at its vertex are decided.
+One iterative backtracker serves both searches.  Edges are assigned in
+bytewise id order; per edge it tries each cyclic order (fixing the
+least incidence first and permuting the rest) and, within a cyclic
+order, each colour: black gives the two ends mutually reverse rotators,
+red gives both ends the same one.  A planar rotation system is the
+all-black case of a generalized one, so the planar search offers black
+only.  The order makes the search lexicographic and its outcome
+machine-independent.  Pruning is threefold: a per-vertex planarity
+precheck of the link graph (a sphere-union link complex is a plane
+embedding, so a non-planar link kills every candidate), a sphere-union
+check of each link as soon as all edges at its vertex are decided, and
+an even-red check of each face as soon as all its edges are decided.
+The backtracker keeps its own stack, so the size of a complex is not
+bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import networkx as nx
@@ -20,6 +28,9 @@ from .errors import CapExceededError
 from .links import link_graph
 from .rotation import RotationSystem, sigma_candidates
 from .tracing import LinkTracer, link_tracer
+
+_BLACK = (False,)
+_BLACK_OR_RED = (False, True)
 
 
 def _faceless_edges(c: PreComplex) -> set[EdgeId]:
@@ -58,6 +69,98 @@ def link_planarity_precheck(c: PreComplex) -> VertexId | None:
     return None
 
 
+_Witness = tuple[RotationSystem, tuple[EdgeId, ...]]
+
+
+def _search(
+    c: PreComplex, colours: tuple[bool, ...], first_only: bool, cap: int | None
+) -> tuple[_Witness | None, int, int, int]:
+    """Depth-first search over (cyclic order, colour) per edge.
+
+    ``colours`` lists the colours tried per cyclic order, False (black)
+    before True (red).  Returns the least witness (sigma and its sorted
+    red edges) when ``first_only``, else None; the number of witnesses
+    reached (the search stops at the first when ``first_only``); the
+    candidates examined, one per placed (cyclic order, colour); and the
+    size of the space of cyclic orders.
+    """
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be >= 1")
+    c = _searchable(c)
+    incidences = c.edge_incidences()
+    edge_order = sorted(c.edges)
+    candidates = [sigma_candidates(incidences[e]) for e in edge_order]
+    total_space = math.prod(len(cands) for cands in candidates)
+    if link_planarity_precheck(c) is not None:
+        return None, 0, 0, total_space
+
+    # a vertex's link is decided once the last of its edges is assigned,
+    # a face's red parity once the last of its edges is
+    last_edge_index: dict[VertexId, int] = {}
+    for i, e in enumerate(edge_order):
+        for v in c.edges[e]:
+            last_edge_index[v] = i
+    tracers = {v: link_tracer(c, v, incidences) for v in c.vertices}
+    decided_at: list[list[LinkTracer]] = [[] for _ in edge_order]
+    for v, i in last_edge_index.items():
+        decided_at[i].append(tracers[v])
+    closed_at: list[list[tuple[EdgeId, ...]]] = [[] for _ in edge_order]
+    if True in colours:  # only red edges can make a face odd
+        position = {e: i for i, e in enumerate(edge_order)}
+        for boundary in c.faces.values():
+            face = tuple(ref.edge for ref in boundary.trail)
+            closed_at[max(position[e] for e in face)].append(face)
+    options = [[(cand, red) for cand in cands for red in colours] for cands in candidates]
+
+    if not edge_order:
+        # nothing to assign: the empty system is planar
+        return ((RotationSystem({}), ()) if first_only else None), 1, 0, total_space
+
+    assignment: dict[EdgeId, tuple[Incidence, ...]] = {}
+    red_edges: set[EdgeId] = set()
+    examined = found = 0
+    last = len(edge_order) - 1
+    stack = [iter(options[0])]  # per assigned edge, its untried options
+    while stack:
+        i = len(stack) - 1
+        e = edge_order[i]
+        for cand, red in stack[i]:
+            examined += 1
+            if cap is not None and examined > cap:
+                raise CapExceededError(
+                    f"candidate cap {cap} exceeded", examined - 1, found
+                )
+            assignment[e] = cand
+            if red:
+                red_edges.add(e)
+            elif red_edges:
+                red_edges.discard(e)
+            ok = True
+            for face in closed_at[i]:
+                if sum(f in red_edges for f in face) % 2:
+                    ok = False
+                    break
+            if ok:
+                for t in decided_at[i]:
+                    if not t.sphere_union(assignment, red_edges):
+                        ok = False
+                        break
+            if not ok:
+                continue
+            if i < last:
+                stack.append(iter(options[i + 1]))
+                break
+            found += 1
+            if first_only:
+                witness = (RotationSystem(dict(assignment)), tuple(sorted(red_edges)))
+                return witness, found, examined, total_space
+        else:
+            stack.pop()
+            del assignment[e]
+            red_edges.discard(e)
+    return None, found, examined, total_space
+
+
 @dataclass(frozen=True)
 class PrsSearchResult:
     status: str  # "found" | "exhausted"
@@ -89,85 +192,13 @@ def search_planar_rotation_system(
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be >= 1")
-    c = _searchable(c)
-    incidences = c.edge_incidences()
-    edge_order = sorted(c.edges)
-    candidates = [sigma_candidates(incidences[e]) for e in edge_order]
-    total_space = 1
-    for cands in candidates:
-        total_space *= len(cands)
-
-    if link_planarity_precheck(c) is not None:
-        return PrsSearchResult(
-            "exhausted", None, 0 if mode == "count" else None, 0, total_space
-        )
-
-    # a vertex's link is decided once the last of its edges is assigned
-    last_edge_index: dict[VertexId, int] = {}
-    for i, e in enumerate(edge_order):
-        tail, head = c.edges[e]
-        last_edge_index[tail] = max(last_edge_index.get(tail, -1), i)
-        last_edge_index[head] = max(last_edge_index.get(head, -1), i)
-    decided_at: list[list[VertexId]] = [[] for _ in edge_order]
-    for v, i in last_edge_index.items():
-        decided_at[i].append(v)
-    tracers: dict[VertexId, LinkTracer] = {
-        v: link_tracer(c, v, incidences) for v in c.vertices
-    }
-
-    assignment: dict[EdgeId, tuple[Incidence, ...]] = {}
-    examined = 0
-    found_count = 0
-    first_sigma: RotationSystem | None = None
-
-    def bump() -> None:
-        nonlocal examined
-        examined += 1
-        if cap is not None and examined > cap:
-            raise CapExceededError(
-                f"candidate cap {cap} exceeded", examined - 1, found_count
-            )
-
-    def extend(i: int) -> bool:
-        """DFS over edges from index i; True means stop (found, mode=first)."""
-        nonlocal found_count, first_sigma
-        if i == len(edge_order):
-            sigma = RotationSystem(dict(assignment))
-            if mode == "first":
-                first_sigma = sigma
-                return True
-            found_count += 1
-            return False
-        e = edge_order[i]
-        for cand in candidates[i]:
-            bump()
-            assignment[e] = cand
-            ok = True
-            for v in decided_at[i]:
-                if not tracers[v].sphere_union(assignment):
-                    ok = False
-                    break
-            if ok and extend(i + 1):
-                return True
-        del assignment[e]
-        return False
-
-    if not edge_order:
-        # degenerate: nothing to assign, the empty system is planar
-        empty = RotationSystem({})
-        if mode == "first":
-            return PrsSearchResult("found", empty, None, 0, 1)
-        return PrsSearchResult("found", empty, 1, 0, 1)
-
-    stopped = extend(0)
+    witness, found, examined, total_space = _search(c, _BLACK, mode == "first", cap)
     if mode == "first":
-        if stopped and first_sigma is not None:
-            return PrsSearchResult("found", first_sigma, None, examined, total_space)
-        return PrsSearchResult("exhausted", None, None, examined, total_space)
-    status = "found" if found_count > 0 else "exhausted"
-    return PrsSearchResult(status, None, found_count, examined, total_space)
+        if witness is None:
+            return PrsSearchResult("exhausted", None, None, examined, total_space)
+        return PrsSearchResult("found", witness[0], None, examined, total_space)
+    status = "found" if found > 0 else "exhausted"
+    return PrsSearchResult(status, None, found, examined, total_space)
 
 
 @dataclass(frozen=True)
@@ -206,24 +237,6 @@ class GprsSearchResult:
         return doc
 
 
-def _face_red_parity_possible(
-    c: PreComplex, red: set[EdgeId], undecided: set[EdgeId]
-) -> bool:
-    """Every face must end with an even number of red edges; a face with
-    no undecided edges left must already be even."""
-    for boundary in c.faces.values():
-        n_red = 0
-        open_slots = 0
-        for ref in boundary.trail:
-            if ref.edge in red:
-                n_red += 1
-            elif ref.edge in undecided:
-                open_slots += 1
-        if open_slots == 0 and n_red % 2 != 0:
-            return False
-    return True
-
-
 def search_generalized_prs(
     c: PreComplex, cap: int | None = None
 ) -> GprsSearchResult:
@@ -235,67 +248,7 @@ def search_generalized_prs(
     and every face has an even number of red edges.  Returns the least
     witness (cyclic orders lexicographic, black before red).
     """
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be >= 1")
-    c = _searchable(c)
-    incidences = c.edge_incidences()
-    edge_order = sorted(c.edges)
-    candidates = [sigma_candidates(incidences[e]) for e in edge_order]
-
-    if link_planarity_precheck(c) is not None:
-        return GprsSearchResult("exhausted", None, (), 0)
-
-    last_edge_index: dict[VertexId, int] = {}
-    for i, e in enumerate(edge_order):
-        tail, head = c.edges[e]
-        last_edge_index[tail] = max(last_edge_index.get(tail, -1), i)
-        last_edge_index[head] = max(last_edge_index.get(head, -1), i)
-    decided_at: list[list[VertexId]] = [[] for _ in edge_order]
-    for v, i in last_edge_index.items():
-        decided_at[i].append(v)
-    tracers = {v: link_tracer(c, v, incidences) for v in c.vertices}
-
-    assignment: dict[EdgeId, tuple[Incidence, ...]] = {}
-    red: set[EdgeId] = set()
-    examined = 0
-    result: list[tuple[RotationSystem, tuple[EdgeId, ...]]] = []
-
-    def bump() -> None:
-        nonlocal examined
-        examined += 1
-        if cap is not None and examined > cap:
-            raise CapExceededError(f"candidate cap {cap} exceeded", examined - 1)
-
-    def extend(i: int) -> bool:
-        if i == len(edge_order):
-            sigma = RotationSystem(dict(assignment))
-            result.append((sigma, tuple(sorted(red))))
-            return True
-        e = edge_order[i]
-        undecided = set(edge_order[i + 1 :])
-        for cand in candidates[i]:
-            for color_red in (False, True):
-                bump()
-                assignment[e] = cand
-                if color_red:
-                    red.add(e)
-                ok = _face_red_parity_possible(c, red, undecided)
-                if ok:
-                    frozen_red = frozenset(red)
-                    for v in decided_at[i]:
-                        if not tracers[v].sphere_union(assignment, frozen_red):
-                            ok = False
-                            break
-                if ok and extend(i + 1):
-                    return True
-                if color_red:
-                    red.discard(e)
-        del assignment[e]
-        return False
-
-    if not edge_order:
-        return GprsSearchResult("found", RotationSystem({}), (), 0)
-    if extend(0):
-        sigma, red_edges = result[0]
-        return GprsSearchResult("found", sigma, red_edges, examined)
-    return GprsSearchResult("exhausted", None, (), examined)
+    witness, _, examined, _ = _search(c, _BLACK_OR_RED, True, cap)
+    if witness is None:
+        return GprsSearchResult("exhausted", None, (), examined)
+    return GprsSearchResult("found", witness[0], witness[1], examined)

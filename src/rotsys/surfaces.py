@@ -24,6 +24,7 @@ from .complexes import (
     PreComplex,
     SignedEdgeRef,
     VertexId,
+    connected_classes,
 )
 from .errors import BijectionFailureError, NotClosedSurfaceError
 from .rotation import RotationSystem, canonical_cycle
@@ -160,9 +161,6 @@ class LocalSurface:
     def member_index(self, m: OrientedFace) -> int:
         return self.members.index(m)
 
-    def glued_edge_triples(self) -> list[tuple[EdgeId, OrientedFace, OrientedFace]]:
-        return [(g.edge, g.pos_member, g.neg_member) for g in self.gluings]
-
     def cell_complex(self) -> CellComplex:
         """The surface as a traced cell complex: vertices are the corner
         orbits, edges the gluings (dart 2k on the positive side), cells
@@ -245,28 +243,14 @@ def local_surfaces(c: PreComplex, sigma: RotationSystem) -> list[LocalSurface]:
         key=OrientedFace.sort_key,
     )
     index = {m: i for i, m in enumerate(members_all)}
-    parent = list(range(len(members_all)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     pairs = related_pairs(c, sigma)
-    for g in pairs:
-        a, b = find(index[g.pos_member]), find(index[g.neg_member])
-        if a != b:
-            parent[b] = a
-    classes: dict[int, list[OrientedFace]] = {}
-    for m in members_all:
-        classes.setdefault(find(index[m]), []).append(m)
-    ordered = sorted(classes.values(), key=lambda ms: ms[0].sort_key())
-
-    surfaces = []
-    for si, members in enumerate(ordered):
-        surfaces.append(_assemble(c, f"s{si}", members, pairs))
-    return surfaces
+    classes = connected_classes(
+        len(members_all), ((index[g.pos_member], index[g.neg_member]) for g in pairs)
+    )
+    return [
+        _assemble(c, f"s{si}", [members_all[i] for i in members], pairs)
+        for si, members in enumerate(classes)
+    ]
 
 
 def _assemble(

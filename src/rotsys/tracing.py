@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .complexes import EdgeId, Incidence, PreComplex, VertexId
+from .complexes import EdgeId, Incidence, PreComplex, VertexId, connected_classes
 from .errors import NotClosedSurfaceError, NotIncidentError
 from .links import HEAD, TAIL, LinkGraph, LinkVertex, link_graph
 from .rotation import RotationSystem
@@ -37,6 +37,24 @@ def _orbits_of(trace: Sequence[int]) -> list[tuple[int, ...]]:
             d = trace[d]
         orbits.append(tuple(orbit))
     return orbits
+
+
+def _components(
+    dart_vertex: Sequence[int], n_vertices: int
+) -> list[tuple[list[int], list[int]]]:
+    """Per connected component of a multigraph whose edge k has darts
+    2k and 2k+1: its vertices and its darts, both ascending; components
+    ordered by least vertex."""
+    ends = iter(dart_vertex)
+    classes = connected_classes(n_vertices, zip(ends, ends))
+    comp_of = [0] * n_vertices
+    for ci, vs in enumerate(classes):
+        for v in vs:
+            comp_of[v] = ci
+    darts: list[list[int]] = [[] for _ in classes]
+    for d, v in enumerate(dart_vertex):
+        darts[comp_of[v]].append(d)
+    return list(zip(classes, darts))
 
 
 @dataclass(frozen=True)
@@ -111,31 +129,10 @@ class CellComplex:
     def component_partition(self) -> list[tuple[set[int], set[int]]]:
         """Per connected component: (vertex indices, edge indices).
         Vertices without darts form singleton components."""
-        parent = list(range(self.num_vertices()))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for k in range(self.num_edges()):
-            a, b = find(self.dart_vertex[2 * k]), find(self.dart_vertex[2 * k + 1])
-            if a != b:
-                parent[b] = a
-        comp_vertices: dict[int, set[int]] = {}
-        for v in range(self.num_vertices()):
-            comp_vertices.setdefault(find(v), set()).add(v)
-        comps = []
-        for root in sorted(comp_vertices, key=lambda r: min(comp_vertices[r])):
-            vs = comp_vertices[root]
-            es = {
-                k
-                for k in range(self.num_edges())
-                if self.dart_vertex[2 * k] in vs
-            }
-            comps.append((vs, es))
-        return comps
+        return [
+            (set(vs), {d >> 1 for d in ds})
+            for vs, ds in _components(self.dart_vertex, self.num_vertices())
+        ]
 
     def chi_by_component(self) -> list[int]:
         comps = self.component_partition()
@@ -150,18 +147,6 @@ class CellComplex:
 
     def chi(self) -> int:
         return self.num_vertices() - self.num_edges() + self.num_cells()
-
-    def genus(self) -> int:
-        """Genus of a connected traced surface; errors on anything else."""
-        if len(self.component_partition()) != 1:
-            raise NotClosedSurfaceError("genus of a disconnected complex")
-        two_g = 2 - self.chi()
-        if two_g % 2 != 0 or two_g < 0:
-            raise NotClosedSurfaceError(f"impossible Euler characteristic {self.chi()}")
-        return two_g // 2
-
-    def cell_boundary_labels(self, ci: int) -> tuple[str, ...]:
-        return tuple(self.edge_labels[d >> 1] for d in self.cells[ci])
 
 
 def is_sphere_union(cc: CellComplex) -> bool:
@@ -260,29 +245,10 @@ class LinkTracer:
     def _component_targets(self) -> list[tuple[frozenset[int], int]]:
         """Per component: its dart set and the cell count required for a
         sphere (2 - V + E); isolated vertices make a sphere impossible."""
-        comps = []
-        parent = list(range(len(self.link.vertices)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for k in range(len(self.link.edges)):
-            a, b = find(self.dart_vertex[2 * k]), find(self.dart_vertex[2 * k + 1])
-            if a != b:
-                parent[b] = a
-        groups: dict[int, list[int]] = {}
-        for v in range(len(self.link.vertices)):
-            groups.setdefault(find(v), []).append(v)
-        for root, vs in groups.items():
-            darts = frozenset(
-                d for d in range(len(self.dart_vertex)) if self.dart_vertex[d] in set(vs)
-            )
-            n_edges = len(darts) // 2
-            comps.append((darts, 2 - len(vs) + n_edges))
-        return comps
+        return [
+            (frozenset(ds), 2 - len(vs) + len(ds) // 2)
+            for vs, ds in _components(self.dart_vertex, len(self.link.vertices))
+        ]
 
     def rotators(
         self,

@@ -82,7 +82,7 @@ def _restrict(c: PreComplex, keep: set[VertexId]) -> PreComplex:
 
 
 def _leaf_blocks(c: PreComplex) -> list[tuple[str, PreComplex]]:
-    """Split into connected components, then recursively at the least
+    """Split into connected components, then repeatedly at the least
     cut vertex of each piece, keeping a human-readable path label."""
     out: list[tuple[str, PreComplex]] = []
     components = c.components()
@@ -94,13 +94,22 @@ def _leaf_blocks(c: PreComplex) -> list[tuple[str, PreComplex]]:
 
 
 def _split(c: PreComplex, path: str, out: list[tuple[str, PreComplex]]) -> None:
-    cuts = cut_vertices(c)
-    if not cuts:
-        out.append((path or "whole", c))
-        return
-    v = min(cuts)
-    for k, attached in enumerate(attached_complexes(c, v)):
-        _split(attached, f"{path}@{v}.{k}" if path else f"@{v}.{k}", out)
+    """Append the leaf blocks of ``c`` to ``out`` in pre-order: the
+    pieces attached at the least cut vertex ``v`` in turn, piece ``k``
+    labeled ``@v.k`` after its parent's path."""
+    stack = [(path, c)]
+    while stack:
+        path, c = stack.pop()
+        cuts = cut_vertices(c)
+        if not cuts:
+            out.append((path or "whole", c))
+            continue
+        v = min(cuts)
+        pieces = [
+            (f"{path}@{v}.{k}", attached)
+            for k, attached in enumerate(attached_complexes(c, v))
+        ]
+        stack.extend(reversed(pieces))
 
 
 def _mixed_prime_reason(null_prime: int, torsion: list[int]) -> str:

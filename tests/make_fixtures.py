@@ -46,6 +46,25 @@ def _triangle_complex(
     )
 
 
+def _grid_surface(n: int, twisted: bool) -> DirectedComplex:
+    """The n x n grid torus or, with the closing seam glued with
+    j -> -j, Klein bottle, triangulated along one diagonal."""
+
+    def v(i: int, j: int) -> int:
+        return (i % n) * n + j % n
+
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a, b = v(i, j), v(i, j + 1)
+            if twisted and i == n - 1:
+                c, d = v(0, -j), v(0, -j - 1)
+            else:
+                c, d = v(i + 1, j), v(i + 1, j + 1)
+            triangles += [(a, b, d), (a, c, d)]
+    return _triangle_complex(n * n, triangles)
+
+
 def tetrahedron() -> DirectedComplex:
     return _triangle_complex(4, list(itertools.combinations(range(4), 3)))
 

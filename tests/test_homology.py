@@ -173,29 +173,11 @@ def test_sparse_elimination_matches_dense_oracles(rows):
         assert sparse_fp_rank(p, _sparse(rows)) == fp_rank(p, [[x % p for x in r] for r in rows])
 
 
-def _grid_surface(n, twisted):
-    """The n x n grid torus or, with the closing seam glued with
-    j -> -j, Klein bottle, triangulated along one diagonal."""
-    import make_fixtures
-
-    def v(i, j):
-        return (i % n) * n + j % n
-
-    triangles = []
-    for i in range(n):
-        for j in range(n):
-            a, b = v(i, j), v(i, j + 1)
-            if twisted and i == n - 1:
-                c, d = v(0, -j), v(0, -j - 1)
-            else:
-                c, d = v(i + 1, j), v(i + 1, j + 1)
-            triangles += [(a, b, d), (a, c, d)]
-    return make_fixtures._triangle_complex(n * n, triangles)
-
-
 @pytest.mark.parametrize("twisted, expected", [(False, (2, [])), (True, (1, [2]))])
 def test_h1_of_20x20_grid_surfaces(twisted, expected):
-    c = _grid_surface(20, twisted)
+    import make_fixtures
+
+    c = make_fixtures._grid_surface(20, twisted)
     assert c.counts() == (400, 1200, 800)
     assert h1_integral(c) == expected
     assert not is_p_nullhomologous(c, 2)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from rotsys import verdict
@@ -134,3 +136,33 @@ def test_nullt_chain_on_certified_spheres(complexes):
         sigma = search_planar_rotation_system(c, "first").sigma
         for s in local_surfaces(c, sigma):
             assert s.genus == 0, name
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_split_of_a_long_chain_needs_no_recursion():
+    """300 triangles glued in a row at single vertices: each split at
+    the least cut vertex peels off one triangle, 299 splits deep."""
+    import make_fixtures
+
+    names = [f"v{i:03d}" for i in range(601)]
+    chain = [(2 * k, 2 * k + 1, 2 * k + 2) for k in range(300)]
+    c = make_fixtures._triangle_complex(601, chain, names)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        v = verdict(c, [2, 3])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (v.orientable_3manifold, v.sphere3) == ("yes", "yes")
+    peeled = [f"@{names[2 * j]}.1" for j in range(1, 300)]
+    expected = [
+        "".join(peeled[:k]) + f"@{names[2 * k + 2]}.0" for k in range(299)
+    ] + ["".join(peeled)]
+    assert [b.path for b in v.blocks] == expected
