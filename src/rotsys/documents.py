@@ -35,6 +35,12 @@ def _load(text: str) -> dict[str, Any]:
     return doc
 
 
+def _list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise DocumentError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _precomplex_from_doc(doc: dict[str, Any]) -> PreComplex:
     for key in ("kind", "vertices", "edges", "faces"):
         if key not in doc:
@@ -42,28 +48,42 @@ def _precomplex_from_doc(doc: dict[str, Any]) -> PreComplex:
     kind = doc["kind"]
     if kind not in (SIMPLICIAL, GENERAL):
         raise DocumentError(f"kind must be 'simplicial' or 'general', got {kind!r}")
-    vertices = tuple(doc["vertices"])
+    vertices = tuple(_list(doc["vertices"], "vertices"))
+    for v in vertices:
+        if not isinstance(v, str):
+            raise DocumentError(f"vertex id must be a string, got {v!r}")
+    # indexing a JSON value other than an object by a key raises TypeError
     edges: dict[str, tuple[str, str]] = {}
-    for entry in doc["edges"]:
+    for entry in _list(doc["edges"], "edges"):
         try:
             eid, tail, head = entry["id"], entry["tail"], entry["head"]
         except (TypeError, KeyError) as exc:
             raise DocumentError(f"malformed edge entry {entry!r}") from exc
+        if not (isinstance(eid, str) and isinstance(tail, str) and isinstance(head, str)):
+            raise DocumentError(f"edge entry {entry!r}: id, tail and head must be strings")
         if eid in edges:
             raise DocumentError(f"duplicate edge id {eid!r}")
         edges[eid] = (tail, head)
     faces: dict[str, FaceBoundary] = {}
-    for entry in doc["faces"]:
+    for entry in _list(doc["faces"], "faces"):
         try:
             fid = entry["id"]
-            trail = tuple(
-                SignedEdgeRef(step["edge"], step["dir"]) for step in entry["boundary"]
-            )
+            trail = []
+            for step in _list(entry["boundary"], "face boundary"):
+                edge, sign = step["edge"], step["dir"]
+                # bool is a subclass of int; "dir": true is not +1
+                if not isinstance(edge, str) or type(sign) is not int or sign not in (1, -1):
+                    raise DocumentError(
+                        f"boundary step {step!r}: edge must be a string, dir 1 or -1"
+                    )
+                trail.append(SignedEdgeRef(edge, sign))
         except (TypeError, KeyError) as exc:
             raise DocumentError(f"malformed face entry {entry!r}") from exc
+        if not isinstance(fid, str):
+            raise DocumentError(f"face id must be a string, got {fid!r}")
         if fid in faces:
             raise DocumentError(f"duplicate face id {fid!r}")
-        faces[fid] = FaceBoundary(fid, trail)
+        faces[fid] = FaceBoundary(fid, tuple(trail))
     return PreComplex(kind, vertices, edges, faces)
 
 

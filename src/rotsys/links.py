@@ -152,7 +152,12 @@ def attached_complexes(c: PreComplex, v: VertexId) -> list[PreComplex]:
         raise UnknownVertexError(f"unknown vertex {v!r}")
     if v not in cut_vertices(c):
         raise NotACutVertexError(f"{v!r} is not a cut vertex")
+    return _split_at_cut_vertex(c, v)
 
+
+def _split_at_cut_vertex(c: PreComplex, v: VertexId) -> list[PreComplex]:
+    """``attached_complexes(c, v)`` for a ``v`` the caller already knows
+    to be a cut vertex of ``c``, without computing the cut vertices."""
     own_component = next(comp for comp in c.components() if v in comp)
     adj = c.skeleton_adjacency()
     remaining = own_component - {v}

@@ -12,14 +12,25 @@ precheck of the link graph (a sphere-union link complex is a plane
 embedding, so a non-planar link kills every candidate), a sphere-union
 check of each link as soon as all edges at its vertex are decided, and
 an even-red check of each face as soon as all its edges are decided.
-The backtracker keeps its own stack, so the size of a complex is not
-bounded by Python's recursion limit.
+
+Two further savings keep the answers unchanged.  The mirror cut:
+reversing every cyclic order maps (generalized) planar systems to
+themselves, so the first edge with two or more cyclic orders offers only
+the half whose orders are lex <= their reversal, and each witness
+reached counts twice; the least witness always lies in that half.
+Precompiled successor writes: built once per search, each (edge,
+option) carries the blocks of successor entries (stored as the tracing
+map, successor then mate) it fixes in the links at the edge's ends, and
+a decided link's orbits are counted on its array by the same code as
+``LinkTracer.sphere_union``; a link whose edges offer no choice of
+rotator is checked once, before the search.  The backtracker keeps its own stack, so
+the size of a complex is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import networkx as nx
 
@@ -27,7 +38,7 @@ from .complexes import EdgeId, Incidence, PreComplex, VertexId
 from .errors import CapExceededError
 from .links import link_graph
 from .rotation import RotationSystem, sigma_candidates
-from .tracing import LinkTracer, link_tracer
+from .tracing import LinkTracer, link_tracer, traces_sphere_union
 
 _BLACK = (False,)
 _BLACK_OR_RED = (False, True)
@@ -70,19 +81,120 @@ def link_planarity_precheck(c: PreComplex) -> VertexId | None:
 
 
 _Witness = tuple[RotationSystem, tuple[EdgeId, ...]]
+_Links = tuple[PreComplex, dict[VertexId, LinkTracer]]
+# one precompiled write: a tracing array, a block of it, the new values
+_Write = tuple[list[int], int, int, list[int]]
+_Step = tuple[tuple[Incidence, ...], bool, tuple[_Write, ...]]
+
+
+def _mirror_cut(candidates: list[list[tuple[Incidence, ...]]]) -> int:
+    """Keep one half of the first edge with two or more cyclic orders.
+
+    Reversing every cyclic order maps (generalized) planar systems to
+    themselves, colours and face parity untouched, and fixes none once
+    such an edge exists.  Of each order and its reversal the edge keeps
+    the one whose tail after the fixed least incidence is lex <= the
+    reversed tail, so the lexicographically least witness is kept.
+    Returns the number of systems each witness reached stands for.
+    """
+    for cands in candidates:
+        if len(cands) > 1:
+            cands[:] = [cand for cand in cands if cand[1:] <= cand[:0:-1]]
+            return 2
+    return 1
+
+
+def _write(
+    t: LinkTracer,
+    i: int,
+    trace: list[int],
+    slot: list[int],
+    start: int,
+    cand: tuple[Incidence, ...],
+    red: bool,
+) -> _Write:
+    """The write to ``trace`` that fixes the block of link vertex ``i``
+    of ``t``, starting at ``start``, for the cyclic order ``cand`` and
+    the colour ``red`` of its edge."""
+    rot = t.rotator(i, cand, red)
+    values = [0] * len(rot)
+    for j, succ in enumerate(rot):
+        values[slot[rot[j - 1]] - start] = slot[succ ^ 1]
+    return trace, start, start + len(rot), values
+
+
+def _compile_links(
+    tracers: dict[VertexId, LinkTracer],
+    edge_order: list[EdgeId],
+    candidates: list[list[tuple[Incidence, ...]]],
+    colours: tuple[bool, ...],
+) -> tuple[list[list[_Step]], dict[VertexId, tuple[list[int], int]]]:
+    """Per edge, its options (cyclic order, colour) each with the writes
+    it makes to the tracing arrays of the links at the edge's ends; per
+    vertex whose link must be checked, its tracing array and the orbit
+    count of a sphere union.
+
+    An edge is fixed when all its options induce the same rotators: one
+    cyclic order, and one colour or at most two incidences.  A link
+    whose edges are all fixed and which is a sphere union needs no
+    check.  Each other link's darts are renumbered so that the darts
+    arriving at one link vertex fill one block of its array, in
+    ascending dart order; the blocks of fixed edges are written once,
+    and every option of another edge rewrites the blocks of its ends, so
+    a link whose edges are all assigned holds the tracing map of the
+    current assignment.
+    """
+    fixed = {
+        e
+        for e, cands in zip(edge_order, candidates)
+        if len(cands) == 1 and (len(colours) == 1 or len(cands[0]) <= 2)
+    }
+    first = {e: cands[0] for e, cands in zip(edge_order, candidates)}
+    ends: dict[EdgeId, list[tuple[LinkTracer, int, list[int], list[int], int]]] = {
+        e: [] for e in edge_order
+    }
+    arrays: dict[VertexId, tuple[list[int], int]] = {}
+    for v, t in tracers.items():
+        if all(lv.edge in fixed for lv in t.link.vertices) and t.sphere_union(first):
+            continue
+        n = len(t.dart_vertex)
+        slot = [0] * n
+        for k, d in enumerate(sorted(range(n), key=t.dart_vertex.__getitem__)):
+            slot[d] = k
+        trace = [0] * n
+        start = 0
+        for i, lv in enumerate(t.link.vertices):
+            if lv.edge in fixed:
+                _, lo, hi, values = _write(t, i, trace, slot, start, first[lv.edge], False)
+                trace[lo:hi] = values
+            else:
+                ends[lv.edge].append((t, i, trace, slot, start))
+            start += len(t.incidences_of_vertex[i])
+        arrays[v] = (trace, t.sphere_cells)
+    steps = [
+        [
+            (cand, red, tuple(_write(*end, cand, red) for end in ends[e]))
+            for cand in cands
+            for red in colours
+        ]
+        for e, cands in zip(edge_order, candidates)
+    ]
+    return steps, arrays
 
 
 def _search(
     c: PreComplex, colours: tuple[bool, ...], first_only: bool, cap: int | None
-) -> tuple[_Witness | None, int, int, int]:
+) -> tuple[_Witness | None, int, int, int, _Links | None]:
     """Depth-first search over (cyclic order, colour) per edge.
 
     ``colours`` lists the colours tried per cyclic order, False (black)
     before True (red).  Returns the least witness (sigma and its sorted
-    red edges) when ``first_only``, else None; the number of witnesses
-    reached (the search stops at the first when ``first_only``); the
-    candidates examined, one per placed (cyclic order, colour); and the
-    size of the space of cyclic orders.
+    red edges) when ``first_only``, else None; the number of systems
+    accounted for by the witnesses reached (the search stops at the
+    first when ``first_only``); the candidates examined, one per placed
+    (cyclic order, colour); the size of the space of cyclic orders; and
+    the searched complex with its link tracers (None when the planarity
+    precheck decides).
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
@@ -92,7 +204,8 @@ def _search(
     candidates = [sigma_candidates(incidences[e]) for e in edge_order]
     total_space = math.prod(len(cands) for cands in candidates)
     if link_planarity_precheck(c) is not None:
-        return None, 0, 0, total_space
+        return None, 0, 0, total_space, None
+    weight = _mirror_cut(candidates)
 
     # a vertex's link is decided once the last of its edges is assigned,
     # a face's red parity once the last of its edges is
@@ -101,30 +214,32 @@ def _search(
         for v in c.edges[e]:
             last_edge_index[v] = i
     tracers = {v: link_tracer(c, v, incidences) for v in c.vertices}
-    decided_at: list[list[LinkTracer]] = [[] for _ in edge_order]
+    steps, arrays = _compile_links(tracers, edge_order, candidates, colours)
+    decided_at: list[list[tuple[list[int], int]]] = [[] for _ in edge_order]
     for v, i in last_edge_index.items():
-        decided_at[i].append(tracers[v])
+        if v in arrays:
+            decided_at[i].append(arrays[v])
     closed_at: list[list[tuple[EdgeId, ...]]] = [[] for _ in edge_order]
     if True in colours:  # only red edges can make a face odd
         position = {e: i for i, e in enumerate(edge_order)}
         for boundary in c.faces.values():
             face = tuple(ref.edge for ref in boundary.trail)
             closed_at[max(position[e] for e in face)].append(face)
-    options = [[(cand, red) for cand in cands for red in colours] for cands in candidates]
 
     if not edge_order:
         # nothing to assign: the empty system is planar
-        return ((RotationSystem({}), ()) if first_only else None), 1, 0, total_space
+        witness = (RotationSystem({}), ()) if first_only else None
+        return witness, 1, 0, total_space, (c, tracers)
 
     assignment: dict[EdgeId, tuple[Incidence, ...]] = {}
     red_edges: set[EdgeId] = set()
     examined = found = 0
     last = len(edge_order) - 1
-    stack = [iter(options[0])]  # per assigned edge, its untried options
+    stack = [iter(steps[0])]  # per assigned edge, its untried options
     while stack:
         i = len(stack) - 1
         e = edge_order[i]
-        for cand, red in stack[i]:
+        for cand, red, edge_writes in stack[i]:
             examined += 1
             if cap is not None and examined > cap:
                 raise CapExceededError(
@@ -140,25 +255,28 @@ def _search(
                 if sum(f in red_edges for f in face) % 2:
                     ok = False
                     break
-            if ok:
-                for t in decided_at[i]:
-                    if not t.sphere_union(assignment, red_edges):
-                        ok = False
-                        break
+            if not ok:
+                continue
+            for trace, lo, hi, values in edge_writes:
+                trace[lo:hi] = values
+            for trace, cells in decided_at[i]:
+                if not traces_sphere_union(trace, cells):
+                    ok = False
+                    break
             if not ok:
                 continue
             if i < last:
-                stack.append(iter(options[i + 1]))
+                stack.append(iter(steps[i + 1]))
                 break
-            found += 1
+            found += weight
             if first_only:
                 witness = (RotationSystem(dict(assignment)), tuple(sorted(red_edges)))
-                return witness, found, examined, total_space
+                return witness, found, examined, total_space, (c, tracers)
         else:
             stack.pop()
             del assignment[e]
             red_edges.discard(e)
-    return None, found, examined, total_space
+    return None, found, examined, total_space, (c, tracers)
 
 
 @dataclass(frozen=True)
@@ -192,7 +310,7 @@ def search_planar_rotation_system(
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
-    witness, found, examined, total_space = _search(c, _BLACK, mode == "first", cap)
+    witness, found, examined, total_space, _ = _search(c, _BLACK, mode == "first", cap)
     if mode == "first":
         if witness is None:
             return PrsSearchResult("exhausted", None, None, examined, total_space)
@@ -207,16 +325,22 @@ class GprsSearchResult:
     sigma: RotationSystem | None
     red_edges: tuple[EdgeId, ...]
     candidates_examined: int
+    # the searched complex and the link tracers the search built for it
+    _links: _Links | None = field(default=None, compare=False, repr=False)
 
     def rotator_doc(self, c: PreComplex) -> dict:
         """The per-vertex rotators of the found assignment: for every
         link vertex, the cyclic order of its link edges (face#pos)."""
         assert self.sigma is not None
         red = frozenset(self.red_edges)
-        incidences = c.edge_incidences()
+        if self._links is not None and self._links[0] is c:
+            tracers = self._links[1]
+        else:
+            incidences = c.edge_incidences()
+            tracers = {v: link_tracer(c, v, incidences) for v in c.vertices}
         out: dict[str, dict[str, list[str]]] = {}
         for v in sorted(c.vertices):
-            tracer = link_tracer(c, v, incidences)
+            tracer = tracers[v]
             rotators = tracer.rotators(self.sigma, red)
             labels = tracer.link.vertex_labels()
             out[v] = {
@@ -248,7 +372,7 @@ def search_generalized_prs(
     and every face has an even number of red edges.  Returns the least
     witness (cyclic orders lexicographic, black before red).
     """
-    witness, _, examined, _ = _search(c, _BLACK_OR_RED, True, cap)
+    witness, _, examined, _, links = _search(c, _BLACK_OR_RED, True, cap)
     if witness is None:
         return GprsSearchResult("exhausted", None, (), examined)
-    return GprsSearchResult("found", witness[0], witness[1], examined)
+    return GprsSearchResult("found", witness[0], witness[1], examined, links)

@@ -57,6 +57,30 @@ def _components(
     return list(zip(classes, darts))
 
 
+def traces_sphere_union(trace: Sequence[int], cells: int) -> bool:
+    """Whether the tracing map ``trace`` (a dart to the mate of its
+    rotator successor) has exactly ``cells`` orbits.
+
+    Each connected component of a traced graph is a closed orientable
+    surface, so it has at most 2 - V + E cells, with equality exactly
+    for a sphere.  A graph is a sphere union iff its orbits reach the
+    sum of these bounds over its components (an isolated vertex needs
+    one cell and traces none, so it never does).
+    """
+    seen = [False] * len(trace)
+    orbits = 0
+    for start in range(len(trace)):
+        if seen[start]:
+            continue
+        orbits += 1
+        seen[start] = True
+        d = trace[start]
+        while d != start:
+            seen[d] = True
+            d = trace[d]
+    return orbits == cells
+
+
 @dataclass(frozen=True)
 class CellComplex:
     """A traced multigraph: vertices, edges (dart pairs 2k / 2k+1), a
@@ -239,49 +263,44 @@ class LinkTracer:
                     table[inc] = 2 * corner_index[(inc.face, inc.pos)] + 1
             self.dart_of_incidence.append(table)
             self.incidences_of_vertex.append(tuple(sorted(table)))
-        # component structure is rotator-independent
-        self._components = self._component_targets()
+        # the orbit count of a sphere union, 2 - V + E per component
+        ends = iter(self.dart_vertex)
+        components = connected_classes(len(lg.vertices), zip(ends, ends))
+        self.sphere_cells = 2 * len(components) - len(lg.vertices) + len(lg.edges)
 
-    def _component_targets(self) -> list[tuple[frozenset[int], int]]:
-        """Per component: its dart set and the cell count required for a
-        sphere (2 - V + E); isolated vertices make a sphere impossible."""
-        return [
-            (frozenset(ds), 2 - len(vs) + len(ds) // 2)
-            for vs, ds in _components(self.dart_vertex, len(self.link.vertices))
-        ]
+    def rotator(
+        self, i: int, order: Sequence[Incidence], red: bool = False
+    ) -> list[int]:
+        """The darts at link vertex ``i`` in the cyclic order that
+        ``order`` (sigma of its edge) induces.
+
+        At a head end the darts follow ``order``; at a tail end they
+        follow the reverse, unless the edge is red, in which case both
+        ends read it forwards.  An empty ``order`` (an edge with one
+        incidence, or a faceless one) yields the darts the vertex has.
+        """
+        table = self.dart_of_incidence[i]
+        if not order:
+            order = self.incidences_of_vertex[i]
+        elif self.link.vertices[i].end == TAIL and not red:
+            order = order[::-1]
+        return [table[inc] for inc in order]
 
     def rotators(
         self,
         sigma: "RotationSystem | dict[EdgeId, tuple[Incidence, ...]]",
         red_edges: frozenset[EdgeId] = frozenset(),
     ) -> list[list[int]]:
-        """Resolve sigma to dart rotators.
+        """Resolve sigma to dart rotators, one per link vertex.
 
-        At a head end the darts follow sigma(e); at a tail end they
-        follow the reverse, unless the edge is red, in which case both
-        ends read sigma(e) forwards.  Single-incidence edges have empty
-        sigma but still carry their one dart.  ``sigma`` may be a bare
-        edge-to-cycle mapping (searches pass partial assignments).
+        ``sigma`` may be a bare edge-to-cycle mapping; faceless edges
+        (PreComplex searches) need no entry.
         """
         order_map = sigma.sigma if isinstance(sigma, RotationSystem) else sigma
-        out = []
-        for i, lv in enumerate(self.link.vertices):
-            # faceless edges (PreComplex searches) have no sigma entry
-            order = order_map.get(lv.edge, ())
-            if not order:
-                order = self.incidences_of_vertex[i]
-            elif lv.end == TAIL and lv.edge not in red_edges:
-                order = tuple(reversed(order))
-            table = self.dart_of_incidence[i]
-            out.append([table[inc] for inc in order])
-        return out
-
-    def succ_from(self, rotators: Sequence[Sequence[int]]) -> list[int]:
-        succ = [-1] * len(self.dart_vertex)
-        for rot in rotators:
-            for j, d in enumerate(rot):
-                succ[d] = rot[(j + 1) % len(rot)]
-        return succ
+        return [
+            self.rotator(i, order_map.get(lv.edge, ()), lv.edge in red_edges)
+            for i, lv in enumerate(self.link.vertices)
+        ]
 
     def sphere_union(
         self,
@@ -290,26 +309,11 @@ class LinkTracer:
     ) -> bool:
         """Whether every component traces to Euler characteristic 2,
         without materializing a CellComplex."""
-        succ = self.succ_from(self.rotators(sigma, red_edges))
-        seen = [False] * len(succ)
-        for darts, target in self._components:
-            if target < 0:
-                return False
-            orbits = 0
-            for start in darts:
-                if seen[start]:
-                    continue
-                orbits += 1
-                if orbits > target:
-                    return False
-                d = succ[start] ^ 1
-                seen[start] = True
-                while d != start:
-                    seen[d] = True
-                    d = succ[d] ^ 1
-            if orbits != target:
-                return False
-        return True
+        trace = [-1] * len(self.dart_vertex)
+        for rot in self.rotators(sigma, red_edges):
+            for j, succ in enumerate(rot):
+                trace[rot[j - 1]] = succ ^ 1
+        return traces_sphere_union(trace, self.sphere_cells)
 
     def cell_complex(
         self, sigma: RotationSystem, red_edges: frozenset[EdgeId] = frozenset()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .complexes import PreComplex, VertexId
 from .errors import NotPrimeError
 from .homology import h1_integral, is_p_nullhomologous, is_prime, least_prime_factor
-from .links import attached_complexes, cut_vertices
+from .links import _split_at_cut_vertex, cut_vertices
 from .presentation import Pi1Verdict, pi1_trivial_heuristic
 from .rotation import RotationSystem
 from .search import PrsSearchResult, search_planar_rotation_system
@@ -107,7 +107,7 @@ def _split(c: PreComplex, path: str, out: list[tuple[str, PreComplex]]) -> None:
         v = min(cuts)
         pieces = [
             (f"{path}@{v}.{k}", attached)
-            for k, attached in enumerate(attached_complexes(c, v))
+            for k, attached in enumerate(_split_at_cut_vertex(c, v))
         ]
         stack.extend(reversed(pieces))
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rotsys.cli import main
 
 
@@ -54,6 +56,81 @@ def test_parse_error_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 1
     assert "error" in err
+
+
+def _triangle_doc():
+    return {
+        "kind": "simplicial",
+        "vertices": ["a", "b", "c"],
+        "edges": [
+            {"id": "ab", "tail": "a", "head": "b"},
+            {"id": "bc", "tail": "b", "head": "c"},
+            {"id": "ac", "tail": "a", "head": "c"},
+        ],
+        "faces": [
+            {
+                "id": "f",
+                "boundary": [
+                    {"edge": "ab", "dir": 1},
+                    {"edge": "bc", "dir": 1},
+                    {"edge": "ac", "dir": -1},
+                ],
+            }
+        ],
+    }
+
+
+def _set(path, value):
+    """A mutation of the triangle document: set the entry at ``path``."""
+
+    def mutate(doc):
+        *parents, key = path
+        for k in parents:
+            doc = doc[k]
+        doc[key] = value
+
+    return mutate
+
+
+BOUNDARY = ("faces", 0, "boundary")
+BAD_DOCUMENTS = {
+    "integer vertex ids": _set(("vertices",), [1, 2, 3]),
+    "list edge id": _set(("edges", 0, "id"), ["ab"]),
+    "string vertices, boolean dir": lambda doc: (
+        _set(("vertices",), "abc")(doc),
+        _set(BOUNDARY + (0, "dir"), True)(doc),
+    ),
+    "boolean dir": _set(BOUNDARY + (0, "dir"), True),
+    "dir 2": _set(BOUNDARY + (0, "dir"), 2),
+    "dir 1.0": _set(BOUNDARY + (0, "dir"), 1.0),
+    "dir string": _set(BOUNDARY + (0, "dir"), "1"),
+    "vertices object": _set(("vertices",), {"a": 1}),
+    "edges object": _set(("edges",), {"ab": ["a", "b"]}),
+    "faces string": _set(("faces",), "f"),
+    "boundary object": _set(BOUNDARY, {"edge": "ab", "dir": 1}),
+    "edge entry string": _set(("edges", 0), "ab"),
+    "face entry list": _set(("faces", 0), ["f"]),
+    "boundary step list": _set(BOUNDARY + (0,), ["ab", 1]),
+    "integer tail": _set(("edges", 0, "tail"), 0),
+    "null head": _set(("edges", 0, "head"), None),
+    "integer face id": _set(("faces", 0, "id"), 7),
+    "list boundary edge": _set(BOUNDARY + (0, "edge"), ["ab"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+def test_ill_typed_document_exit_1(name, tmp_path, capsys):
+    doc = _triangle_doc()
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(path))[0] == 0  # unmutated: valid
+    BAD_DOCUMENTS[name](doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_1(capsys):

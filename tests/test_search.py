@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -13,33 +14,47 @@ from rotsys import (
     search_planar_rotation_system,
 )
 from rotsys.cli import main
+from rotsys.documents import sigma_to_doc
 from rotsys.errors import CapExceededError
 from rotsys.rotation import sigma_candidates, total_search_space
-from rotsys.tracing import link_tracer
+from rotsys.search import _compile_links, _mirror_cut, link_planarity_precheck
+from rotsys.tracing import link_tracer, traces_sphere_union
 
 # fixtures and random complexes small enough for brute_force_gprs
 GPRS_ORACLE_LIMIT = 10**5
 
 
 def brute_force_gprs(c):
-    """Unpruned oracle: the first (cyclic order, colour) choice per edge,
+    """Unpruned oracle: the least (cyclic order, colour) choice per edge,
     edges in id order and black before red, under which every link is a
-    sphere union and every face has an even number of red edges."""
+    sphere union and every face has an even number of red edges.  Every
+    cyclic order is tried with every red set that passes the face test."""
     incidences = c.edge_incidences()
     edges = sorted(c.edges)
-    tables = [
-        [(cand, red) for cand in sigma_candidates(incidences[e]) for red in (False, True)]
-        for e in edges
+    face_masks = []
+    for b in c.faces.values():
+        mask = 0
+        for ref in b.trail:
+            mask ^= 1 << edges.index(ref.edge)
+        face_masks.append(mask)
+    even = [
+        red
+        for red in range(1 << len(edges))
+        if not any(bin(red & mask).count("1") % 2 for mask in face_masks)
     ]
+    tables = [list(enumerate(sigma_candidates(incidences[e]))) for e in edges]
     tracers = [link_tracer(c, v, incidences) for v in c.vertices]
+    best = None
     for combo in itertools.product(*tables):
-        sigma = RotationSystem({e: cand for e, (cand, _) in zip(edges, combo)})
-        red = frozenset(e for e, (_, is_red) in zip(edges, combo) if is_red)
-        if all(
-            sum(ref.edge in red for ref in b.trail) % 2 == 0 for b in c.faces.values()
-        ) and all(t.sphere_union(sigma, red) for t in tracers):
-            return sigma, tuple(sorted(red))
-    return None
+        sigma = RotationSystem({e: cand for e, (_, cand) in zip(edges, combo)})
+        for red in even:
+            key = tuple((k, bool(red >> j & 1)) for j, (k, _) in enumerate(combo))
+            if best is not None and key >= best[0]:
+                continue
+            red_set = frozenset(e for j, e in enumerate(edges) if red >> j & 1)
+            if all(t.sphere_union(sigma, red_set) for t in tracers):
+                best = key, sigma, tuple(sorted(red_set))
+    return None if best is None else best[1:]
 
 
 def brute_force_planar_count(c):
@@ -204,6 +219,129 @@ def test_gprs_matches_brute_force_on_random_complexes():
         checked += 1
     assert checked >= 30
     assert with_red >= 1
+
+
+# Random complexes whose links all pass the planarity precheck and that
+# have no (generalized) planar rotation system, with the candidates
+# count mode examines: the mirror cut halves the first edge with two or
+# more cyclic orders, so a lost cut shows up here.
+EXHAUSTED = [
+    (GenParams(seed=7, n_vertices=6, target_faces=11), 78),
+    (GenParams(seed=349, n_vertices=6, target_faces=11), 105),
+    (GenParams(seed=1672, n_vertices=6, target_faces=11), 28),
+    (GenParams(seed=2005, n_vertices=6, target_faces=11), 30),
+    (GenParams(seed=2204, n_vertices=7, target_faces=12), 31),
+]
+
+
+@pytest.mark.parametrize(
+    "params, candidates", EXHAUSTED, ids=[f"seed{p.seed}" for p, _ in EXHAUSTED]
+)
+def test_exhausted_searches_match_brute_force(params, candidates):
+    c = generate_random_complex(params)
+    assert link_planarity_precheck(c) is None
+    counted = search_planar_rotation_system(c, "count")
+    assert (counted.status, counted.count) == ("exhausted", 0)
+    assert counted.candidates_examined == candidates
+    assert brute_force_planar_count(c) == 0
+    assert search_planar_rotation_system(c, "first").status == "exhausted"
+    assert _assert_gprs_matches_oracle(c, f"seed {params.seed}") is False
+    assert search_generalized_prs(c).status == "exhausted"
+
+
+def test_count_cap_accounts_for_both_mirror_halves():
+    """Each witness the count reaches stands for itself and its mirror,
+    so a capped count grows in steps of two up to the full count."""
+    c = generate_random_complex(GenParams(seed=29, n_vertices=6, target_faces=8))
+    full = search_planar_rotation_system(c, "count")
+    assert full.count == brute_force_planar_count(c) == 8
+    partial = []
+    for cap in range(1, full.candidates_examined):
+        with pytest.raises(CapExceededError) as err:
+            search_planar_rotation_system(c, "count", cap=cap)
+        assert err.value.candidates_examined == cap
+        partial.append(err.value.partial_count)
+    steps = {b - a for a, b in zip([0] + partial, partial)}
+    assert steps == {0, 2}
+    assert partial[-1] == full.count
+
+
+def test_roadmap_instance_count_and_first_witness():
+    """The only test in which the search runs millions of candidates."""
+    c = generate_random_complex(GenParams(seed=0, n_vertices=8, face_probability=0.5))
+    counted = search_planar_rotation_system(c, "count")
+    assert (counted.status, counted.count) == ("found", 2)
+    first = search_planar_rotation_system(c, "first")
+    assert first.status == "found"
+    assert sigma_to_doc(first.sigma) == ROADMAP_WITNESS
+    assert is_planar_rotation_system(c, first.sigma) == (True, None)
+
+
+ROADMAP_WITNESS = {
+    "sigma": {
+        "v1-v2": ["v1-v2-v5", "v1-v2-v6", "v1-v2-v8"],
+        "v1-v3": ["v1-v3-v5", "v1-v3-v6"],
+        "v1-v4": [],
+        "v1-v5": ["v1-v2-v5", "v1-v3-v5", "v1-v5-v6"],
+        "v1-v6": ["v1-v2-v6", "v1-v5-v6", "v1-v3-v6", "v1-v4-v6"],
+        "v1-v7": [],
+        "v1-v8": ["v1-v2-v8", "v1-v7-v8"],
+        "v2-v3": ["v2-v3-v7", "v2-v3-v8"],
+        "v2-v4": [],
+        "v2-v5": ["v1-v2-v5", "v2-v5-v6", "v2-v4-v5", "v2-v5-v8"],
+        "v2-v6": ["v1-v2-v6", "v2-v5-v6"],
+        "v2-v7": ["v2-v3-v7", "v2-v7-v8"],
+        "v2-v8": ["v1-v2-v8", "v2-v7-v8", "v2-v3-v8", "v2-v5-v8"],
+        "v3-v4": [],
+        "v3-v5": ["v1-v3-v5", "v3-v5-v7", "v3-v5-v6"],
+        "v3-v6": ["v1-v3-v6", "v3-v5-v6", "v3-v6-v7", "v3-v6-v8", "v3-v4-v6"],
+        "v3-v7": ["v2-v3-v7", "v3-v6-v7", "v3-v5-v7"],
+        "v3-v8": ["v2-v3-v8", "v3-v6-v8"],
+        "v4-v5": ["v2-v4-v5", "v4-v5-v6", "v4-v5-v8"],
+        "v4-v6": ["v1-v4-v6", "v3-v4-v6", "v4-v5-v6"],
+        "v4-v7": [],
+        "v4-v8": ["v4-v5-v8", "v4-v7-v8"],
+        "v5-v6": ["v1-v5-v6", "v2-v5-v6", "v4-v5-v6", "v5-v6-v8", "v5-v6-v7", "v3-v5-v6"],
+        "v5-v7": ["v3-v5-v7", "v5-v6-v7"],
+        "v5-v8": ["v2-v5-v8", "v5-v6-v8", "v4-v5-v8"],
+        "v6-v7": ["v3-v6-v7", "v5-v6-v7"],
+        "v6-v8": ["v3-v6-v8", "v5-v6-v8"],
+        "v7-v8": ["v1-v7-v8", "v4-v7-v8", "v2-v7-v8"],
+    }
+}
+
+
+def test_compiled_link_writes_agree_with_sphere_union():
+    """The search's precompiled tracing arrays, after the writes of any
+    complete choice of options, give LinkTracer.sphere_union's verdict
+    on every link; a link left without an array is a sphere union under
+    every choice."""
+    rng = random.Random(5)
+    checked = 0
+    for seed in range(40):
+        params = GenParams(seed=seed, n_vertices=5 + seed % 3, target_faces=4 + seed % 8)
+        c = generate_random_complex(params)
+        incidences = c.edge_incidences()
+        edges = sorted(c.edges)
+        candidates = [sigma_candidates(incidences[e]) for e in edges]
+        _mirror_cut(candidates)
+        tracers = {v: link_tracer(c, v, incidences) for v in c.vertices}
+        steps, arrays = _compile_links(tracers, edges, candidates, (False, True))
+        for _ in range(20):
+            picks = [rng.choice(options) for options in steps]
+            for _, _, writes in picks:
+                for trace, lo, hi, values in writes:
+                    trace[lo:hi] = values
+            sigma = {e: cand for e, (cand, _, _) in zip(edges, picks)}
+            red = frozenset(e for e, (_, is_red, _) in zip(edges, picks) if is_red)
+            for v, t in tracers.items():
+                expected = t.sphere_union(sigma, red)
+                if v in arrays:
+                    assert traces_sphere_union(*arrays[v]) == expected, (seed, v)
+                    checked += 1
+                else:
+                    assert expected, (seed, v)
+    assert checked >= 1000
 
 
 def test_searches_and_cli_on_20x20_grid_torus(tmp_path, capsys):
