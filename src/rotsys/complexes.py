@@ -205,23 +205,12 @@ class PreComplex:
 
     def components(self) -> list[set[VertexId]]:
         """Connected components of the 1-skeleton, ordered by least vertex."""
-        adj = self.skeleton_adjacency()
-        seen: set[VertexId] = set()
-        comps = []
-        for start in sorted(adj):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(comp)
-        return comps
+        order = sorted(self.vertices)
+        index = {v: i for i, v in enumerate(order)}
+        classes = connected_classes(
+            len(order), ((index[tail], index[head]) for tail, head in self.edges.values())
+        )
+        return [{order[i] for i in members} for members in classes]
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1

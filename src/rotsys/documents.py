@@ -140,6 +140,11 @@ def parse_sigma(text: str, c: PreComplex) -> RotationSystem:
     doc = _load(text)
     if "sigma" not in doc or not isinstance(doc["sigma"], dict):
         raise DocumentError("rotation-system document must carry a 'sigma' object")
+    for e, faces in doc["sigma"].items():
+        if not (isinstance(faces, list) and all(isinstance(f, str) for f in faces)):
+            raise DocumentError(
+                f"sigma of edge {e!r} must be a list of face ids, got {faces!r}"
+            )
     return rotation_system_from_face_lists(c, doc["sigma"])
 
 

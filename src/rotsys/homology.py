@@ -27,7 +27,7 @@ from .errors import NotConnectedError, NotLocallyConnectedError, NotPrimeError
 from .links import is_locally_connected
 from .rotation import RotationSystem
 from .surfaces import dual_complex
-from .tracing import is_planar_rotation_system, link_tracer
+from .tracing import is_planar_rotation_system, is_sphere_union, link_tracer
 
 SparseRows = list[dict[int, int]]
 
@@ -473,8 +473,7 @@ def _total_link_cells(c: PreComplex, sigma: RotationSystem) -> tuple[int, bool]:
         tracer = link_tracer(c, v, incidences)
         cc = tracer.cell_complex(sigma)
         total += cc.num_cells()
-        if not all(chi == 2 for chi in cc.chi_by_component()):
-            all_spheres = False
+        all_spheres = all_spheres and is_sphere_union(cc)
     return total, all_spheres
 
 

@@ -5,6 +5,11 @@ edge per traversal of v by a face boundary.  Distinguishing the two
 ends of a loop edge follows the double-counting convention for dual
 complexes: a loop contributes two link vertices.  For loop-free
 complexes the link vertices are simply the edges at v.
+
+Splits run on vertex sets: ``parts_at`` gives the vertex sets of the
+complexes attached at a cut vertex, and ``subcomplexes`` builds
+complexes on vertex sets, giving each edge and face to the first set
+that holds all its vertices and dropping it when none does.
 """
 
 from __future__ import annotations
@@ -152,49 +157,57 @@ def attached_complexes(c: PreComplex, v: VertexId) -> list[PreComplex]:
         raise UnknownVertexError(f"unknown vertex {v!r}")
     if v not in cut_vertices(c):
         raise NotACutVertexError(f"{v!r} is not a cut vertex")
-    return _split_at_cut_vertex(c, v)
-
-
-def _split_at_cut_vertex(c: PreComplex, v: VertexId) -> list[PreComplex]:
-    """``attached_complexes(c, v)`` for a ``v`` the caller already knows
-    to be a cut vertex of ``c``, without computing the cut vertices."""
     own_component = next(comp for comp in c.components() if v in comp)
-    adj = c.skeleton_adjacency()
-    remaining = own_component - {v}
-    parts: list[set[VertexId]] = []
-    seen: set[VertexId] = set()
-    for start in sorted(remaining):
-        if start in seen:
-            continue
-        part = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w != v and w not in part and w in remaining:
-                    part.add(w)
-                    stack.append(w)
-        seen |= part
-        parts.append(part)
+    return subcomplexes(c, parts_at(c.skeleton_adjacency(), own_component, v))
 
-    out: list[PreComplex] = []
-    for idx, part in enumerate(parts):
-        allowed = part | {v}
-        edges = {}
-        for e, (tail, head) in c.edges.items():
-            if tail not in allowed or head not in allowed:
-                continue
-            if tail == v and head == v and idx != 0:
-                continue
-            edges[e] = (tail, head)
-        faces = {}
-        for f, boundary in c.faces.items():
-            support = c.face_vertices(f)
-            if not support <= allowed:
-                continue
-            if support == {v} and idx != 0:
-                continue
-            faces[f] = boundary
-        vertex_order = tuple(x for x in c.vertices if x in allowed)
-        out.append(PreComplex(c.kind, vertex_order, edges, faces))
-    return out
+
+def parts_at(
+    adj: dict[VertexId, set[VertexId]], piece: set[VertexId], v: VertexId
+) -> list[set[VertexId]]:
+    """The vertex sets of the complexes attached at ``v`` within the
+    connected vertex set ``piece``: each component of the skeleton on
+    ``piece`` minus ``v``, plus ``v``, ordered by least vertex.  ``adj``
+    is the skeleton adjacency of a complex containing ``piece``."""
+    rest = sorted(piece - {v})
+    index = {u: i for i, u in enumerate(rest)}
+    classes = connected_classes(
+        len(rest), ((i, index[w]) for i, u in enumerate(rest) for w in adj[u] if w in index)
+    )
+    return [{rest[i] for i in members} | {v} for members in classes]
+
+
+def subcomplexes(c: PreComplex, vertex_sets: list[set[VertexId]]) -> list[PreComplex]:
+    """One complex per vertex set, its vertices in ``c``'s order.
+
+    Each edge and face of ``c`` goes to the first set that holds all its
+    vertices, and to none when no set does.  Splitting at a cut vertex
+    and then splitting the pieces again puts every edge and face where
+    this rule puts it among the final vertex sets.
+    """
+    holders: dict[VertexId, list[int]] = {}
+    for i, vs in enumerate(vertex_sets):
+        for u in vs:
+            holders.setdefault(u, []).append(i)
+
+    def first_holder(support: frozenset[VertexId]) -> int | None:
+        candidates = min((holders.get(u, ()) for u in support), key=len)
+        return next((i for i in candidates if support <= vertex_sets[i]), None)
+
+    vertices: list[list[VertexId]] = [[] for _ in vertex_sets]
+    for u in c.vertices:
+        for i in holders.get(u, ()):
+            vertices[i].append(u)
+    edges: list[dict] = [{} for _ in vertex_sets]
+    for e, ends in c.edges.items():
+        i = first_holder(frozenset(ends))
+        if i is not None:
+            edges[i][e] = ends
+    faces: list[dict] = [{} for _ in vertex_sets]
+    for f, boundary in c.faces.items():
+        i = first_holder(c.face_vertices(f))
+        if i is not None:
+            faces[i][f] = boundary
+    return [
+        PreComplex(c.kind, tuple(vs), es, fs)
+        for vs, es, fs in zip(vertices, edges, faces)
+    ]

@@ -11,7 +11,7 @@ cyclic order at that edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .complexes import (
@@ -192,14 +192,7 @@ class LocalSurface:
             raise NotClosedSurfaceError(
                 f"traced cells do not match member polygons in {self.id}"
             )
-        return CellComplex(
-            cc.vertex_labels,
-            cc.edge_labels,
-            cc.dart_vertex,
-            cc.succ,
-            cc.cells,
-            tuple(labels),
-        )
+        return replace(cc, cell_labels=tuple(labels))
 
     def as_complex(self) -> DirectedComplex:
         """The surface as a general directed complex: vertices are the

@@ -100,7 +100,6 @@ class CellComplex:
         edge_labels: Sequence[str],
         dart_vertex: Sequence[int],
         rotators: Sequence[Sequence[int]],
-        cell_labels: Sequence[str] | None = None,
     ) -> "CellComplex":
         n = len(dart_vertex)
         assert n == 2 * len(edge_labels)
@@ -116,15 +115,13 @@ class CellComplex:
             raise ValueError("rotator does not cover every dart")
         trace = [succ[d] ^ 1 for d in range(n)]
         cells = tuple(_orbits_of(trace))
-        if cell_labels is None:
-            cell_labels = tuple(f"c{i}" for i in range(len(cells)))
         return CellComplex(
             tuple(vertex_labels),
             tuple(edge_labels),
             tuple(dart_vertex),
             tuple(succ),
             cells,
-            tuple(cell_labels),
+            tuple(f"c{i}" for i in range(len(cells))),
         )
 
     # -- structure ----------------------------------------------------------
@@ -146,9 +143,6 @@ class CellComplex:
         for d, s in enumerate(self.succ):
             inv[s] = d
         return tuple(inv)
-
-    def edge_of_dart(self, d: int) -> int:
-        return d >> 1
 
     def component_partition(self) -> list[tuple[set[int], set[int]]]:
         """Per connected component: (vertex indices, edge indices).
@@ -362,16 +356,12 @@ def induced_rotator(
     if v not in (tail, head):
         raise NotIncidentError(f"vertex {v!r} is not an endpoint of edge {e!r}")
     tracer = link_tracer(c, v)
-    end = HEAD if head == v else TAIL
-    lv = LinkVertex(e, end)
-    i = tracer.vertex_index[lv]
-    order = sigma.sigma[e]
-    if not order:
-        order = tracer.incidences_of_vertex[i]
-    elif end == TAIL:
-        order = tuple(reversed(order))
-    table = tracer.dart_of_incidence[i]
-    return [(tracer.edge_labels[table[inc] >> 1], inc) for inc in order]
+    i = tracer.vertex_index[LinkVertex(e, HEAD if head == v else TAIL)]
+    incidence_of = {d: inc for inc, d in tracer.dart_of_incidence[i].items()}
+    return [
+        (tracer.edge_labels[d >> 1], incidence_of[d])
+        for d in tracer.rotator(i, sigma.sigma[e])
+    ]
 
 
 def is_planar_rotation_system(

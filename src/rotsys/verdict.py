@@ -2,7 +2,12 @@
 
 A complex embeds in the 3-sphere iff all complexes attached at a cut
 vertex do, so the verdict splits at cut vertices (and at connected
-components) and combines leaf-block verdicts.  Per block: no planar
+components) and combines leaf-block verdicts.  The splits run on vertex
+sets, with the cut vertices found once, and a complex is built only for
+each leaf block: every edge and face goes to the first leaf, in
+pre-order, that holds all its vertices, so a loop or one-vertex face at
+a cut vertex lands in the first leaf holding that vertex and a face
+whose trail crosses two blocks lands in none.  Per block: no planar
 rotation system denies even an orientable 3-manifold; one found plus a
 certified trivial fundamental group gives the 3-sphere; trivial F_p
 homology at some requested prime combined with nontrivial integral
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from .complexes import PreComplex, VertexId
 from .errors import NotPrimeError
 from .homology import h1_integral, is_p_nullhomologous, is_prime, least_prime_factor
-from .links import _split_at_cut_vertex, cut_vertices
+from .links import cut_vertices, parts_at, subcomplexes
 from .presentation import Pi1Verdict, pi1_trivial_heuristic
 from .rotation import RotationSystem
 from .search import PrsSearchResult, search_planar_rotation_system
@@ -69,47 +74,40 @@ class EmbedVerdict:
         }
 
 
-def _restrict(c: PreComplex, keep: set[VertexId]) -> PreComplex:
-    edges = {
-        e: ends
-        for e, ends in c.edges.items()
-        if ends[0] in keep and ends[1] in keep
-    }
-    faces = {
-        f: b for f, b in c.faces.items() if c.face_vertices(f) <= keep
-    }
-    return PreComplex(c.kind, tuple(v for v in c.vertices if v in keep), edges, faces)
-
-
 def _leaf_blocks(c: PreComplex) -> list[tuple[str, PreComplex]]:
     """Split into connected components, then repeatedly at the least
-    cut vertex of each piece, keeping a human-readable path label."""
-    out: list[tuple[str, PreComplex]] = []
+    cut vertex of each piece, keeping a human-readable path label: the
+    pieces attached at ``v`` come in turn, in pre-order, piece ``k``
+    labeled ``@v.k`` after its parent's path.
+
+    Pieces are vertex sets.  The cut vertices are found once, since
+    those of a piece split off at ``v`` are its parent's that lie in
+    it, other than ``v``.  A complex is built only for each leaf block,
+    by ``subcomplexes``, or ``c`` itself is the one block.
+    """
+    cuts = cut_vertices(c)
+    adj = c.skeleton_adjacency()
     components = c.components()
-    for comp in components:
-        piece = _restrict(c, comp) if len(components) > 1 else c
-        label = min(comp)
-        _split(piece, label if len(components) > 1 else "", out)
-    return out
-
-
-def _split(c: PreComplex, path: str, out: list[tuple[str, PreComplex]]) -> None:
-    """Append the leaf blocks of ``c`` to ``out`` in pre-order: the
-    pieces attached at the least cut vertex ``v`` in turn, piece ``k``
-    labeled ``@v.k`` after its parent's path."""
-    stack = [(path, c)]
+    stack = [
+        (min(comp) if len(components) > 1 else "", comp, cuts & comp)
+        for comp in reversed(components)
+    ]
+    leaves: list[tuple[str, set[VertexId]]] = []
     while stack:
-        path, c = stack.pop()
-        cuts = cut_vertices(c)
-        if not cuts:
-            out.append((path or "whole", c))
+        path, piece, piece_cuts = stack.pop()
+        if not piece_cuts:
+            leaves.append((path or "whole", piece))
             continue
-        v = min(cuts)
-        pieces = [
-            (f"{path}@{v}.{k}", attached)
-            for k, attached in enumerate(_split_at_cut_vertex(c, v))
+        v = min(piece_cuts)
+        parts = [
+            (f"{path}@{v}.{k}", part, (piece_cuts & part) - {v})
+            for k, part in enumerate(parts_at(adj, piece, v))
         ]
-        stack.extend(reversed(pieces))
+        stack.extend(reversed(parts))
+    if len(leaves) == 1:
+        return [(leaves[0][0], c)]
+    blocks = subcomplexes(c, [piece for _, piece in leaves])
+    return [(path, block) for (path, _), block in zip(leaves, blocks)]
 
 
 def _mixed_prime_reason(null_prime: int, torsion: list[int]) -> str:

@@ -133,6 +133,32 @@ def test_ill_typed_document_exit_1(name, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+BAD_SIGMA_VALUES = {
+    "integer": ("v-w", 5),
+    "null": ("v-w", None),
+    "object and integers": ("v-w", [{"a": 1}, 2, 3]),
+    "null face id": ("v-w", ["a-v-w", "b-v-w", "c-v-w", None]),
+    "string": ("v-w", "a-v-w"),
+    "zero on a single-face edge": ("a-v", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SIGMA_VALUES))
+def test_ill_typed_sigma_exit_1(name, tmp_path, capsys, fixture_files):
+    edge, value = BAD_SIGMA_VALUES[name]
+    sigma = {"v-w": ["a-v-w", "b-v-w", "c-v-w"]}
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps({"sigma": sigma}))
+    assert run(capsys, "surfaces", fx(fixture_files, "book3"), "--sigma", str(path))[0] == 0
+    sigma[edge] = value
+    path.write_text(json.dumps({"sigma": sigma}))
+    code, out, err = run(capsys, "surfaces", fx(fixture_files, "book3"), "--sigma", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_1(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1

@@ -3,8 +3,10 @@ import itertools
 import pytest
 
 from rotsys import (
+    GenParams,
     attached_complexes,
     cut_vertices,
+    generate_random_complex,
     is_locally_connected,
     link_graph,
     validate,
@@ -99,6 +101,20 @@ def test_cut_vertices_fixtures(complexes):
 def test_cut_vertices_against_oracle(complexes):
     for name, c in complexes.items():
         assert cut_vertices(c) == brute_cut_vertices(c), name
+
+
+def test_cut_vertices_against_oracle_on_randgen():
+    with_cuts = 0
+    for seed in range(150):
+        # 2-6 triangles on 5-9 vertices: sparse enough for cut vertices
+        n = 5 + seed % 5
+        c = generate_random_complex(
+            GenParams(seed=seed, n_vertices=n, target_faces=2 + (seed * 7) % 5)
+        )
+        cuts = cut_vertices(c)
+        assert cuts == brute_cut_vertices(c), seed
+        with_cuts += bool(cuts)
+    assert with_cuts >= 30
 
 
 def test_locally_connected_fixtures(complexes):

@@ -1,9 +1,24 @@
+import random
 import sys
 
 import pytest
 
-from rotsys import verdict
+from rotsys import (
+    FaceBoundary,
+    GenParams,
+    PreComplex,
+    SignedEdgeRef,
+    attached_complexes,
+    cut_vertices,
+    generate_random_complex,
+    links,
+    verdict,
+)
+from rotsys.documents import complex_to_doc
 from rotsys.errors import NotPrimeError
+
+# ``rotsys.verdict`` is the exported function; the module lives here
+verdict_module = sys.modules["rotsys.verdict"]
 
 
 def test_tetrahedron_sphere_yes(complexes):
@@ -146,14 +161,20 @@ def _stack_depth():
     return depth
 
 
+def _chain(n):
+    """``n`` triangles glued in a row at single vertices, and the vertex
+    names."""
+    import make_fixtures
+
+    names = [f"v{i:03d}" for i in range(2 * n + 1)]
+    chain = [(2 * k, 2 * k + 1, 2 * k + 2) for k in range(n)]
+    return make_fixtures._triangle_complex(2 * n + 1, chain, names), names
+
+
 def test_split_of_a_long_chain_needs_no_recursion():
     """300 triangles glued in a row at single vertices: each split at
     the least cut vertex peels off one triangle, 299 splits deep."""
-    import make_fixtures
-
-    names = [f"v{i:03d}" for i in range(601)]
-    chain = [(2 * k, 2 * k + 1, 2 * k + 2) for k in range(300)]
-    c = make_fixtures._triangle_complex(601, chain, names)
+    c, names = _chain(300)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
@@ -166,3 +187,247 @@ def test_split_of_a_long_chain_needs_no_recursion():
         "".join(peeled[:k]) + f"@{names[2 * k + 2]}.0" for k in range(299)
     ] + ["".join(peeled)]
     assert [b.path for b in v.blocks] == expected
+
+
+def test_chain_verdict_finds_cut_vertices_once(monkeypatch):
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return cut_vertices(c)
+
+    monkeypatch.setattr(links, "cut_vertices", counted)
+    monkeypatch.setattr(verdict_module, "cut_vertices", counted)
+    c, _ = _chain(300)
+    assert len(verdict(c, [2, 3]).blocks) == 300
+    assert len(calls) == 1
+
+
+# -- the split at cut vertices against the recursive oracle -----------------
+
+
+def _docs(complexes):
+    return [complex_to_doc(c) for c in complexes]
+
+
+def _restricted_parts(c, v):
+    """The complexes attached at ``v`` in the connected complex ``c``,
+    written out: each component of the skeleton without ``v``, plus
+    ``v``, with the edges and faces all of whose vertices it holds, but
+    loops and faces at ``v`` alone only in the first."""
+    rest = set(c.vertices) - {v}
+    parts = []
+    for start in sorted(rest):
+        if any(start in part for part in parts):
+            continue
+        part, stack = {start}, [start]
+        while stack:
+            u = stack.pop()
+            for ends in c.edges.values():
+                for a, b in (ends, ends[::-1]):
+                    if a == u and b in rest and b not in part:
+                        part.add(b)
+                        stack.append(b)
+        parts.append(part)
+    out = []
+    for k, part in enumerate(parts):
+        keep = part | {v}
+
+        def held(support):
+            return support <= keep and (k == 0 or support != {v})
+
+        out.append(
+            PreComplex(
+                c.kind,
+                tuple(u for u in c.vertices if u in keep),
+                {e: ends for e, ends in c.edges.items() if held(set(ends))},
+                {f: b for f, b in c.faces.items() if held(c.face_vertices(f))},
+            )
+        )
+    return out
+
+
+def _recursive_leaf_blocks(c):
+    """The split as a recursion over complexes: each component, then
+    each piece at its least cut vertex, with ``cut_vertices`` run on
+    every piece and ``attached_complexes`` building the pieces, checked
+    against ``_restricted_parts``."""
+    out = []
+    components = c.components()
+    for comp in components:
+        if len(components) > 1:
+            piece = PreComplex(
+                c.kind,
+                tuple(v for v in c.vertices if v in comp),
+                {e: ends for e, ends in c.edges.items() if ends[0] in comp},
+                {f: b for f, b in c.faces.items() if c.face_vertices(f) <= comp},
+            )
+            stack = [(min(comp), piece)]
+        else:
+            stack = [("", c)]
+        while stack:
+            path, piece = stack.pop()
+            cuts = cut_vertices(piece)
+            if not cuts:
+                out.append((path or "whole", piece))
+                continue
+            v = min(cuts)
+            parts = attached_complexes(piece, v)
+            assert _docs(parts) == _docs(_restricted_parts(piece, v))
+            stack.extend(reversed([(f"{path}@{v}.{k}", p) for k, p in enumerate(parts)]))
+    return out
+
+
+def _assert_split_matches_oracle(c):
+    blocks = verdict_module._leaf_blocks(c)
+    expected = _recursive_leaf_blocks(c)
+    assert [(p, complex_to_doc(b)) for p, b in blocks] == [
+        (p, complex_to_doc(b)) for p, b in expected
+    ]
+
+
+def _complex(kind, vertices, edges, faces):
+    """A PreComplex from ``(id, tail, head)`` edges and ``(id, [(edge,
+    dir), ...])`` faces."""
+    return PreComplex(
+        kind,
+        tuple(vertices),
+        {e: (t, h) for e, t, h in edges},
+        {
+            f: FaceBoundary(f, tuple(SignedEdgeRef(e, d) for e, d in trail))
+            for f, trail in faces
+        },
+    )
+
+
+# general pieces: a loop with a one-vertex face, a bare loop, a bigon,
+# and a face whose trail runs z -> a -> z -> b -> z through two blocks
+GENERAL_PIECES = [
+    _complex("general", "z", [("l", "z", "z")], [("o", [("l", 1)])]),
+    _complex("general", "z", [("l", "z", "z")], []),
+    _complex(
+        "general", "za", [("p", "z", "a"), ("q", "z", "a")], [("g", [("p", 1), ("q", -1)])]
+    ),
+    _complex(
+        "general",
+        "zab",
+        [("p", "z", "a"), ("q", "a", "z"), ("r", "z", "b"), ("s", "b", "z")],
+        [("x", [("p", 1), ("q", 1), ("r", 1), ("s", 1)])],
+    ),
+]
+
+
+def _glued(rng, pieces, disjoint=0.0):
+    """The pieces glued in a tree, each at one random vertex onto a random
+    vertex of the earlier ones (or kept apart with chance ``disjoint``)."""
+    vertices, edges, faces = [], {}, {}
+    for k, p in enumerate(pieces):
+        vmap = {v: f"{k}.{v}" for v in p.vertices}
+        if vertices and rng.random() >= disjoint:
+            vmap[rng.choice(p.vertices)] = rng.choice(vertices)
+        vertices += [v for v in vmap.values() if v not in vertices]
+        edges.update({f"{k}.{e}": (vmap[t], vmap[h]) for e, (t, h) in p.edges.items()})
+        for f, b in p.faces.items():
+            trail = tuple(SignedEdgeRef(f"{k}.{r.edge}", r.sign) for r in b.trail)
+            faces[f"{k}.{f}"] = FaceBoundary(f"{k}.{f}", trail)
+    kind = "general" if any(p.kind == "general" for p in pieces) else "simplicial"
+    return PreComplex(kind, tuple(vertices), edges, faces)
+
+
+def _shuffled(rng, c):
+    """``c`` with random vertex, edge and face names, listed in random
+    order."""
+    names = [f"x{i}" for i in range(len(c.vertices))]
+    rng.shuffle(names)
+    vmap = dict(zip(c.vertices, names))
+    emap = dict(zip(c.edges, rng.sample(range(len(c.edges)), len(c.edges))))
+    edges = [(f"e{emap[e]}", vmap[t], vmap[h]) for e, (t, h) in c.edges.items()]
+    faces = [
+        (f"f{k}", [(f"e{emap[r.edge]}", r.sign) for r in b.trail])
+        for k, b in zip(rng.sample(range(len(c.faces)), len(c.faces)), c.faces.values())
+    ]
+    rng.shuffle(edges)
+    rng.shuffle(faces)
+    return _complex(c.kind, rng.sample(names, len(names)), edges, faces)
+
+
+def _random_piece(rng):
+    n = rng.randint(3, 6)
+    return generate_random_complex(
+        GenParams(seed=rng.randrange(10**6), n_vertices=n, target_faces=rng.randint(1, n))
+    )
+
+
+def test_split_matches_recursive_oracle_on_glued_random_complexes():
+    rng = random.Random(11)
+    for i in range(60):
+        pieces = [_random_piece(rng) for _ in range(rng.randint(2, 5))]
+        _assert_split_matches_oracle(_shuffled(rng, _glued(rng, pieces, 0.2 * (i % 2))))
+
+
+def _bouquet(k):
+    """``k`` triangles sharing the vertex z and nothing else."""
+    edges, faces = [], []
+    for j in range(k):
+        a, b = f"a{j}", f"b{j}"
+        edges += [(f"za{j}", "z", a), (f"ab{j}", a, b), (f"zb{j}", "z", b)]
+        faces.append((f"t{j}", [(f"za{j}", 1), (f"ab{j}", 1), (f"zb{j}", -1)]))
+    vertices = ["z"] + [f"{x}{j}" for j in range(k) for x in "ab"]
+    return _complex("simplicial", vertices, edges, faces)
+
+
+def test_split_matches_recursive_oracle_on_bouquets():
+    rng = random.Random(12)
+    for k in range(1, 10):
+        c = _bouquet(k)
+        assert cut_vertices(c) == ({"z"} if k > 1 else set())
+        _assert_split_matches_oracle(c)
+        _assert_split_matches_oracle(_shuffled(rng, c))
+
+
+def test_split_places_loops_first_and_drops_faces_across_blocks():
+    # two triangles at z, a loop at z with a one-vertex face, and a face
+    # whose trail runs z -> p -> z -> q -> z
+    c = _complex(
+        "general",
+        "zabcdpq",
+        [("za", "z", "a"), ("ab", "a", "b"), ("zb", "z", "b")]
+        + [("zc", "z", "c"), ("cd", "c", "d"), ("zd", "z", "d"), ("l", "z", "z")]
+        + [("p1", "z", "p"), ("p2", "p", "z"), ("q1", "z", "q"), ("q2", "q", "z")],
+        [
+            ("t1", [("za", 1), ("ab", 1), ("zb", -1)]),
+            ("t2", [("zc", 1), ("cd", 1), ("zd", -1)]),
+            ("o", [("l", 1)]),
+            ("x", [("p1", 1), ("p2", 1), ("q1", 1), ("q2", 1)]),
+        ],
+    )
+    blocks = verdict_module._leaf_blocks(c)
+    assert [(p, "".join(b.vertices), list(b.edges), list(b.faces)) for p, b in blocks] == [
+        ("@z.0", "zab", ["za", "ab", "zb", "l"], ["t1", "o"]),
+        ("@z.1", "zcd", ["zc", "cd", "zd"], ["t2"]),
+        ("@z.2", "zp", ["p1", "p2"], []),
+        ("@z.3", "zq", ["q1", "q2"], []),
+    ]
+    _assert_split_matches_oracle(c)
+
+
+def test_split_matches_recursive_oracle_on_general_complexes():
+    rng = random.Random(13)
+    seen = dict.fromkeys(
+        ["loop at a cut vertex", "one-vertex face at a cut vertex", "face in no block"], 0
+    )
+    for i in range(80):
+        pieces = [_random_piece(rng) for _ in range(rng.randint(1, 3))]
+        pieces += rng.choices(GENERAL_PIECES, k=rng.randint(1, 4))
+        c = _glued(rng, pieces, 0.1)
+        if i % 2:
+            c = _shuffled(rng, c)
+        _assert_split_matches_oracle(c)
+        cuts = cut_vertices(c)
+        blocks = verdict_module._leaf_blocks(c)
+        seen["loop at a cut vertex"] += any(t == h in cuts for t, h in c.edges.values())
+        seen["one-vertex face at a cut vertex"] += any(
+            len(c.face_vertices(f)) == 1 and c.face_vertices(f) <= cuts for f in c.faces
+        )
+        seen["face in no block"] += sum(len(b.faces) for _, b in blocks) < len(c.faces)
+    assert all(seen.values()), seen
