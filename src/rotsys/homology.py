@@ -27,7 +27,7 @@ from .errors import NotConnectedError, NotLocallyConnectedError, NotPrimeError
 from .links import is_locally_connected
 from .rotation import RotationSystem
 from .surfaces import dual_complex
-from .tracing import is_planar_rotation_system, is_sphere_union, link_tracer
+from .tracing import is_planar_rotation_system, is_sphere_union, link_tracers
 
 SparseRows = list[dict[int, int]]
 
@@ -466,12 +466,11 @@ class EulerReport:
 
 def _total_link_cells(c: PreComplex, sigma: RotationSystem) -> tuple[int, bool]:
     """(total cells over all link complexes, every component a sphere)."""
-    incidences = c.edge_incidences()
+    tracers = link_tracers(c)
     total = 0
     all_spheres = True
     for v in sorted(c.vertices):
-        tracer = link_tracer(c, v, incidences)
-        cc = tracer.cell_complex(sigma)
+        cc = tracers[v].cell_complex(sigma)
         total += cc.num_cells()
         all_spheres = all_spheres and is_sphere_union(cc)
     return total, all_spheres

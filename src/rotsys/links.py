@@ -6,7 +6,9 @@ ends of a loop edge follows the double-counting convention for dual
 complexes: a loop contributes two link vertices.  For loop-free
 complexes the link vertices are simply the edges at v.
 
-Splits run on vertex sets: ``parts_at`` gives the vertex sets of the
+Cut vertices are those of the complex as a space, where a face's open
+disk joins its vertices: splits run on vertex sets over
+``space_adjacency``.  ``parts_at`` gives the vertex sets of the
 complexes attached at a cut vertex, and ``subcomplexes`` builds
 complexes on vertex sets, giving each edge and face to the first set
 that holds all its vertices and dropping it when none does.
@@ -128,27 +130,32 @@ def is_locally_connected(c: PreComplex) -> tuple[bool, VertexId | None]:
     return True, None
 
 
-def _skeleton_nx(c: PreComplex) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(c.vertices)
-    for tail, head in c.edges.values():
-        if tail != head:
-            g.add_edge(tail, head)
-    return g
+def space_adjacency(c: PreComplex) -> dict[VertexId, set[VertexId]]:
+    """The skeleton adjacency of ``c`` plus, for each face whose trail
+    revisits a vertex, an edge between any two of its vertices (a face
+    whose trail is a simple cycle joins them along the skeleton)."""
+    adj = c.skeleton_adjacency()
+    for f, boundary in c.faces.items():
+        vs = c.face_vertices(f)
+        if len(vs) < len(boundary.trail):
+            for u in vs:
+                adj[u] |= vs
+    return adj
 
 
 def cut_vertices(c: PreComplex) -> set[VertexId]:
-    """Vertices whose removal disconnects their own component of the
-    1-skeleton."""
-    return set(nx.articulation_points(_skeleton_nx(c)))
+    """Vertices whose removal disconnects the other vertices of their
+    own component, joined by the edges and open faces left."""
+    return set(nx.articulation_points(nx.Graph(space_adjacency(c))))
 
 
 def attached_complexes(c: PreComplex, v: VertexId) -> list[PreComplex]:
     """Split ``c`` at the cut vertex ``v``.
 
-    Returns one PreComplex per component K of the 1-skeleton of v's own
-    connected component with v removed: vertex set K + v, and exactly
-    the edges and faces all of whose incident vertices lie in K + v.
+    Returns one PreComplex per part K of v's own connected component
+    with v removed (its vertices joined by the edges and open faces
+    left): vertex set K + v, and exactly the edges and faces all of
+    whose incident vertices lie in K + v.
     Loops at v and faces touching only v (possible only in general
     complexes) go to the least component so the face sets stay
     pairwise disjoint.  Components are ordered by least vertex.
@@ -158,16 +165,16 @@ def attached_complexes(c: PreComplex, v: VertexId) -> list[PreComplex]:
     if v not in cut_vertices(c):
         raise NotACutVertexError(f"{v!r} is not a cut vertex")
     own_component = next(comp for comp in c.components() if v in comp)
-    return subcomplexes(c, parts_at(c.skeleton_adjacency(), own_component, v))
+    return subcomplexes(c, parts_at(space_adjacency(c), own_component, v))
 
 
 def parts_at(
     adj: dict[VertexId, set[VertexId]], piece: set[VertexId], v: VertexId
 ) -> list[set[VertexId]]:
     """The vertex sets of the complexes attached at ``v`` within the
-    connected vertex set ``piece``: each component of the skeleton on
+    connected vertex set ``piece``: each component of ``adj`` on
     ``piece`` minus ``v``, plus ``v``, ordered by least vertex.  ``adj``
-    is the skeleton adjacency of a complex containing ``piece``."""
+    is the ``space_adjacency`` of a complex containing ``piece``."""
     rest = sorted(piece - {v})
     index = {u: i for i, u in enumerate(rest)}
     classes = connected_classes(

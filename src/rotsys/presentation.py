@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .complexes import PreComplex
-from .errors import NotConnectedError
+from .errors import NotConnectedError, RotsysError
 
 Word = tuple[int, ...]  # nonzero generator indices, sign = direction
 
@@ -138,6 +138,8 @@ def pi1_trivial_heuristic(c: PreComplex, budget: int = 100_000) -> Pi1Verdict:
     Returns "trivial" only when simplification eliminates every
     generator; never reports a false trivial.
     """
+    if budget < 0:
+        raise RotsysError(f"tietze budget must be >= 0, got {budget}")
     if not c.is_connected():
         raise NotConnectedError("pi1 heuristic requires a connected complex")
     tree = spanning_tree_edges(c)

@@ -7,11 +7,12 @@ order, each colour: black gives the two ends mutually reverse rotators,
 red gives both ends the same one.  A planar rotation system is the
 all-black case of a generalized one, so the planar search offers black
 only.  The order makes the search lexicographic and its outcome
-machine-independent.  Pruning is threefold: a per-vertex planarity
-precheck of the link graph (a sphere-union link complex is a plane
-embedding, so a non-planar link kills every candidate), a sphere-union
-check of each link as soon as all edges at its vertex are decided, and
-an even-red check of each face as soon as all its edges are decided.
+machine-independent.  Each search builds the link tracers once and
+prunes threefold: a planarity precheck of their link graphs (a
+sphere-union link complex is a plane embedding, so a non-planar link
+kills every candidate), a sphere-union check of each link as soon as
+all edges at its vertex are decided, and an even-red check of each face
+as soon as all its edges are decided.
 
 Two further savings keep the answers unchanged.  The mirror cut:
 reversing every cyclic order maps (generalized) planar systems to
@@ -23,22 +24,24 @@ option) carries the blocks of successor entries (stored as the tracing
 map, successor then mate) it fixes in the links at the edge's ends, and
 a decided link's orbits are counted on its array by the same code as
 ``LinkTracer.sphere_union``; a link whose edges offer no choice of
-rotator is checked once, before the search.  The backtracker keeps its own stack, so
-the size of a complex is not bounded by Python's recursion limit.
+rotator is checked once, before the search.  The backtracker keeps its
+own stack, so the size of a complex is not bounded by Python's
+recursion limit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 import networkx as nx
 
 from .complexes import EdgeId, Incidence, PreComplex, VertexId
 from .errors import CapExceededError
-from .links import link_graph
-from .rotation import RotationSystem, sigma_candidates
-from .tracing import LinkTracer, link_tracer, traces_sphere_union
+from .links import LinkGraph
+from .rotation import RotationSystem, candidate_table
+from .tracing import LinkTracer, link_tracers, traces_sphere_union
 
 _BLACK = (False,)
 _BLACK_OR_RED = (False, True)
@@ -61,14 +64,13 @@ def _searchable(c: PreComplex) -> PreComplex:
     return PreComplex(c.kind, vertices, edges, dict(c.faces))
 
 
-def link_planarity_precheck(c: PreComplex) -> VertexId | None:
-    """Least vertex whose link graph is non-planar, or None.
+def link_planarity_precheck(links: Iterable[LinkGraph]) -> VertexId | None:
+    """Least center of a non-planar link graph among ``links``, or None.
 
     Planarity of a multigraph equals planarity of its underlying simple
     graph; loops cannot occur in link graphs built over edge-ends.
     """
-    for v in sorted(c.vertices):
-        lg = link_graph(c, v)
+    for lg in sorted(links, key=lambda lg: lg.center):
         g = nx.Graph()
         g.add_nodes_from(lg.vertices)
         for le in lg.edges:
@@ -76,12 +78,11 @@ def link_planarity_precheck(c: PreComplex) -> VertexId | None:
                 g.add_edge(le.u, le.w)
         ok, _ = nx.check_planarity(g)
         if not ok:
-            return v
+            return lg.center
     return None
 
 
 _Witness = tuple[RotationSystem, tuple[EdgeId, ...]]
-_Links = tuple[PreComplex, dict[VertexId, LinkTracer]]
 # one precompiled write: a tracing array, a block of it, the new values
 _Write = tuple[list[int], int, int, list[int]]
 _Step = tuple[tuple[Incidence, ...], bool, tuple[_Write, ...]]
@@ -184,7 +185,7 @@ def _compile_links(
 
 def _search(
     c: PreComplex, colours: tuple[bool, ...], first_only: bool, cap: int | None
-) -> tuple[_Witness | None, int, int, int, _Links | None]:
+) -> tuple[_Witness | None, int, int, int]:
     """Depth-first search over (cyclic order, colour) per edge.
 
     ``colours`` lists the colours tried per cyclic order, False (black)
@@ -192,19 +193,16 @@ def _search(
     red edges) when ``first_only``, else None; the number of systems
     accounted for by the witnesses reached (the search stops at the
     first when ``first_only``); the candidates examined, one per placed
-    (cyclic order, colour); the size of the space of cyclic orders; and
-    the searched complex with its link tracers (None when the planarity
-    precheck decides).
+    (cyclic order, colour); and the size of the space of cyclic orders.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
     c = _searchable(c)
-    incidences = c.edge_incidences()
-    edge_order = sorted(c.edges)
-    candidates = [sigma_candidates(incidences[e]) for e in edge_order]
+    edge_order, candidates = candidate_table(c)
     total_space = math.prod(len(cands) for cands in candidates)
-    if link_planarity_precheck(c) is not None:
-        return None, 0, 0, total_space, None
+    tracers = link_tracers(c)
+    if link_planarity_precheck(t.link for t in tracers.values()) is not None:
+        return None, 0, 0, total_space
     weight = _mirror_cut(candidates)
 
     # a vertex's link is decided once the last of its edges is assigned,
@@ -213,7 +211,6 @@ def _search(
     for i, e in enumerate(edge_order):
         for v in c.edges[e]:
             last_edge_index[v] = i
-    tracers = {v: link_tracer(c, v, incidences) for v in c.vertices}
     steps, arrays = _compile_links(tracers, edge_order, candidates, colours)
     decided_at: list[list[tuple[list[int], int]]] = [[] for _ in edge_order]
     for v, i in last_edge_index.items():
@@ -229,7 +226,7 @@ def _search(
     if not edge_order:
         # nothing to assign: the empty system is planar
         witness = (RotationSystem({}), ()) if first_only else None
-        return witness, 1, 0, total_space, (c, tracers)
+        return witness, 1, 0, total_space
 
     assignment: dict[EdgeId, tuple[Incidence, ...]] = {}
     red_edges: set[EdgeId] = set()
@@ -271,12 +268,12 @@ def _search(
             found += weight
             if first_only:
                 witness = (RotationSystem(dict(assignment)), tuple(sorted(red_edges)))
-                return witness, found, examined, total_space, (c, tracers)
+                return witness, found, examined, total_space
         else:
             stack.pop()
             del assignment[e]
             red_edges.discard(e)
-    return None, found, examined, total_space, (c, tracers)
+    return None, found, examined, total_space
 
 
 @dataclass(frozen=True)
@@ -310,7 +307,7 @@ def search_planar_rotation_system(
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")
-    witness, found, examined, total_space, _ = _search(c, _BLACK, mode == "first", cap)
+    witness, found, examined, total_space = _search(c, _BLACK, mode == "first", cap)
     if mode == "first":
         if witness is None:
             return PrsSearchResult("exhausted", None, None, examined, total_space)
@@ -325,19 +322,13 @@ class GprsSearchResult:
     sigma: RotationSystem | None
     red_edges: tuple[EdgeId, ...]
     candidates_examined: int
-    # the searched complex and the link tracers the search built for it
-    _links: _Links | None = field(default=None, compare=False, repr=False)
 
     def rotator_doc(self, c: PreComplex) -> dict:
         """The per-vertex rotators of the found assignment: for every
         link vertex, the cyclic order of its link edges (face#pos)."""
         assert self.sigma is not None
         red = frozenset(self.red_edges)
-        if self._links is not None and self._links[0] is c:
-            tracers = self._links[1]
-        else:
-            incidences = c.edge_incidences()
-            tracers = {v: link_tracer(c, v, incidences) for v in c.vertices}
+        tracers = link_tracers(c)
         out: dict[str, dict[str, list[str]]] = {}
         for v in sorted(c.vertices):
             tracer = tracers[v]
@@ -372,7 +363,7 @@ def search_generalized_prs(
     and every face has an even number of red edges.  Returns the least
     witness (cyclic orders lexicographic, black before red).
     """
-    witness, _, examined, _, links = _search(c, _BLACK_OR_RED, True, cap)
+    witness, _, examined, _ = _search(c, _BLACK_OR_RED, True, cap)
     if witness is None:
         return GprsSearchResult("exhausted", None, (), examined)
-    return GprsSearchResult("found", witness[0], witness[1], examined, links)
+    return GprsSearchResult("found", witness[0], witness[1], examined)

@@ -31,7 +31,7 @@ from .rotation import RotationSystem, canonical_cycle
 from .tracing import (
     CellComplex,
     LinkTracer,
-    link_tracer,
+    link_tracers,
     maps_isomorphism,
     surface_dual,
 )
@@ -439,8 +439,7 @@ def iota_check(
             total_vertices += 1
 
     if tracers is None:
-        incidences = c.edge_incidences()
-        tracers = {v: link_tracer(c, v, incidences) for v in c.vertices}
+        tracers = link_tracers(c)
     total_cells = 0
     matched = 0
     for v in sorted(c.vertices):
@@ -492,10 +491,10 @@ def surface_duality_check(
     if dual is None:
         dual = dual_complex(c, sigma)
     d = dual.complex
-    incidences = d.edge_incidences()
+    tracers = link_tracers(d)
     out: dict[str, str] = {}
     for s in dual.surfaces:
-        tracer = link_tracer(d, s.id, incidences)
+        tracer = tracers[s.id]
         a = tracer.cell_complex(dual.sigma_c)
         b = surface_dual(s.cell_complex())
         gluing_index = {(g.edge, g.seq): k for k, g in enumerate(s.gluings)}

@@ -232,31 +232,21 @@ class LinkTracer:
     """Precomputed dart structure of one link graph, retraceable cheaply
     for different rotator assignments during search."""
 
-    def __init__(self, c: PreComplex, lg: LinkGraph, incidences: dict[EdgeId, list[Incidence]]):
-        self.center = lg.center
+    def __init__(self, c: PreComplex, lg: LinkGraph):
         self.link = lg
         self.vertex_index = {lv: i for i, lv in enumerate(lg.vertices)}
         self.edge_labels = [f"{le.face}#{le.pos}" for le in lg.edges]
         self.dart_vertex: list[int] = []
-        for le in lg.edges:
-            self.dart_vertex.append(self.vertex_index[le.u])
-            self.dart_vertex.append(self.vertex_index[le.w])
-        # dart 2k arrives on the u side of link edge k, 2k+1 on the w side
-        corner_index = {(le.face, le.pos): k for k, le in enumerate(lg.edges)}
-        self.dart_of_incidence: list[dict[Incidence, int]] = []
-        self.incidences_of_vertex: list[tuple[Incidence, ...]] = []
-        for lv in lg.vertices:
-            table: dict[Incidence, int] = {}
-            for inc in incidences[lv.edge]:
-                trail = c.faces[inc.face].trail
-                s = trail[inc.pos].sign
-                if (s == 1) == (lv.end == HEAD):
-                    after = (inc.face, (inc.pos + 1) % len(trail))
-                    table[inc] = 2 * corner_index[after]
-                else:
-                    table[inc] = 2 * corner_index[(inc.face, inc.pos)] + 1
-            self.dart_of_incidence.append(table)
-            self.incidences_of_vertex.append(tuple(sorted(table)))
+        self.dart_of_incidence: list[dict[Incidence, int]] = [{} for _ in lg.vertices]
+        # link edge k at corner (f, pos): dart 2k arrives at u over the
+        # incidence (f, pos - 1), dart 2k+1 leaves w over (f, pos)
+        for k, le in enumerate(lg.edges):
+            u, w = self.vertex_index[le.u], self.vertex_index[le.w]
+            self.dart_vertex += (u, w)
+            arrival = Incidence(le.face, (le.pos - 1) % len(c.faces[le.face].trail))
+            self.dart_of_incidence[u][arrival] = 2 * k
+            self.dart_of_incidence[w][Incidence(le.face, le.pos)] = 2 * k + 1
+        self.incidences_of_vertex = [tuple(sorted(t)) for t in self.dart_of_incidence]
         # the orbit count of a sphere union, 2 - V + E per component
         ends = iter(self.dart_vertex)
         components = connected_classes(len(lg.vertices), zip(ends, ends))
@@ -327,9 +317,15 @@ def link_tracer(
     v: VertexId,
     incidences: dict[EdgeId, list[Incidence]] | None = None,
 ) -> LinkTracer:
-    if incidences is None:
-        incidences = c.edge_incidences()
-    return LinkTracer(c, link_graph(c, v), incidences)
+    """The tracer of the link at ``v``.  ``incidences`` is accepted for
+    callers that pass ``c.edge_incidences()`` and unused: a tracer takes
+    each incidence from its own link edges."""
+    return LinkTracer(c, link_graph(c, v))
+
+
+def link_tracers(c: PreComplex) -> dict[VertexId, LinkTracer]:
+    """The tracers of every link of ``c``, in ``c``'s vertex order."""
+    return {v: link_tracer(c, v) for v in c.vertices}
 
 
 def trace_link_complex(c: PreComplex, sigma: RotationSystem, v: VertexId) -> CellComplex:
@@ -369,8 +365,8 @@ def is_planar_rotation_system(
 ) -> tuple[bool, VertexId | None]:
     """Whether every link complex is a disjoint union of spheres; on
     failure also the least failing vertex."""
-    incidences = c.edge_incidences()
+    tracers = link_tracers(c)
     for v in sorted(c.vertices):
-        if not link_tracer(c, v, incidences).sphere_union(sigma):
+        if not tracers[v].sphere_union(sigma):
             return False, v
     return True, None

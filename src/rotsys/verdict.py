@@ -6,22 +6,23 @@ components) and combines leaf-block verdicts.  The splits run on vertex
 sets, with the cut vertices found once, and a complex is built only for
 each leaf block: every edge and face goes to the first leaf, in
 pre-order, that holds all its vertices, so a loop or one-vertex face at
-a cut vertex lands in the first leaf holding that vertex and a face
-whose trail crosses two blocks lands in none.  Per block: no planar
-rotation system denies even an orientable 3-manifold; one found plus a
-certified trivial fundamental group gives the 3-sphere; trivial F_p
-homology at some requested prime combined with nontrivial integral
-homology denies the 3-sphere; otherwise the block stays undecided.
+a cut vertex lands in the first leaf holding that vertex; cut vertices
+are those of the complex as a space, so no face crosses two leaves.
+Per block: no planar rotation system denies even an orientable
+3-manifold; one found plus a certified trivial fundamental group gives
+the 3-sphere; trivial F_p homology at some requested prime combined
+with nontrivial integral homology denies the 3-sphere; otherwise the
+block stays undecided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import PreComplex, VertexId
+from .complexes import DirectedComplex, PreComplex, VertexId
 from .errors import NotPrimeError
 from .homology import h1_integral, is_p_nullhomologous, is_prime, least_prime_factor
-from .links import cut_vertices, parts_at, subcomplexes
+from .links import cut_vertices, parts_at, space_adjacency, subcomplexes
 from .presentation import Pi1Verdict, pi1_trivial_heuristic
 from .rotation import RotationSystem
 from .search import PrsSearchResult, search_planar_rotation_system
@@ -86,7 +87,7 @@ def _leaf_blocks(c: PreComplex) -> list[tuple[str, PreComplex]]:
     by ``subcomplexes``, or ``c`` itself is the one block.
     """
     cuts = cut_vertices(c)
-    adj = c.skeleton_adjacency()
+    adj = space_adjacency(c)
     components = c.components()
     stack = [
         (min(comp) if len(components) > 1 else "", comp, cuts & comp)
@@ -175,12 +176,15 @@ def verdict(
     cap: int | None = None,
 ) -> EmbedVerdict:
     """Decide embeddability of ``c`` in an orientable 3-manifold and,
-    where the theory allows, in the 3-sphere."""
+    where the theory allows, in the 3-sphere.  Any other ``c`` than a
+    ``DirectedComplex`` is validated as one first."""
     if not primes:
         raise NotPrimeError("at least one prime is required")
     for p in primes:
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
+    if not isinstance(c, DirectedComplex):
+        DirectedComplex.from_pre(c)
 
     blocks = [
         _block_verdict(path, block, primes, tietze_budget, cap)

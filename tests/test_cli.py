@@ -191,6 +191,24 @@ def test_verdict_exit_codes(capsys, fixture_files):
     assert json.loads(out)["sphere3"] == "unknown"
 
 
+def test_verdict_rejects_a_negative_tietze_budget(capsys, fixture_files):
+    path = fx(fixture_files, "tetrahedron")
+    code, out, err = run(capsys, "verdict", path, "--primes", "2", "--tietze-budget", "-5")
+    assert (code, out) == (1, "")
+    assert err == "error: tietze budget must be >= 0, got -5\n"
+    code, out, _ = run(capsys, "verdict", path, "--primes", "2", "--tietze-budget", "0")
+    assert code == 2
+    assert json.loads(out)["blocks"][0]["pi1"] == {
+        "status": "unknown",
+        "generators_before": 3,
+        "generators_after": 2,
+        "relators_before": 4,
+        "relators_after": 3,
+        "steps_used": 0,
+        "budget": 0,
+    }
+
+
 def test_prs_count_book3(capsys, fixture_files):
     code, out, _ = run(capsys, "prs", "count", fx(fixture_files, "book3"))
     assert code == 0

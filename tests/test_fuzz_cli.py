@@ -1,25 +1,35 @@
 """Fuzz the CLI with mutated documents: every command ends with exit
 0, 1 or 2 and never with a Python traceback.
 
-Hypothesis mutates the small fixtures and their rotation-system
-documents (entries dropped, duplicated or retyped, ``tail`` and
-``head`` swapped, ``dir`` flipped, lists shuffled) and runs every
-subcommand that reads them through ``cli.main`` in-process, so an
-uncaught exception fails the test.
+Hypothesis mutates the small fixtures, a few general complexes and
+their rotation-system documents (entries dropped, duplicated or
+retyped, ``tail`` and ``head`` swapped, ``dir`` flipped, lists
+shuffled) up to three times, the unmutated documents included, and
+runs every subcommand that reads them through ``cli.main`` in-process,
+so an uncaught exception fails the test.
 """
 
 import contextlib
 import copy
 import io
 import json
+import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rotsys.cli import main
-from rotsys.documents import parse_complex, sigma_to_doc
+from rotsys.documents import emit_complex, parse_complex, sigma_to_doc
 from rotsys.rotation import canonical_rotation_system
 
+from general_pieces import GENERAL_PIECES, glued
+
 FIXTURES = ("triangle", "bowtie", "tetrahedron", "book3")
+# glued from the pieces with a loop and a one-vertex face (0), a bigon
+# (2) and a face that passes a vertex twice (3)
+GENERAL = {
+    f"general-{k}": emit_complex(glued(random.Random(k), [GENERAL_PIECES[i] for i in ids]))
+    for k, ids in enumerate([(3,), (0, 2, 3), (3, 0, 3, 2)])
+}
 CAP = "50"
 
 # (subcommand and options, whether it takes --sigma)
@@ -120,13 +130,13 @@ def _run(argv):
     database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(data=st.data(), name=st.sampled_from(FIXTURES))
+@given(data=st.data(), name=st.sampled_from(FIXTURES + tuple(GENERAL)))
 def test_mutated_documents_never_end_in_a_traceback(data, name, fixture_files, tmp_path):
-    text = (fixture_files / f"{name}.json").read_text()
+    text = GENERAL.get(name) or (fixture_files / f"{name}.json").read_text()
     complex_doc = json.loads(text)
     sigma_doc = sigma_to_doc(canonical_rotation_system(parse_complex(text)))
     mutate_complex = data.draw(st.booleans())
-    for _ in range(data.draw(st.integers(1, 3))):
+    for _ in range(data.draw(st.integers(0, 3))):
         _mutate(data, complex_doc if mutate_complex else sigma_doc)
     complex_path = tmp_path / "complex.json"
     sigma_path = tmp_path / "sigma.json"

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,20 +14,21 @@ from rotsys import (
 )
 from rotsys.errors import NotACutVertexError
 
+from general_pieces import GENERAL_PIECES, glued
+
 
 def brute_cut_vertices(c):
-    """Oracle: remove each vertex and compare component counts."""
+    """Oracle: remove each vertex and test whether the other vertices of
+    its component stay connected through the edges and open faces left.
+    An edge joins its two ends and a face's open disk all of its
+    vertices; cells left with no vertex (a loop at the removed vertex
+    and the faces on it alone) do not count as a part."""
     out = set()
     for v in c.vertices:
         comp_of = next(comp for comp in c.components() if v in comp)
         rest = comp_of - {v}
-        if not rest:
-            continue
-        adj = {u: set() for u in rest}
-        for tail, head in c.edges.values():
-            if tail in rest and head in rest:
-                adj[tail].add(head)
-                adj[head].add(tail)
+        joins = [set(ends) & rest for ends in c.edges.values()]
+        joins += [set(c.face_vertices(f)) & rest for f in c.faces]
         seen = set()
         parts = 0
         for s in rest:
@@ -37,10 +39,10 @@ def brute_cut_vertices(c):
             seen.add(s)
             while stack:
                 u = stack.pop()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+                for joined in joins:
+                    if u in joined:
+                        stack += joined - seen
+                        seen |= joined
         if parts > 1:
             out.add(v)
     return out
@@ -115,6 +117,18 @@ def test_cut_vertices_against_oracle_on_randgen():
         assert cuts == brute_cut_vertices(c), seed
         with_cuts += bool(cuts)
     assert with_cuts >= 30
+
+
+def test_cut_vertices_against_oracle_on_general_complexes():
+    rng = random.Random(3)
+    with_cuts = crossing = 0
+    for _ in range(80):
+        c = glued(rng, rng.choices(GENERAL_PIECES, k=rng.randint(1, 6)), 0.1)
+        cuts = cut_vertices(c)
+        assert cuts == brute_cut_vertices(c)
+        with_cuts += bool(cuts)
+        crossing += any(len(c.face_vertices(f)) < len(b.trail) for f, b in c.faces.items())
+    assert with_cuts >= 30 and crossing >= 40
 
 
 def test_locally_connected_fixtures(complexes):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -10,9 +11,11 @@ from rotsys import (
     emit_complex,
     generate_random_complex,
     is_planar_rotation_system,
+    link_graph,
     search_generalized_prs,
     search_planar_rotation_system,
 )
+from rotsys import links, search
 from rotsys.cli import main
 from rotsys.documents import sigma_to_doc
 from rotsys.errors import CapExceededError
@@ -239,7 +242,7 @@ EXHAUSTED = [
 )
 def test_exhausted_searches_match_brute_force(params, candidates):
     c = generate_random_complex(params)
-    assert link_planarity_precheck(c) is None
+    assert link_planarity_precheck(link_graph(c, v) for v in c.vertices) is None
     counted = search_planar_rotation_system(c, "count")
     assert (counted.status, counted.count) == ("exhausted", 0)
     assert counted.candidates_examined == candidates
@@ -309,6 +312,44 @@ ROADMAP_WITNESS = {
         "v7-v8": ["v1-v7-v8", "v4-v7-v8", "v2-v7-v8"],
     }
 }
+
+
+def test_each_search_builds_each_link_graph_once(monkeypatch, complexes):
+    """A search builds the link graph of each vertex of the searched
+    complex once, for its tracers, and its planarity precheck reads
+    those graphs in one call."""
+    calls = {"link_graph": 0, "precheck": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    original = links.link_graph
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rotsys" and module.__dict__.get("link_graph") is original:
+            monkeypatch.setattr(module, "link_graph", counted("link_graph", original))
+    monkeypatch.setattr(
+        search, "link_planarity_precheck", counted("precheck", link_planarity_precheck)
+    )
+    corpus = list(complexes.values()) + [
+        generate_random_complex(
+            GenParams(seed=seed, n_vertices=4 + seed % 4, target_faces=1 + seed % 9)
+        )
+        for seed in range(40)
+    ]
+    for c in corpus:
+        n = len(search._searchable(c).vertices)
+        for run in (
+            lambda: search_planar_rotation_system(c, "first"),
+            lambda: search_planar_rotation_system(c, "count"),
+            lambda: search_generalized_prs(c),
+        ):
+            calls.update(link_graph=0, precheck=0)
+            run()
+            assert calls == {"link_graph": n, "precheck": 1}
 
 
 def test_compiled_link_writes_agree_with_sphere_union():

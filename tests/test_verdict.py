@@ -4,10 +4,8 @@ import sys
 import pytest
 
 from rotsys import (
-    FaceBoundary,
     GenParams,
     PreComplex,
-    SignedEdgeRef,
     attached_complexes,
     cut_vertices,
     generate_random_complex,
@@ -15,7 +13,9 @@ from rotsys import (
     verdict,
 )
 from rotsys.documents import complex_to_doc
-from rotsys.errors import NotPrimeError
+from rotsys.errors import EmptyKindError, NotPrimeError
+
+from general_pieces import GENERAL_PIECES, complex_from_lists, glued
 
 # ``rotsys.verdict`` is the exported function; the module lives here
 verdict_module = sys.modules["rotsys.verdict"]
@@ -59,6 +59,11 @@ def test_requires_primes(complexes):
         verdict(complexes["tetrahedron"], [])
     with pytest.raises(NotPrimeError):
         verdict(complexes["tetrahedron"], [4])
+
+
+def test_verdict_validates_a_precomplex():
+    with pytest.raises(EmptyKindError, match=r"EdgeWithoutFace\(l\)"):
+        verdict(GENERAL_PIECES[1], [2])
 
 
 def test_monotone_in_primes(complexes):
@@ -212,10 +217,14 @@ def _docs(complexes):
 
 def _restricted_parts(c, v):
     """The complexes attached at ``v`` in the connected complex ``c``,
-    written out: each component of the skeleton without ``v``, plus
-    ``v``, with the edges and faces all of whose vertices it holds, but
-    loops and faces at ``v`` alone only in the first."""
+    written out: each part of the vertices other than ``v``, joined by
+    the edges between them and by the open disk of every face (which
+    joins all of its vertices but ``v``), plus ``v``, with the edges and
+    faces all of whose vertices it holds, but loops and faces at ``v``
+    alone only in the first."""
     rest = set(c.vertices) - {v}
+    joins = [set(ends) for ends in c.edges.values()]
+    joins += [set(c.face_vertices(f)) for f in c.faces]
     parts = []
     for start in sorted(rest):
         if any(start in part for part in parts):
@@ -223,11 +232,11 @@ def _restricted_parts(c, v):
         part, stack = {start}, [start]
         while stack:
             u = stack.pop()
-            for ends in c.edges.values():
-                for a, b in (ends, ends[::-1]):
-                    if a == u and b in rest and b not in part:
-                        part.add(b)
-                        stack.append(b)
+            for joined in joins:
+                if u in joined:
+                    new = (joined & rest) - part
+                    part |= new
+                    stack += new
         parts.append(part)
     out = []
     for k, part in enumerate(parts):
@@ -286,54 +295,6 @@ def _assert_split_matches_oracle(c):
     ]
 
 
-def _complex(kind, vertices, edges, faces):
-    """A PreComplex from ``(id, tail, head)`` edges and ``(id, [(edge,
-    dir), ...])`` faces."""
-    return PreComplex(
-        kind,
-        tuple(vertices),
-        {e: (t, h) for e, t, h in edges},
-        {
-            f: FaceBoundary(f, tuple(SignedEdgeRef(e, d) for e, d in trail))
-            for f, trail in faces
-        },
-    )
-
-
-# general pieces: a loop with a one-vertex face, a bare loop, a bigon,
-# and a face whose trail runs z -> a -> z -> b -> z through two blocks
-GENERAL_PIECES = [
-    _complex("general", "z", [("l", "z", "z")], [("o", [("l", 1)])]),
-    _complex("general", "z", [("l", "z", "z")], []),
-    _complex(
-        "general", "za", [("p", "z", "a"), ("q", "z", "a")], [("g", [("p", 1), ("q", -1)])]
-    ),
-    _complex(
-        "general",
-        "zab",
-        [("p", "z", "a"), ("q", "a", "z"), ("r", "z", "b"), ("s", "b", "z")],
-        [("x", [("p", 1), ("q", 1), ("r", 1), ("s", 1)])],
-    ),
-]
-
-
-def _glued(rng, pieces, disjoint=0.0):
-    """The pieces glued in a tree, each at one random vertex onto a random
-    vertex of the earlier ones (or kept apart with chance ``disjoint``)."""
-    vertices, edges, faces = [], {}, {}
-    for k, p in enumerate(pieces):
-        vmap = {v: f"{k}.{v}" for v in p.vertices}
-        if vertices and rng.random() >= disjoint:
-            vmap[rng.choice(p.vertices)] = rng.choice(vertices)
-        vertices += [v for v in vmap.values() if v not in vertices]
-        edges.update({f"{k}.{e}": (vmap[t], vmap[h]) for e, (t, h) in p.edges.items()})
-        for f, b in p.faces.items():
-            trail = tuple(SignedEdgeRef(f"{k}.{r.edge}", r.sign) for r in b.trail)
-            faces[f"{k}.{f}"] = FaceBoundary(f"{k}.{f}", trail)
-    kind = "general" if any(p.kind == "general" for p in pieces) else "simplicial"
-    return PreComplex(kind, tuple(vertices), edges, faces)
-
-
 def _shuffled(rng, c):
     """``c`` with random vertex, edge and face names, listed in random
     order."""
@@ -348,7 +309,7 @@ def _shuffled(rng, c):
     ]
     rng.shuffle(edges)
     rng.shuffle(faces)
-    return _complex(c.kind, rng.sample(names, len(names)), edges, faces)
+    return complex_from_lists(c.kind, rng.sample(names, len(names)), edges, faces)
 
 
 def _random_piece(rng):
@@ -362,7 +323,7 @@ def test_split_matches_recursive_oracle_on_glued_random_complexes():
     rng = random.Random(11)
     for i in range(60):
         pieces = [_random_piece(rng) for _ in range(rng.randint(2, 5))]
-        _assert_split_matches_oracle(_shuffled(rng, _glued(rng, pieces, 0.2 * (i % 2))))
+        _assert_split_matches_oracle(_shuffled(rng, glued(rng, pieces, 0.2 * (i % 2))))
 
 
 def _bouquet(k):
@@ -373,7 +334,7 @@ def _bouquet(k):
         edges += [(f"za{j}", "z", a), (f"ab{j}", a, b), (f"zb{j}", "z", b)]
         faces.append((f"t{j}", [(f"za{j}", 1), (f"ab{j}", 1), (f"zb{j}", -1)]))
     vertices = ["z"] + [f"{x}{j}" for j in range(k) for x in "ab"]
-    return _complex("simplicial", vertices, edges, faces)
+    return complex_from_lists("simplicial", vertices, edges, faces)
 
 
 def test_split_matches_recursive_oracle_on_bouquets():
@@ -385,10 +346,11 @@ def test_split_matches_recursive_oracle_on_bouquets():
         _assert_split_matches_oracle(_shuffled(rng, c))
 
 
-def test_split_places_loops_first_and_drops_faces_across_blocks():
+def test_split_places_loops_first_and_keeps_faces_through_a_cut_vertex():
     # two triangles at z, a loop at z with a one-vertex face, and a face
-    # whose trail runs z -> p -> z -> q -> z
-    c = _complex(
+    # whose trail runs z -> p -> z -> q -> z: its open disk joins p and
+    # q, so z parts them from the triangles but not from each other
+    c = complex_from_lists(
         "general",
         "zabcdpq",
         [("za", "z", "a"), ("ab", "a", "b"), ("zb", "z", "b")]
@@ -405,8 +367,7 @@ def test_split_places_loops_first_and_drops_faces_across_blocks():
     assert [(p, "".join(b.vertices), list(b.edges), list(b.faces)) for p, b in blocks] == [
         ("@z.0", "zab", ["za", "ab", "zb", "l"], ["t1", "o"]),
         ("@z.1", "zcd", ["zc", "cd", "zd"], ["t2"]),
-        ("@z.2", "zp", ["p1", "p2"], []),
-        ("@z.3", "zq", ["q1", "q2"], []),
+        ("@z.2", "zpq", ["p1", "p2", "q1", "q2"], ["x"]),
     ]
     _assert_split_matches_oracle(c)
 
@@ -414,12 +375,13 @@ def test_split_places_loops_first_and_drops_faces_across_blocks():
 def test_split_matches_recursive_oracle_on_general_complexes():
     rng = random.Random(13)
     seen = dict.fromkeys(
-        ["loop at a cut vertex", "one-vertex face at a cut vertex", "face in no block"], 0
+        ["loop at a cut vertex", "one-vertex face at a cut vertex", "face passing a vertex twice"],
+        0,
     )
     for i in range(80):
         pieces = [_random_piece(rng) for _ in range(rng.randint(1, 3))]
         pieces += rng.choices(GENERAL_PIECES, k=rng.randint(1, 4))
-        c = _glued(rng, pieces, 0.1)
+        c = glued(rng, pieces, 0.1)
         if i % 2:
             c = _shuffled(rng, c)
         _assert_split_matches_oracle(c)
@@ -429,5 +391,8 @@ def test_split_matches_recursive_oracle_on_general_complexes():
         seen["one-vertex face at a cut vertex"] += any(
             len(c.face_vertices(f)) == 1 and c.face_vertices(f) <= cuts for f in c.faces
         )
-        seen["face in no block"] += sum(len(b.faces) for _, b in blocks) < len(c.faces)
+        seen["face passing a vertex twice"] += any(
+            len(c.face_vertices(f)) < len(bd.trail) for f, bd in c.faces.items()
+        )
+        assert sum(len(b.faces) for _, b in blocks) == len(c.faces)
     assert all(seen.values()), seen
