@@ -4,7 +4,11 @@ The link graph at a vertex v has one vertex per edge-end at v and one
 edge per traversal of v by a face boundary.  Distinguishing the two
 ends of a loop edge follows the double-counting convention for dual
 complexes: a loop contributes two link vertices.  For loop-free
-complexes the link vertices are simply the edges at v.
+complexes the link vertices are simply the edges at v.  A face arrives
+at an edge's head when it runs along the edge, at its tail when it runs
+against it, and leaves from the other end; ``corner_of`` gives the
+corner where one incidence meets an edge-end, for callers that read
+rotators without a link graph.
 
 Cut vertices are those of the complex as a space, where a face's open
 disk joins its vertices: splits run on vertex sets over
@@ -19,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import networkx as nx
-
-from .complexes import EdgeId, FaceId, PreComplex, VertexId, connected_classes
+from .complexes import EdgeId, FaceId, Incidence, PreComplex, VertexId, connected_classes
 from .errors import NotACutVertexError, UnknownVertexError
 
 HEAD = "h"
@@ -89,6 +91,18 @@ def _end_of_departure(corner_next_sign: int) -> str:
     return TAIL if corner_next_sign == 1 else HEAD
 
 
+def corner_of(c: PreComplex, inc: Incidence, end: str) -> int:
+    """The corner of ``inc.face`` where the traversal ``inc`` of an edge
+    meets that edge's end ``end`` (HEAD or TAIL): the next corner when
+    the traversal arrives there, its own when it leaves from there.
+    Reading a rotator of link edges (``face#corner``) from a cyclic
+    order of incidences needs no link graph."""
+    trail = c.faces[inc.face].trail
+    if end == _end_of_arrival(trail[inc.pos].sign):
+        return (inc.pos + 1) % len(trail)
+    return inc.pos
+
+
 def link_graph(c: PreComplex, v: VertexId) -> LinkGraph:
     """The link graph of ``c`` at ``v``.
 
@@ -145,8 +159,50 @@ def space_adjacency(c: PreComplex) -> dict[VertexId, set[VertexId]]:
 
 def cut_vertices(c: PreComplex) -> set[VertexId]:
     """Vertices whose removal disconnects the other vertices of their
-    own component, joined by the edges and open faces left."""
-    return set(nx.articulation_points(nx.Graph(space_adjacency(c))))
+    own component, joined by the edges and open faces left.
+
+    The articulation points of ``space_adjacency`` by Hopcroft and
+    Tarjan's lowpoint pass: a depth-first search kept on an explicit
+    stack, so the size of a complex is not bounded by the recursion
+    limit.  A root cuts when it has two or more tree children, any
+    other vertex when no subtree of a child reaches above it.
+    """
+    adj = space_adjacency(c)
+    order = list(adj)
+    index = {v: i for i, v in enumerate(order)}
+    neighbours = [[index[w] for w in adj[v] if w != v] for v in order]
+    disc = [-1] * len(order)  # discovery time, -1 while unvisited
+    low = [0] * len(order)
+    cuts: set[VertexId] = set()
+    clock = 0
+    for root in range(len(order)):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        children = 0
+        stack = [(root, -1, iter(neighbours[root]))]
+        while stack:
+            u, parent, untried = stack[-1]
+            for w in untried:
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, u, iter(neighbours[w])))
+                    break
+                if w != parent and disc[w] < low[u]:
+                    low[u] = disc[w]
+            else:
+                stack.pop()
+                if parent == root:
+                    children += 1
+                elif parent >= 0:
+                    low[parent] = min(low[parent], low[u])
+                    if low[u] >= disc[parent]:
+                        cuts.add(order[parent])
+        if children > 1:
+            cuts.add(order[root])
+    return cuts
 
 
 def attached_complexes(c: PreComplex, v: VertexId) -> list[PreComplex]:

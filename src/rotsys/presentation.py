@@ -132,14 +132,19 @@ def _replace_cyclic(word: Word, start: int, length: int, repl: Word) -> Word:
     return cyclic_reduce(repl + word[wrap:start])
 
 
+def check_budget(budget: int) -> None:
+    """Raise unless ``budget`` is a valid Tietze step budget."""
+    if budget < 0:
+        raise RotsysError(f"tietze budget must be >= 0, got {budget}")
+
+
 def pi1_trivial_heuristic(c: PreComplex, budget: int = 100_000) -> Pi1Verdict:
     """Try to certify that the fundamental group of ``c`` is trivial.
 
     Returns "trivial" only when simplification eliminates every
     generator; never reports a false trivial.
     """
-    if budget < 0:
-        raise RotsysError(f"tietze budget must be >= 0, got {budget}")
+    check_budget(budget)
     if not c.is_connected():
         raise NotConnectedError("pi1 heuristic requires a connected complex")
     tree = spanning_tree_edges(c)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .complexes import EdgeId, Incidence, PreComplex, VertexId, connected_classes
 from .errors import NotClosedSurfaceError, NotIncidentError
-from .links import HEAD, TAIL, LinkGraph, LinkVertex, link_graph
+from .links import HEAD, TAIL, LinkGraph, corner_of, link_graph
 from .rotation import RotationSystem
 
 
@@ -134,9 +134,6 @@ class CellComplex:
 
     def num_cells(self) -> int:
         return len(self.cells)
-
-    def mate(self, d: int) -> int:
-        return d ^ 1
 
     def pred(self) -> tuple[int, ...]:
         inv = [0] * len(self.succ)
@@ -344,20 +341,20 @@ def induced_rotator(
 
     For a loop both ends lie at ``v``; the head end is reported.  The
     single-face convention leaves sigma empty, and the rotator is then
-    the one dart of the single incidence.
+    the one link edge of the single incidence.
     """
     if e not in c.edges:
         raise NotIncidentError(f"unknown edge {e!r}")
     tail, head = c.edges[e]
     if v not in (tail, head):
         raise NotIncidentError(f"vertex {v!r} is not an endpoint of edge {e!r}")
-    tracer = link_tracer(c, v)
-    i = tracer.vertex_index[LinkVertex(e, HEAD if head == v else TAIL)]
-    incidence_of = {d: inc for inc, d in tracer.dart_of_incidence[i].items()}
-    return [
-        (tracer.edge_labels[d >> 1], incidence_of[d])
-        for d in tracer.rotator(i, sigma.sigma[e])
-    ]
+    end = HEAD if head == v else TAIL
+    order = sigma.sigma[e]
+    if not order:
+        order = c.edge_incidences()[e]
+    elif end == TAIL:
+        order = order[::-1]
+    return [(f"{inc.face}#{corner_of(c, inc, end)}", inc) for inc in order]
 
 
 def is_planar_rotation_system(

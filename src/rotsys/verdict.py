@@ -23,7 +23,7 @@ from .complexes import DirectedComplex, PreComplex, VertexId
 from .errors import NotPrimeError
 from .homology import h1_integral, is_p_nullhomologous, is_prime, least_prime_factor
 from .links import cut_vertices, parts_at, space_adjacency, subcomplexes
-from .presentation import Pi1Verdict, pi1_trivial_heuristic
+from .presentation import Pi1Verdict, check_budget, pi1_trivial_heuristic
 from .rotation import RotationSystem
 from .search import PrsSearchResult, search_planar_rotation_system
 from .tracing import is_planar_rotation_system
@@ -177,12 +177,15 @@ def verdict(
 ) -> EmbedVerdict:
     """Decide embeddability of ``c`` in an orientable 3-manifold and,
     where the theory allows, in the 3-sphere.  Any other ``c`` than a
-    ``DirectedComplex`` is validated as one first."""
+    ``DirectedComplex`` is validated as one first.  The primes and the
+    Tietze budget are checked before any block is, so a bad one fails
+    on every complex."""
     if not primes:
         raise NotPrimeError("at least one prime is required")
     for p in primes:
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
+    check_budget(tietze_budget)
     if not isinstance(c, DirectedComplex):
         DirectedComplex.from_pre(c)
 

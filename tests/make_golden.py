@@ -1,0 +1,65 @@
+"""Record the canonical CLI outputs on the fixtures as golden files.
+
+Run as a script to (re)write tests/golden/: one file per fixture and
+command holding its stdout byte for byte, and ``exit_codes.json`` with
+each command's exit code.  ``test_golden_outputs.py`` replays the same
+commands and compares.  Rewrite the files only for a deliberate change
+of the output contract.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from make_fixtures import BUILDERS, FIXTURE_DIR, write_all
+
+from rotsys.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+# golden file suffix -> (CLI arguments before the input path, after it)
+COMMANDS = {
+    "prs-find": (["prs", "find"], []),
+    "prs-count": (["prs", "count"], []),
+    "gprs-find": (["gprs", "find"], []),
+    "verdict": (["verdict"], ["--primes", "2,3"]),
+}
+
+
+def cases() -> list[tuple[str, list[str]]]:
+    """(golden file name, full argv) per fixture and command."""
+    return [
+        (f"{name}.{suffix}.json", [*before, str(FIXTURE_DIR / f"{name}.json"), *after])
+        for name in BUILDERS
+        for suffix, (before, after) in COMMANDS.items()
+    ]
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``rotsys`` run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def write_golden() -> None:
+    write_all()
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    codes = {}
+    for filename, argv in cases():
+        code, out, err = run_cli(argv)
+        if err:
+            sys.exit(f"{filename}: unexpected stderr {err!r}")
+        (GOLDEN_DIR / filename).write_text(out)
+        codes[filename] = code
+    (GOLDEN_DIR / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    write_golden()
+    print(f"wrote {len(cases())} golden outputs to tests/golden/")

@@ -192,10 +192,14 @@ def test_verdict_exit_codes(capsys, fixture_files):
 
 
 def test_verdict_rejects_a_negative_tietze_budget(capsys, fixture_files):
+    # cone-k5 has no planar rotation system, so no block reaches pi1:
+    # the budget is checked before any block is
+    for name in ("tetrahedron", "cone-k5"):
+        argv = ("verdict", fx(fixture_files, name), "--primes", "2", "--tietze-budget", "-5")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), name
+        assert err == "error: tietze budget must be >= 0, got -5\n", name
     path = fx(fixture_files, "tetrahedron")
-    code, out, err = run(capsys, "verdict", path, "--primes", "2", "--tietze-budget", "-5")
-    assert (code, out) == (1, "")
-    assert err == "error: tietze budget must be >= 0, got -5\n"
     code, out, _ = run(capsys, "verdict", path, "--primes", "2", "--tietze-budget", "0")
     assert code == 2
     assert json.loads(out)["blocks"][0]["pi1"] == {

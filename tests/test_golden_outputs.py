@@ -1,0 +1,26 @@
+"""The canonical CLI outputs on the fixtures stay byte for byte.
+
+``prs find``, ``prs count``, ``gprs find`` (rotators included) and
+``verdict --primes 2,3`` on each fixture against tests/golden/, written
+by ``make_golden.py``: stdout, exit code and an empty stderr.
+"""
+
+import json
+
+import pytest
+
+from make_golden import GOLDEN_DIR, cases, run_cli
+
+EXIT_CODES = json.loads((GOLDEN_DIR / "exit_codes.json").read_text())
+
+
+def test_every_case_has_a_golden_output():
+    assert sorted(EXIT_CODES) == sorted(filename for filename, _ in cases())
+
+
+@pytest.mark.parametrize("filename, argv", cases(), ids=[name for name, _ in cases()])
+def test_output_matches_golden(filename, argv):
+    code, out, err = run_cli(argv)
+    assert err == ""
+    assert code == EXIT_CODES[filename]
+    assert out == (GOLDEN_DIR / filename).read_text()

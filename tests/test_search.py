@@ -21,7 +21,9 @@ from rotsys.documents import sigma_to_doc
 from rotsys.errors import CapExceededError
 from rotsys.rotation import sigma_candidates, total_search_space
 from rotsys.search import _compile_links, _mirror_cut, link_planarity_precheck
-from rotsys.tracing import link_tracer, traces_sphere_union
+from rotsys.tracing import induced_rotator, link_tracer, link_tracers, traces_sphere_union
+
+from general_pieces import GENERAL_PIECES, glued
 
 # fixtures and random complexes small enough for brute_force_gprs
 GPRS_ORACLE_LIMIT = 10**5
@@ -346,10 +348,95 @@ def test_each_search_builds_each_link_graph_once(monkeypatch, complexes):
             lambda: search_planar_rotation_system(c, "first"),
             lambda: search_planar_rotation_system(c, "count"),
             lambda: search_generalized_prs(c),
+            # a gprs request reads its rotators from the incidences
+            lambda: search_generalized_prs(c).to_doc(c),
         ):
             calls.update(link_graph=0, precheck=0)
             run()
             assert calls == {"link_graph": n, "precheck": 1}
+
+
+def tracer_rotator_doc(result, c):
+    """Oracle for ``GprsSearchResult.rotator_doc``: the rotators of the
+    witness read off each vertex's link tracer, dart by dart."""
+    red = frozenset(result.red_edges)
+    tracers = link_tracers(c)
+    out = {}
+    for v in sorted(c.vertices):
+        tracer = tracers[v]
+        labels = tracer.link.vertex_labels()
+        out[v] = {
+            labels[i]: [tracer.edge_labels[d >> 1] for d in rot]
+            for i, rot in enumerate(tracer.rotators(result.sigma, red))
+        }
+    return out
+
+
+def test_rotator_doc_matches_the_tracer_reading(complexes):
+    """On the search's witnesses and on random (sigma, red edges) pairs
+    over fixtures, randgen complexes and glued general complexes (loops,
+    bigons, a face passing a vertex twice, bare loops that stay
+    faceless)."""
+    rng = random.Random(17)
+    corpus = list(complexes.values())
+    corpus += [
+        generate_random_complex(
+            GenParams(seed=seed, n_vertices=4 + seed % 3, target_faces=2 + seed % 7)
+        )
+        for seed in range(150)
+    ]
+    corpus += [
+        glued(rng, rng.choices(GENERAL_PIECES, k=rng.randint(1, 5)), 0.1)
+        for _ in range(80)
+    ]
+    seen = {"red witness": 0, "red loop": 0, "faceless": 0}
+    for c in corpus:
+        incidences = c.edge_incidences()
+        sigma = RotationSystem(
+            {e: rng.choice(sigma_candidates(incs)) for e, incs in incidences.items()}
+        )
+        red = tuple(sorted(e for e in c.edges if rng.random() < 0.5))
+        results = [search.GprsSearchResult("found", sigma, red, 0)]
+        witness = search_generalized_prs(c)
+        if witness.status == "found":
+            results.append(witness)
+            seen["red witness"] += bool(witness.red_edges)
+        seen["red loop"] += any(c.edges[e][0] == c.edges[e][1] for e in red)
+        for result in results:
+            doc = result.rotator_doc(c)
+            assert doc == tracer_rotator_doc(result, c)
+            for e in search._faceless_edges(c):
+                tail, head = c.edges[e]
+                keys = [f"{e}:h", f"{e}:t"] if tail == head else [e]
+                assert all(doc[v][k] == [] for v in (tail, head) for k in keys)
+                seen["faceless"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_induced_rotator_matches_the_tracer_reading(complexes):
+    """On every edge and endpoint, under random rotation systems."""
+    rng = random.Random(23)
+    corpus = list(complexes.values()) + [
+        glued(rng, rng.choices(GENERAL_PIECES, k=rng.randint(1, 4))) for _ in range(30)
+    ]
+    checked = 0
+    for c in corpus:
+        incidences = c.edge_incidences()
+        sigma = RotationSystem(
+            {e: rng.choice(sigma_candidates(incs)) for e, incs in incidences.items()}
+        )
+        for e, (tail, head) in c.edges.items():
+            for v in {tail, head}:
+                tracer = link_tracer(c, v)
+                i = tracer.vertex_index[links.LinkVertex(e, "h" if head == v else "t")]
+                incidence_of = {d: inc for inc, d in tracer.dart_of_incidence[i].items()}
+                expected = [
+                    (tracer.edge_labels[d >> 1], incidence_of[d])
+                    for d in tracer.rotator(i, sigma.sigma[e])
+                ]
+                assert induced_rotator(c, sigma, e, v) == expected, (e, v)
+                checked += 1
+    assert checked >= 300
 
 
 def test_compiled_link_writes_agree_with_sphere_union():
