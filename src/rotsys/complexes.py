@@ -5,12 +5,19 @@ orientation per face (the stored trail).  ``PreComplex`` relaxes the
 standing assumptions (every vertex in an edge, every edge in a face) so
 that pieces obtained by splitting at cut vertices remain representable;
 ``DirectedComplex`` enforces them.
+
+What does not depend on a rotation system is compiled once per complex,
+on first use, into its ``table``: each edge's incidences, the polygons
+of the oriented faces over integer ids, and the link tracers.  The
+table is a memo of the complex's fields, which is why complexes are
+never changed after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import (
     EmptyKindError,
@@ -18,6 +25,9 @@ from .errors import (
     SimplicialViolationError,
     UnknownReferenceError,
 )
+
+if TYPE_CHECKING:
+    from .tracing import LinkTracer
 
 VertexId = str
 EdgeId = str
@@ -61,6 +71,19 @@ class Incidence(NamedTuple):
 
     face: FaceId
     pos: int
+
+
+class OrientedFace(NamedTuple):
+    """An orientation of a face: +1 is the stored trail, -1 its reverse."""
+
+    face: FaceId
+    sense: int
+
+    def sort_key(self) -> tuple[str, int]:
+        return (self.face, 0 if self.sense == 1 else 1)
+
+    def label(self) -> str:
+        return f"{self.face}{'+' if self.sense == 1 else '-'}"
 
 
 class Corner(NamedTuple):
@@ -175,18 +198,21 @@ class PreComplex:
     def face_vertices(self, f: FaceId) -> frozenset[VertexId]:
         return frozenset(c.vertex for c in self.corners(f))
 
+    @cached_property
+    def table(self) -> "ComplexTable":
+        """The complex's sigma-independent structure, compiled on first
+        use and kept; it is not a field, so ``==`` ignores it."""
+        return ComplexTable(self)
+
     def edge_incidences(self) -> dict[EdgeId, list[Incidence]]:
         """Face incidences per edge, in canonical (face id, position) order.
 
         Faces are trails, so each face is incident with each edge at most
         once; still, incidences carry the traversal position so that the
-        same machinery serves dual complexes.
+        same machinery serves dual complexes.  The lists are a copy of
+        ``table.incidences`` that the caller may change.
         """
-        out: dict[EdgeId, list[Incidence]] = {e: [] for e in self.edges}
-        for f in sorted(self.faces):
-            for i, ref in enumerate(self.faces[f].trail):
-                out[ref.edge].append(Incidence(f, i))
-        return out
+        return {e: list(incs) for e, incs in self.table.incidences.items()}
 
     # -- 1-skeleton ---------------------------------------------------------
 
@@ -237,6 +263,124 @@ class DirectedComplex(PreComplex):
     @staticmethod
     def from_pre(pre: PreComplex) -> "DirectedComplex":
         return DirectedComplex(pre.kind, pre.vertices, pre.edges, pre.faces)
+
+
+class ComplexTable:
+    """What a complex's rotation systems share, compiled once per complex.
+
+    Each part is built on first use: ``incidences`` for the searches and
+    rotation systems, ``polygons`` for the local surfaces and the dual,
+    and ``tracers``, the link tracers, which ``tracing.link_tracers``
+    fills in.  Every part is read-only once built.
+    """
+
+    def __init__(self, c: PreComplex):
+        self._edges = c.edges
+        self._faces = c.faces
+        self.tracers: dict[VertexId, LinkTracer] | None = None
+
+    @cached_property
+    def incidences(self) -> dict[EdgeId, tuple[Incidence, ...]]:
+        """Face incidences per edge, in canonical (face id, position)
+        order, edges in the complex's order."""
+        out: dict[EdgeId, list[Incidence]] = {e: [] for e in self._edges}
+        for f in sorted(self._faces):
+            for i, ref in enumerate(self._faces[f].trail):
+                out[ref.edge].append(Incidence(f, i))
+        return {e: tuple(incs) for e, incs in out.items()}
+
+    @cached_property
+    def polygons(self) -> "PolygonTable":
+        return PolygonTable(self._edges, self._faces, self.incidences)
+
+
+class PolygonTable:
+    """The polygons of a complex's oriented faces, over integer ids.
+
+    Incidence ``i`` is traversal ``pos`` of a face, numbered face by face
+    in face id order from ``face_start[face]``, so the ids follow the
+    canonical (face id, position) order; corner ``pos`` of the face,
+    where its refs ``pos - 1`` and ``pos`` meet, shares the id.
+    Oriented face ``m`` is ``members[m]``: the ``m >> 1``-th face, as
+    stored for even ``m`` and reversed for odd ``m``, the order of
+    ``OrientedFace.sort_key``.  The sides of polygon ``m`` are numbered
+    from ``side_start[m]`` in polygon order, and its corner ``j``, where
+    side ``j`` begins, shares the id of side ``j``.
+    """
+
+    def __init__(
+        self,
+        edges: dict[EdgeId, tuple[VertexId, VertexId]],
+        faces: dict[FaceId, FaceBoundary],
+        incidences: dict[EdgeId, tuple[Incidence, ...]],
+    ):
+        order = sorted(faces)
+        # face ids in the complex's order, each to its rank in id order
+        rank = {f: i for i, f in enumerate(order)}
+        self.face_rank = {f: rank[f] for f in faces}
+        self.face_start: dict[FaceId, int] = {}
+        # per incidence: the dual face step over it, the incidences of
+        # the dual's edge (Incidence(e, t) for the t-th entry of a dual
+        # face e), and the sides over it of the orientation that runs
+        # along its edge and of the other one
+        self.dual_ref: list[SignedEdgeRef] = []
+        self.dual_incidences: list[tuple[Incidence, ...]] = []
+        self.pos_side: list[int] = []
+        self.neg_side: list[int] = []
+        # per oriented face
+        self.members: list[OrientedFace] = []
+        self.member_id: dict[OrientedFace, int] = {}
+        self.polygon_refs: list[tuple[SignedEdgeRef, ...]] = []
+        self.side_start: list[int] = []
+        # per side (and the corner where it begins)
+        self.side_member: list[int] = []
+        self.side_pos: list[int] = []
+        self.corner_vertex: list[VertexId] = []
+        self.next_corner: list[int] = []
+        self.face_corner: list[int] = []
+        dual_incidences = {
+            e: tuple(Incidence(e, t) for t in range(len(incs)))
+            for e, incs in incidences.items()
+        }
+        for f in order:
+            trail = faces[f].trail
+            k = len(trail)
+            start = self.face_start[f] = len(self.pos_side)
+            forward = len(self.side_member)
+            backward = forward + k
+            reverse = tuple(ref.reversed() for ref in reversed(trail))
+            for sense, refs, base in ((1, trail, forward), (-1, reverse, backward)):
+                m = len(self.members)
+                self.members.append(OrientedFace(f, sense))
+                self.member_id[self.members[m]] = m
+                self.polygon_refs.append(refs)
+                self.side_start.append(base)
+                for j, ref in enumerate(refs):
+                    tail, head = edges[ref.edge]
+                    self.side_member.append(m)
+                    self.side_pos.append(j)
+                    self.corner_vertex.append(tail if ref.sign == 1 else head)
+                    self.next_corner.append(base + (j + 1) % k)
+                    self.face_corner.append(start + (j if sense == 1 else (k - j) % k))
+            for pos, ref in enumerate(trail):
+                self.dual_ref.append(SignedEdgeRef(f, ref.sign))
+                self.dual_incidences.append(dual_incidences[ref.edge])
+                ahead, back = forward + pos, backward + k - 1 - pos
+                self.pos_side.append(ahead if ref.sign == 1 else back)
+                self.neg_side.append(back if ref.sign == 1 else ahead)
+        # the edges with faces in id order, each with its incidence ids;
+        # an edge with d incidences makes d gluings, numbered from
+        # glue_start[e] in this order
+        self.glued_edges = [
+            (e, tuple(self.face_start[inc.face] + inc.pos for inc in incidences[e]))
+            for e in sorted(incidences)
+            if incidences[e]
+        ]
+        self.glue_start: dict[EdgeId, int] = {}
+        glued = 0
+        for e, ids in self.glued_edges:
+            self.glue_start[e] = glued
+            glued += len(ids)
 
 
 def validate(c: PreComplex) -> list[Violation]:

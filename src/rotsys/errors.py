@@ -79,3 +79,7 @@ class CapExceededError(RotsysError):
 
 class UnsatisfiableError(RotsysError):
     """Random generation pruned the complex down to nothing."""
+
+
+class TooLargeError(RotsysError):
+    """A request exceeds a documented size limit."""

@@ -465,7 +465,8 @@ class EulerReport:
 
 
 def _total_link_cells(c: PreComplex, sigma: RotationSystem) -> tuple[int, bool]:
-    """(total cells over all link complexes, every component a sphere)."""
+    """(total cells over all link complexes, every component a sphere),
+    over the link tracers kept in ``c.table``."""
     tracers = link_tracers(c)
     total = 0
     all_spheres = True

@@ -137,9 +137,13 @@ def link_graph(c: PreComplex, v: VertexId) -> LinkGraph:
 
 def is_locally_connected(c: PreComplex) -> tuple[bool, VertexId | None]:
     """Whether every link graph is connected; on failure also the least
-    vertex with a disconnected link."""
+    vertex with a disconnected link.  Reads the graphs of the link
+    tracers kept in ``c.table``."""
+    from .tracing import link_tracers  # tracing builds on this module
+
+    tracers = link_tracers(c)
     for v in sorted(c.vertices):
-        if not link_graph(c, v).is_connected():
+        if not tracers[v].link.is_connected():
             return False, v
     return True, None
 

@@ -4,12 +4,16 @@ The generator is the Mersenne Twister of Python's ``random`` module,
 consuming one ``random()`` draw per candidate triangle (probability
 mode) or a Fisher-Yates shuffle via ``randrange`` (target mode), in a
 fixed order.  Identical parameters therefore produce byte-identical
-documents on every platform.
+documents on every platform.  Both modes consume the generator once per
+candidate triangle, so a request is refused up front when its
+candidates, all C(n, 3) triangles on n vertices, exceed
+``MAX_TRIANGLES``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -19,7 +23,11 @@ from .complexes import (
     SIMPLICIAL,
     SignedEdgeRef,
 )
-from .errors import UnsatisfiableError
+from .errors import TooLargeError, UnsatisfiableError
+
+# the most candidate triangles a request may have: C(182, 3) = 988,260
+# fit, 183 vertices do not
+MAX_TRIANGLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -37,6 +45,12 @@ def generate_random_complex(params: GenParams) -> DirectedComplex:
     n = params.n_vertices
     if n < 3:
         raise ValueError("need at least 3 vertices")
+    candidates = math.comb(n, 3)
+    if candidates > MAX_TRIANGLES:
+        raise TooLargeError(
+            f"{n} vertices give {candidates} candidate triangles, "
+            f"more than the limit of {MAX_TRIANGLES}"
+        )
     q = params.face_probability
     if q is None and params.target_faces is None:
         q = 0.5

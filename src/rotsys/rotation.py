@@ -20,16 +20,13 @@ from .errors import InvalidRotationSystemError
 
 def canonical_cycle(seq: Sequence) -> tuple:
     """Rotate a cyclic sequence so the lexicographically least rotation
-    comes first; the identity on sequences of length < 2."""
+    comes first; the identity on sequences of length < 2.  The least
+    rotation starts at an occurrence of the least item."""
     items = tuple(seq)
     if len(items) < 2:
         return items
-    best = items
-    for k in range(1, len(items)):
-        rot = items[k:] + items[:k]
-        if rot < best:
-            best = rot
-    return best
+    least = min(items)
+    return min(items[k:] + items[:k] for k, x in enumerate(items) if x == least)
 
 
 def cyclic_equal(a: Sequence, b: Sequence) -> bool:
@@ -57,7 +54,7 @@ class RotationSystem:
 
 def check_rotation_system(c: PreComplex, sigma: RotationSystem) -> None:
     """Raise unless ``sigma`` is a rotation system of ``c``."""
-    incs = c.edge_incidences()
+    incs = c.table.incidences
     if set(sigma.sigma) != set(incs):
         missing = sorted(set(incs) - set(sigma.sigma))
         extra = sorted(set(sigma.sigma) - set(incs))
@@ -86,7 +83,7 @@ def rotation_system_from_face_lists(
     Faces are trails, so a face id identifies its unique incidence at an
     edge.  Edges of degree <= 2 may be omitted; their order is forced.
     """
-    incs = c.edge_incidences()
+    incs = c.table.incidences
     sigma: dict[EdgeId, tuple[Incidence, ...]] = {}
     for e in incs:
         entries = incs[e]
@@ -125,7 +122,7 @@ def rotation_system_from_face_lists(
 def canonical_rotation_system(c: PreComplex) -> RotationSystem:
     """The lexicographically least rotation system of ``c``: every
     sigma(e) in canonical incidence order."""
-    incs = c.edge_incidences()
+    incs = c.table.incidences
     sigma = {
         e: (() if len(entries) <= 1 else tuple(entries))
         for e, entries in incs.items()
@@ -147,7 +144,7 @@ def sigma_candidates(entries: Sequence[Incidence]) -> list[tuple[Incidence, ...]
 
 def candidate_table(c: PreComplex) -> tuple[list[EdgeId], list[list[tuple[Incidence, ...]]]]:
     """Edges in bytewise id order with their sigma candidate lists."""
-    incs = c.edge_incidences()
+    incs = c.table.incidences
     edge_order = sorted(incs)
     return edge_order, [sigma_candidates(incs[e]) for e in edge_order]
 

@@ -7,12 +7,12 @@ order, each colour: black gives the two ends mutually reverse rotators,
 red gives both ends the same one.  A planar rotation system is the
 all-black case of a generalized one, so the planar search offers black
 only.  The order makes the search lexicographic and its outcome
-machine-independent.  Each search builds the link tracers once and
-prunes threefold: a planarity precheck of their link graphs (a
-sphere-union link complex is a plane embedding, so a non-planar link
-kills every candidate), a sphere-union check of each link as soon as
-all edges at its vertex are decided, and an even-red check of each face
-as soon as all its edges are decided.
+machine-independent.  Each search reads the link tracers kept in the
+complex's table, built on first use, and prunes threefold: a planarity
+precheck of their link graphs (a sphere-union link complex is a plane
+embedding, so a non-planar link kills every candidate), a sphere-union
+check of each link as soon as all edges at its vertex are decided, and
+an even-red check of each face as soon as all its edges are decided.
 
 Two further savings keep the answers unchanged.  The mirror cut:
 reversing every cyclic order maps (generalized) planar systems to
@@ -333,7 +333,7 @@ class GprsSearchResult:
         tail end reads sigma reversed unless the edge is red."""
         assert self.sigma is not None
         red = frozenset(self.red_edges)
-        incidences = c.edge_incidences()
+        incidences = c.table.incidences
         # per vertex, its link vertices as (edge, end, label)
         ends: dict[VertexId, list[tuple[EdgeId, str, str]]] = {v: [] for v in c.vertices}
         for e in sorted(c.edges):

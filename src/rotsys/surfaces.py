@@ -7,6 +7,11 @@ classes of that gluing assemble into closed oriented surfaces.  The
 dual complex has one vertex per local surface, one edge per face of the
 primal complex, and one face per primal edge whose boundary follows the
 cyclic order at that edge.
+
+The polygons, their sides and corners, and each incidence's sides are
+sigma-independent: they are read from the complex's table
+(``PolygonTable``, compiled once per complex), so the work per rotation
+system runs on integer ids and builds only the values it returns.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from .complexes import (
     FaceId,
     GENERAL,
     Incidence,
+    OrientedFace,
+    PolygonTable,
     PreComplex,
     SignedEdgeRef,
     VertexId,
@@ -35,20 +42,6 @@ from .tracing import (
     maps_isomorphism,
     surface_dual,
 )
-
-
-class OrientedFace(NamedTuple):
-    """An orientation of a face: +1 is the stored trail, -1 its reverse."""
-
-    face: FaceId
-    sense: int
-
-    def sort_key(self) -> tuple[str, int]:
-        return (self.face, 0 if self.sense == 1 else 1)
-
-    def label(self) -> str:
-        return f"{self.face}{'+' if self.sense == 1 else '-'}"
-
 
 class Gluing(NamedTuple):
     """One glued edge of a local surface: the primal edge, the two
@@ -78,24 +71,44 @@ class SurfaceVertex(NamedTuple):
 
 
 def polygon_refs(c: PreComplex, member: OrientedFace) -> tuple[SignedEdgeRef, ...]:
-    trail = c.faces[member.face].trail
-    if member.sense == 1:
-        return trail
-    return tuple(ref.reversed() for ref in reversed(trail))
+    p = c.table.polygons
+    return p.polygon_refs[p.member_id[member]]
 
 
-def _positive_member(c: PreComplex, inc: Incidence) -> OrientedFace:
-    """The orientation of the face that traverses the edge of ``inc``
-    along its chosen direction."""
-    sign = c.faces[inc.face].trail[inc.pos].sign
-    return OrientedFace(inc.face, sign)
+def _glue(
+    p: PolygonTable, sigma: RotationSystem
+) -> tuple[list[Gluing], list[tuple[int, int]]]:
+    """The gluings induced by sigma, with the two sides each one joins
+    (positive side first).
 
-
-def _side_of_edge(c: PreComplex, member: OrientedFace, trail_pos: int) -> int:
-    """Polygon position of the side over the trail ref at ``trail_pos``."""
-    if member.sense == 1:
-        return trail_pos
-    return len(c.faces[member.face].trail) - 1 - trail_pos
+    For an edge with d >= 2 incidences, consecutive entries of sigma(e)
+    are related (d gluings); a single-incidence edge relates the two
+    orientations of its one face (one gluing), which is the same rule
+    read on its one-entry order.
+    """
+    start, members = p.face_start, p.members
+    side_member, side_pos = p.side_member, p.side_pos
+    pos_side, neg_side = p.pos_side, p.neg_side
+    gluings: list[Gluing] = []
+    sides: list[tuple[int, int]] = []
+    for e, ids in p.glued_edges:
+        if len(ids) > 1:
+            ids = [start[inc.face] + inc.pos for inc in sigma.sigma[e]]
+        d = len(ids)
+        for t in range(d):
+            a, b = pos_side[ids[t]], neg_side[ids[(t + 1) % d]]
+            gluings.append(
+                Gluing(
+                    e,
+                    t,
+                    members[side_member[a]],
+                    side_pos[a],
+                    members[side_member[b]],
+                    side_pos[b],
+                )
+            )
+            sides.append((a, b))
+    return gluings, sides
 
 
 def related_pairs(c: PreComplex, sigma: RotationSystem) -> list[Gluing]:
@@ -105,44 +118,7 @@ def related_pairs(c: PreComplex, sigma: RotationSystem) -> list[Gluing]:
     are related (d gluings); a single-incidence edge relates the two
     orientations of its one face (one gluing).
     """
-    incidences = c.edge_incidences()
-    out: list[Gluing] = []
-    for e in sorted(incidences):
-        entries = incidences[e]
-        if not entries:
-            continue  # faceless edge of a PreComplex: nothing to glue
-        if len(entries) == 1:
-            inc = entries[0]
-            pos = _positive_member(c, inc)
-            neg = OrientedFace(inc.face, -pos.sense)
-            out.append(
-                Gluing(
-                    e,
-                    0,
-                    pos,
-                    _side_of_edge(c, pos, inc.pos),
-                    neg,
-                    _side_of_edge(c, neg, inc.pos),
-                )
-            )
-            continue
-        order = sigma.sigma[e]
-        for t, inc in enumerate(order):
-            nxt = order[(t + 1) % len(order)]
-            pos = _positive_member(c, inc)
-            neg_pos_member = _positive_member(c, nxt)
-            neg = OrientedFace(nxt.face, -neg_pos_member.sense)
-            out.append(
-                Gluing(
-                    e,
-                    t,
-                    pos,
-                    _side_of_edge(c, pos, inc.pos),
-                    neg,
-                    _side_of_edge(c, neg, nxt.pos),
-                )
-            )
-    return out
+    return _glue(c.table.polygons, sigma)[0]
 
 
 @dataclass(frozen=True)
@@ -176,10 +152,10 @@ class LocalSurface:
             [sv.rotator for sv in self.vertices],
         )
         # cells trace out exactly the member polygons; label them so
-        dart_member = {}
-        for k, g in enumerate(self.gluings):
-            dart_member[2 * k] = self.member_index(g.pos_member)
-            dart_member[2 * k + 1] = self.member_index(g.neg_member)
+        index = {m: i for i, m in enumerate(self.members)}
+        dart_member = []
+        for g in self.gluings:
+            dart_member += (index[g.pos_member], index[g.neg_member])
         labels = []
         for orbit in cc.cells:
             owners = {dart_member[d] for d in orbit}
@@ -231,42 +207,50 @@ class LocalSurface:
 
 def local_surfaces(c: PreComplex, sigma: RotationSystem) -> list[LocalSurface]:
     """The local surfaces of ``(c, sigma)``, ordered by least member."""
-    members_all = sorted(
-        (OrientedFace(f, s) for f in c.faces for s in (1, -1)),
-        key=OrientedFace.sort_key,
-    )
-    index = {m: i for i, m in enumerate(members_all)}
-    pairs = related_pairs(c, sigma)
+    p = c.table.polygons
+    gluings, sides = _glue(p, sigma)
+    member = p.side_member
     classes = connected_classes(
-        len(members_all), ((index[g.pos_member], index[g.neg_member]) for g in pairs)
+        len(p.members), ((member[a], member[b]) for a, b in sides)
     )
+    surface_of = [0] * len(p.members)
+    for si, members in enumerate(classes):
+        for m in members:
+            surface_of[m] = si
+    own: list[list[int]] = [[] for _ in classes]
+    for k, (a, _) in enumerate(sides):
+        own[surface_of[member[a]]].append(k)
     return [
-        _assemble(c, f"s{si}", [members_all[i] for i in members], pairs)
-        for si, members in enumerate(classes)
+        _assemble(
+            p, f"s{si}", members, [gluings[k] for k in ks], [sides[k] for k in ks]
+        )
+        for si, (members, ks) in enumerate(zip(classes, own))
     ]
 
 
 def _assemble(
-    c: PreComplex, sid: str, members: list[OrientedFace], all_pairs: list[Gluing]
+    p: PolygonTable,
+    sid: str,
+    members: list[int],
+    gluings: list[Gluing],
+    sides: list[tuple[int, int]],
 ) -> LocalSurface:
-    member_set = set(members)
-    member_index = {m: i for i, m in enumerate(members)}
-    gluings = [g for g in all_pairs if g.pos_member in member_set]
-    for g in gluings:
-        if g.neg_member not in member_set:
-            raise NotClosedSurfaceError("gluing leaves its equivalence class")
-    poly = [polygon_refs(c, m) for m in members]
-    lengths = tuple(len(p) for p in poly)
+    """The surface of one class: ``members`` ascending, ``gluings`` those
+    whose positive side lies in the class, with their sides."""
+    local = {m: i for i, m in enumerate(members)}
+    side_member, side_pos = p.side_member, p.side_pos
+    lengths = tuple(len(p.polygon_refs[m]) for m in members)
 
     # each polygon side lies in exactly one gluing
-    side_to: dict[tuple[int, int], tuple[int, int]] = {}
-    dart_of_side: dict[tuple[int, int], int] = {}
-    for k, g in enumerate(gluings):
-        pa = (member_index[g.pos_member], g.pos_side)
-        pb = (member_index[g.neg_member], g.neg_side)
-        for side, dart, other in ((pa, 2 * k, pb), (pb, 2 * k + 1, pa)):
+    side_to: dict[int, int] = {}
+    dart_of_side: dict[int, int] = {}
+    for k, (a, b) in enumerate(sides):
+        if side_member[b] not in local:
+            raise NotClosedSurfaceError("gluing leaves its equivalence class")
+        for side, dart, other in ((a, 2 * k, b), (b, 2 * k + 1, a)):
             if side in side_to:
-                raise NotClosedSurfaceError(f"side {side} glued twice in {sid}")
+                named = (local[side_member[side]], side_pos[side])
+                raise NotClosedSurfaceError(f"side {named} glued twice in {sid}")
             side_to[side] = other
             dart_of_side[side] = dart
     if len(side_to) != sum(lengths):
@@ -274,55 +258,47 @@ def _assemble(
 
     # walk corners around each surface vertex; crossing the gluing at
     # the outgoing side enters the matched side of the neighbour polygon
-    # and continues at the corner after it
-    corners = [(m, j) for m in range(len(members)) for j in range(lengths[m])]
-    corner_vertex = {
-        (m, j): c.ref_start(poly[m][j]) for (m, j) in corners
-    }
-    unvisited = set(corners)
+    # and continues at the corner after it.  Each walk starts at the
+    # least corner not yet walked, which is the least of its orbit, so
+    # a primal vertex's orbits come in the order of their least corners
+    # and are labeled by it
+    corner_vertex, next_corner = p.corner_vertex, p.next_corner
+    seen: set[int] = set()
+    orbits_at: dict[VertexId, int] = {}
     vertices: list[SurfaceVertex] = []
-    for start in corners:
-        if start not in unvisited:
-            continue
-        orbit: list[tuple[int, int]] = []
-        rotator: list[int] = []
-        cur = start
-        while True:
-            orbit.append(cur)
-            unvisited.discard(cur)
-            out_side = cur
-            entered = side_to[out_side]
-            rotator.append(dart_of_side[entered])
-            m2, j2 = entered
-            cur = (m2, (j2 + 1) % lengths[m2])
-            if cur == start:
-                break
-        home = corner_vertex[start]
-        if any(corner_vertex[x] != home for x in orbit):
-            raise NotClosedSurfaceError(f"corner walk left vertex {home!r} in {sid}")
-        vertices.append(SurfaceVertex("", home, tuple(orbit), tuple(rotator)))
+    for m in members:
+        first = p.side_start[m]
+        for start in range(first, first + len(p.polygon_refs[m])):
+            if start in seen:
+                continue
+            orbit: list[int] = []
+            rotator: list[int] = []
+            cur = start
+            while True:
+                orbit.append(cur)
+                seen.add(cur)
+                entered = side_to[cur]
+                rotator.append(dart_of_side[entered])
+                cur = next_corner[entered]
+                if cur == start:
+                    break
+            home = corner_vertex[start]
+            if any(corner_vertex[x] != home for x in orbit):
+                raise NotClosedSurfaceError(f"corner walk left vertex {home!r} in {sid}")
+            n = orbits_at.get(home, 0)
+            orbits_at[home] = n + 1
+            corners = tuple((local[side_member[x]], side_pos[x]) for x in orbit)
+            vertices.append(SurfaceVertex(f"{home}.{n}", home, corners, tuple(rotator)))
+    vertices.sort(key=lambda sv: sv.label)
 
-    # deterministic labels: per primal vertex, orbits by least corner
-    by_home: dict[VertexId, list[SurfaceVertex]] = {}
-    for sv in vertices:
-        by_home.setdefault(sv.c_vertex, []).append(sv)
-    labeled = []
-    for sv in vertices:
-        group = sorted(by_home[sv.c_vertex], key=lambda x: min(x.corners))
-        n = group.index(sv)
-        labeled.append(
-            SurfaceVertex(f"{sv.c_vertex}.{n}", sv.c_vertex, sv.corners, sv.rotator)
-        )
-    labeled.sort(key=lambda sv: sv.label)
-
-    chi = len(labeled) - len(gluings) + len(members)
+    chi = len(vertices) - len(gluings) + len(members)
     if chi % 2 != 0 or chi > 2:
         raise NotClosedSurfaceError(f"impossible Euler characteristic {chi} in {sid}")
     return LocalSurface(
         sid,
-        tuple(members),
+        tuple(p.members[m] for m in members),
         tuple(gluings),
-        tuple(labeled),
+        tuple(vertices),
         chi,
         (2 - chi) // 2,
         lengths,
@@ -351,41 +327,41 @@ def dual_complex(
     """
     if surfaces is None:
         surfaces = local_surfaces(c, sigma)
+    p = c.table.polygons
     class_of: dict[OrientedFace, str] = {}
     for s in surfaces:
         for m in s.members:
             class_of[m] = s.id
 
     vertices = tuple(s.id for s in surfaces)
+    members = p.members
     edges = {
-        f: (class_of[OrientedFace(f, -1)], class_of[OrientedFace(f, 1)])
-        for f in c.faces
+        f: (class_of[members[2 * r + 1]], class_of[members[2 * r]])
+        for f, r in p.face_rank.items()
     }
-    incidences = c.edge_incidences()
+    start, dual_ref = p.face_start, p.dual_ref
+    # per incidence, its position in the dual face of its edge
+    position = [0] * len(dual_ref)
     faces: dict[str, FaceBoundary] = {}
-    for e in c.edges:
-        entries = incidences[e]
+    for e, entries in c.table.incidences.items():
         if not entries:
             continue  # faceless edges of a PreComplex have no dual face
-        order = sigma.sigma[e] if len(entries) >= 2 else tuple(entries)
-        refs = tuple(
-            SignedEdgeRef(inc.face, c.faces[inc.face].trail[inc.pos].sign)
-            for inc in order
-        )
-        faces[e] = FaceBoundary(e, refs)
+        order = sigma.sigma[e] if len(entries) >= 2 else entries
+        ids = [start[inc.face] + inc.pos for inc in order]
+        for t, i in enumerate(ids):
+            position[i] = t
+        faces[e] = FaceBoundary(e, tuple(dual_ref[i] for i in ids))
     dual = DirectedComplex(GENERAL, vertices, edges, faces)
 
     # sigma of the dual: the boundary trail of each primal face, as
     # incidences into the dual faces it traverses
-    pos_in_dual_face: dict[tuple[EdgeId, FaceId], int] = {}
-    for e, boundary in faces.items():
-        for t, ref in enumerate(boundary.trail):
-            pos_in_dual_face[(e, ref.edge)] = t
+    dual_incidences = p.dual_incidences
     sigma_map: dict[FaceId, tuple[Incidence, ...]] = {}
     for f, boundary in c.faces.items():
+        first = start[f]
         seq = tuple(
-            Incidence(ref.edge, pos_in_dual_face[(ref.edge, f)])
-            for ref in boundary.trail
+            dual_incidences[i][position[i]]
+            for i in range(first, first + len(boundary.trail))
         )
         sigma_map[f] = seq if len(seq) >= 2 else ()
     return DualComplex(dual, RotationSystem(sigma_map), tuple(surfaces), class_of)
@@ -420,47 +396,40 @@ def iota_check(
     Raises BijectionFailureError when the matching is not perfect; such
     a failure indicates an implementation bug, not bad data.  The
     optional arguments let callers reuse per-complex structures when
-    sweeping many rotation systems.
+    sweeping many rotation systems.  Words are spelled in corner ids
+    of the complex's table, which follow the (face, position) order.
     """
     if surfaces is None:
         surfaces = local_surfaces(c, sigma)
-    corner_words: dict[VertexId, list[tuple]] = {v: [] for v in c.vertices}
+    p = c.table.polygons
+    corner_words: dict[VertexId, list[tuple[int, ...]]] = {v: [] for v in c.vertices}
     total_vertices = 0
     for s in surfaces:
-        trail_lens = {m.face: len(c.faces[m.face].trail) for m in s.members}
+        bases = [p.side_start[p.member_id[m]] for m in s.members]
         for sv in s.vertices:
-            word = []
-            for (m, j) in sv.corners:
-                member = s.members[m]
-                k = trail_lens[member.face]
-                trail_pos = j if member.sense == 1 else (k - j) % k
-                word.append((member.face, trail_pos))
-            corner_words[sv.c_vertex].append(tuple(word))
+            word = tuple(p.face_corner[bases[m] + j] for m, j in sv.corners)
+            corner_words[sv.c_vertex].append(word)
             total_vertices += 1
 
     if tracers is None:
         tracers = link_tracers(c)
+    start = p.face_start
     total_cells = 0
     matched = 0
     for v in sorted(c.vertices):
         tracer = tracers[v]
-        cc = tracer.cell_complex(sigma)
-        lg = tracer.link
-        cell_words = []
-        for orbit in cc.cells:
-            cell_words.append(
-                tuple((lg.edges[d >> 1].face, lg.edges[d >> 1].pos) for d in orbit)
-            )
-        total_cells += len(cell_words)
-        pool: dict[tuple, int] = {}
-        for w in cell_words:
-            key = _canon_word(w)
+        corner = [start[le.face] + le.pos for le in tracer.link.edges]
+        cells = tracer.cells(sigma)
+        total_cells += len(cells)
+        pool: dict[tuple[int, ...], int] = {}
+        for orbit in cells:
+            key = _canon_word(tuple(corner[d >> 1] for d in orbit))
             pool[key] = pool.get(key, 0) + 1
         for w in corner_words[v]:
             key = _canon_word(w)
             if pool.get(key, 0) <= 0:
                 raise BijectionFailureError(
-                    f"surface vertex at {v!r} with corner word {w} "
+                    f"surface vertex at {v!r} with corner word {_spelled(p, w)} "
                     "has no matching link cell"
                 )
             pool[key] -= 1
@@ -468,13 +437,22 @@ def iota_check(
         leftovers = [k for k, n in pool.items() if n > 0]
         if leftovers:
             raise BijectionFailureError(
-                f"link cell at {v!r} unmatched: {leftovers[0]}"
+                f"link cell at {v!r} unmatched: {_spelled(p, leftovers[0])}"
             )
     if total_vertices != total_cells:
         raise BijectionFailureError(
             f"{total_vertices} surface vertices vs {total_cells} link cells"
         )
     return IotaReport(total_vertices, total_cells, matched)
+
+
+def _spelled(p: PolygonTable, word: tuple[int, ...]) -> tuple[tuple[FaceId, int], ...]:
+    """A word of corner ids as the (face, position) pairs they number."""
+    spelled = []
+    for i in word:
+        first, f = max((first, f) for f, first in p.face_start.items() if first <= i)
+        spelled.append((f, i - first))
+    return tuple(spelled)
 
 
 def surface_duality_check(
@@ -490,20 +468,21 @@ def surface_duality_check(
     """
     if dual is None:
         dual = dual_complex(c, sigma)
-    d = dual.complex
-    tracers = link_tracers(d)
+    incidences = c.table.incidences
+    glue_start = c.table.polygons.glue_start
+    tracers = link_tracers(dual.complex)
     out: dict[str, str] = {}
     for s in dual.surfaces:
         tracer = tracers[s.id]
         a = tracer.cell_complex(dual.sigma_c)
         b = surface_dual(s.cell_complex())
-        gluing_index = {(g.edge, g.seq): k for k, g in enumerate(s.gluings)}
-        lg = tracer.link
+        gluing_index = {glue_start[g.edge] + g.seq: k for k, g in enumerate(s.gluings)}
         dart_map = [-1] * len(a.dart_vertex)
-        for k, le in enumerate(lg.edges):
-            e, t = le.face, le.pos  # dual face = primal edge, corner position
-            deg = len(d.faces[e].trail)
-            g_idx = gluing_index[(e, (t - 1) % deg)]
+        for k, le in enumerate(tracer.link.edges):
+            # dual face = primal edge e, corner t: the gluing of sigma(e)'s
+            # entries t - 1 and t
+            e, t = le.face, le.pos
+            g_idx = gluing_index[glue_start[e] + (t - 1) % len(incidences[e])]
             dart_map[2 * k] = 2 * g_idx       # u side <-> positive side
             dart_map[2 * k + 1] = 2 * g_idx + 1
         verdict = maps_isomorphism(a, b, dart_map)

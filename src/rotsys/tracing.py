@@ -283,6 +283,19 @@ class LinkTracer:
             for i, lv in enumerate(self.link.vertices)
         ]
 
+    def trace(
+        self,
+        sigma: "RotationSystem | dict[EdgeId, tuple[Incidence, ...]]",
+        red_edges: frozenset[EdgeId] = frozenset(),
+    ) -> list[int]:
+        """The tracing map of the rotators sigma induces: each dart to
+        the mate of its successor."""
+        trace = [-1] * len(self.dart_vertex)
+        for rot in self.rotators(sigma, red_edges):
+            for j, succ in enumerate(rot):
+                trace[rot[j - 1]] = succ ^ 1
+        return trace
+
     def sphere_union(
         self,
         sigma: "RotationSystem | dict[EdgeId, tuple[Incidence, ...]]",
@@ -290,11 +303,12 @@ class LinkTracer:
     ) -> bool:
         """Whether every component traces to Euler characteristic 2,
         without materializing a CellComplex."""
-        trace = [-1] * len(self.dart_vertex)
-        for rot in self.rotators(sigma, red_edges):
-            for j, succ in enumerate(rot):
-                trace[rot[j - 1]] = succ ^ 1
-        return traces_sphere_union(trace, self.sphere_cells)
+        return traces_sphere_union(self.trace(sigma, red_edges), self.sphere_cells)
+
+    def cells(self, sigma: RotationSystem) -> list[tuple[int, ...]]:
+        """The cells traced under sigma as dart orbits, those of
+        ``cell_complex(sigma)``, without materializing it."""
+        return _orbits_of(self.trace(sigma))
 
     def cell_complex(
         self, sigma: RotationSystem, red_edges: frozenset[EdgeId] = frozenset()
@@ -321,8 +335,13 @@ def link_tracer(
 
 
 def link_tracers(c: PreComplex) -> dict[VertexId, LinkTracer]:
-    """The tracers of every link of ``c``, in ``c``'s vertex order."""
-    return {v: link_tracer(c, v) for v in c.vertices}
+    """The tracers of every link of ``c``, in ``c``'s vertex order:
+    built on the first call and kept in ``c.table``, so every later
+    caller shares them and must not change them."""
+    table = c.table
+    if table.tracers is None:
+        table.tracers = {v: link_tracer(c, v) for v in c.vertices}
+    return table.tracers
 
 
 def trace_link_complex(c: PreComplex, sigma: RotationSystem, v: VertexId) -> CellComplex:
@@ -351,7 +370,7 @@ def induced_rotator(
     end = HEAD if head == v else TAIL
     order = sigma.sigma[e]
     if not order:
-        order = c.edge_incidences()[e]
+        order = c.table.incidences[e]
     elif end == TAIL:
         order = order[::-1]
     return [(f"{inc.face}#{corner_of(c, inc, end)}", inc) for inc in order]

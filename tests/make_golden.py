@@ -27,7 +27,14 @@ COMMANDS = {
     "prs-count": (["prs", "count"], []),
     "gprs-find": (["gprs", "find"], []),
     "verdict": (["verdict"], ["--primes", "2,3"]),
+    "surfaces": (["surfaces"], []),
+    "dual": (["dual"], []),
+    "identities-p2": (["identities"], ["--prime", "2"]),
 }
+
+# fixtures a command is not recorded on: the identities need a connected,
+# locally connected complex, and the link of bowtie at v is disconnected
+SKIPPED = {"identities-p2": {"bowtie"}}
 
 
 def cases() -> list[tuple[str, list[str]]]:
@@ -36,6 +43,7 @@ def cases() -> list[tuple[str, list[str]]]:
         (f"{name}.{suffix}.json", [*before, str(FIXTURE_DIR / f"{name}.json"), *after])
         for name in BUILDERS
         for suffix, (before, after) in COMMANDS.items()
+        if name not in SKIPPED.get(suffix, ())
     ]
 
 

@@ -314,6 +314,16 @@ def test_gen_output_validates(capsys):
     assert validate(c) == []
 
 
+def test_gen_refuses_oversized_requests(capsys):
+    code, out, err = run(capsys, "gen", "--seed", "0", "--vertices", "2000")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: 2000 vertices give 1331334000 candidate triangles, "
+        "more than the limit of 1000000\n"
+    )
+
+
+
 def test_links_command(capsys, fixture_files):
     code, out, _ = run(
         capsys, "links", fx(fixture_files, "tetrahedron"), "--vertex", "v1"

@@ -1,8 +1,9 @@
 """The canonical CLI outputs on the fixtures stay byte for byte.
 
-``prs find``, ``prs count``, ``gprs find`` (rotators included) and
-``verdict --primes 2,3`` on each fixture against tests/golden/, written
-by ``make_golden.py``: stdout, exit code and an empty stderr.
+``prs find``, ``prs count``, ``gprs find`` (rotators included),
+``verdict --primes 2,3``, ``surfaces``, ``dual`` and ``identities
+--prime 2`` (on the fixtures where it applies) against tests/golden/,
+written by ``make_golden.py``: stdout, exit code and an empty stderr.
 """
 
 import json

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -14,12 +15,14 @@ from rotsys import (
     link_graph,
     search_generalized_prs,
     search_planar_rotation_system,
+    verdict,
 )
 from rotsys import links, search
 from rotsys.cli import main
 from rotsys.documents import sigma_to_doc
-from rotsys.errors import CapExceededError
-from rotsys.rotation import sigma_candidates, total_search_space
+from rotsys.errors import CapExceededError, NotConnectedError, NotLocallyConnectedError
+from rotsys.homology import euler_identity_report
+from rotsys.rotation import canonical_rotation_system, sigma_candidates, total_search_space
 from rotsys.search import _compile_links, _mirror_cut, link_planarity_precheck
 from rotsys.tracing import induced_rotator, link_tracer, link_tracers, traces_sphere_union
 
@@ -316,44 +319,60 @@ ROADMAP_WITNESS = {
 }
 
 
-def test_each_search_builds_each_link_graph_once(monkeypatch, complexes):
-    """A search builds the link graph of each vertex of the searched
-    complex once, for its tracers, and its planarity precheck reads
-    those graphs in one call."""
-    calls = {"link_graph": 0, "precheck": 0}
+def test_each_complex_builds_each_link_graph_once(monkeypatch, complexes):
+    """A complex object builds the link graph of each vertex at most once,
+    for the link tracers kept in its table, across ``prs find`` and
+    ``count``, ``gprs find`` with its rotators, ``verdict`` (its
+    re-check of the witness included) and ``euler_identity_report``;
+    each search still runs its planarity precheck once."""
+    built = Counter()
+    alive = []  # keeps every complex seen, so no id is reused
+    prechecks = []
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    def counted_link_graph(c, v):
+        alive.append(c)
+        built[id(c), v] += 1
+        return original(c, v)
 
-        return wrapper
+    def counted_precheck(graphs):
+        prechecks.append(1)
+        return link_planarity_precheck(graphs)
 
     original = links.link_graph
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "rotsys" and module.__dict__.get("link_graph") is original:
-            monkeypatch.setattr(module, "link_graph", counted("link_graph", original))
-    monkeypatch.setattr(
-        search, "link_planarity_precheck", counted("precheck", link_planarity_precheck)
-    )
+            monkeypatch.setattr(module, "link_graph", counted_link_graph)
+    monkeypatch.setattr(search, "link_planarity_precheck", counted_precheck)
     corpus = list(complexes.values()) + [
         generate_random_complex(
             GenParams(seed=seed, n_vertices=4 + seed % 4, target_faces=1 + seed % 9)
         )
         for seed in range(40)
     ]
+    searches = (
+        lambda c: search_planar_rotation_system(c, "first"),
+        lambda c: search_planar_rotation_system(c, "count"),
+        lambda c: search_generalized_prs(c),
+        # a gprs request reads its rotators from the incidences
+        lambda c: search_generalized_prs(c).to_doc(c),
+    )
+    identities = 0
     for c in corpus:
-        n = len(search._searchable(c).vertices)
-        for run in (
-            lambda: search_planar_rotation_system(c, "first"),
-            lambda: search_planar_rotation_system(c, "count"),
-            lambda: search_generalized_prs(c),
-            # a gprs request reads its rotators from the incidences
-            lambda: search_generalized_prs(c).to_doc(c),
-        ):
-            calls.update(link_graph=0, precheck=0)
-            run()
-            assert calls == {"link_graph": n, "precheck": 1}
+        for run in searches:
+            prechecks.clear()
+            run(c)
+            assert prechecks == [1]
+        prechecks.clear()
+        blocks = verdict(c, [2, 3]).blocks
+        assert len(prechecks) == len(blocks)
+        try:
+            euler_identity_report(c, canonical_rotation_system(c), 2)
+            identities += 1
+        except (NotConnectedError, NotLocallyConnectedError):
+            pass
+    # the fixtures' links may have been built by earlier tests
+    assert identities >= 10
+    assert max(built.values()) == 1
 
 
 def tracer_rotator_doc(result, c):

@@ -1,0 +1,126 @@
+"""The table-driven surfaces layer against the dict-based reference.
+
+``surfaces_reference.py`` keeps the implementations that rebuilt
+incidences, polygon refs and positive orientations for every rotation
+system.  On every rotation system of randgen complexes and of glued
+general complexes (loops, faces with one incidence at an edge, faces
+that pass a vertex twice, bare loops that stay faceless), the library
+must give equal local surfaces, the same dual documents and dual sigma,
+and the same iota reports and duality maps, or fail the same way.
+"""
+
+import random
+from collections import Counter
+
+import surfaces_reference as ref
+from general_pieces import GENERAL_PIECES, glued
+
+from rotsys import GenParams, generate_random_complex, surfaces
+from rotsys.documents import complex_to_doc, sigma_to_doc
+from rotsys.errors import RotsysError, UnsatisfiableError
+from rotsys.rotation import enumerate_rotation_systems, total_search_space
+
+MAX_SYSTEMS = 200  # rotation systems per complex, all of them checked
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and message it raised."""
+    try:
+        return fn(*args)
+    except RotsysError as exc:
+        return type(exc), str(exc)
+
+
+def randgen_corpus(n):
+    out = []
+    seed = 0
+    while len(out) < n:
+        params = GenParams(seed=seed, n_vertices=4 + seed % 4, target_faces=1 + seed % 9)
+        seed += 1
+        try:
+            c = generate_random_complex(params)
+        except UnsatisfiableError:
+            continue
+        if total_search_space(c) <= MAX_SYSTEMS:
+            out.append(c)
+    return out
+
+
+def glued_corpus(n):
+    rng = random.Random(41)
+    out = []
+    while len(out) < n:
+        pieces = rng.choices(GENERAL_PIECES, k=rng.randint(1, 4))
+        if rng.random() < 0.5:  # a simplicial piece, often with a choice
+            params = GenParams(seed=rng.randrange(10**6), n_vertices=5, target_faces=5)
+            pieces.append(generate_random_complex(params))
+        rng.shuffle(pieces)
+        c = glued(rng, pieces, 0.1)
+        if total_search_space(c) <= MAX_SYSTEMS:
+            out.append(c)
+    return out
+
+
+def check_every_system(c, mismatches):
+    """Compare library and reference on every rotation system of ``c``,
+    and iota on the surfaces of the system before, counting its outcome
+    types in ``mismatches``; returns the number of systems."""
+    n = 0
+    previous = None  # the surfaces of the previous system, a mismatch for iota
+    for sigma in enumerate_rotation_systems(c):
+        mine = outcome(surfaces.local_surfaces, c, sigma)
+        theirs = outcome(ref.local_surfaces, c, sigma)
+        assert mine == theirs
+        assert outcome(surfaces.related_pairs, c, sigma) == outcome(
+            ref.related_pairs, c, sigma
+        )
+        if isinstance(theirs, list):
+            for s in theirs:
+                for m in s.members:
+                    assert surfaces.polygon_refs(c, m) == ref.polygon_refs(c, m)
+        dual = outcome(surfaces.dual_complex, c, sigma)
+        ref_dual = outcome(ref.dual_complex, c, sigma)
+        assert dual == ref_dual
+        if isinstance(ref_dual, ref.DualComplex):
+            # dict equality ignores order; the documents do not
+            assert complex_to_doc(dual.complex) == complex_to_doc(ref_dual.complex)
+            assert list(complex_to_doc(dual.complex)["edges"]) == list(
+                complex_to_doc(ref_dual.complex)["edges"]
+            )
+            assert repr(sigma_to_doc(dual.sigma_c)) == repr(sigma_to_doc(ref_dual.sigma_c))
+            assert list(dual.class_of.items()) == list(ref_dual.class_of.items())
+        assert outcome(surfaces.iota_check, c, sigma) == outcome(ref.iota_check, c, sigma)
+        if previous is not None:
+            mismatched = outcome(surfaces.iota_check, c, sigma, previous)
+            assert mismatched == outcome(ref.iota_check, c, sigma, previous)
+            mismatches[type(mismatched)] += 1
+        previous = theirs if isinstance(theirs, list) else None
+        assert outcome(surfaces.surface_duality_check, c, sigma) == outcome(
+            ref.surface_duality_check, c, sigma
+        )
+        n += 1
+    return n
+
+
+def test_surfaces_match_the_reference_on_randgen_complexes():
+    corpus = randgen_corpus(120)
+    mismatches = Counter()
+    systems = sum(check_every_system(c, mismatches) for c in corpus)
+    assert systems >= 500
+    # iota on another system's surfaces fails, with the same message
+    assert mismatches[tuple] >= 100, mismatches
+
+
+def test_surfaces_match_the_reference_on_glued_general_complexes():
+    corpus = glued_corpus(120)
+    seen = {"loop": 0, "faceless": 0, "one incidence": 0, "revisit": 0, "choice": 0}
+    for c in corpus:
+        incidences = c.edge_incidences()
+        seen["loop"] += any(t == h for t, h in c.edges.values())
+        seen["faceless"] += any(not incs for incs in incidences.values())
+        seen["one incidence"] += any(len(incs) == 1 for incs in incidences.values())
+        seen["revisit"] += any(
+            len(c.face_vertices(f)) < len(b.trail) for f, b in c.faces.items()
+        )
+        seen["choice"] += check_every_system(c, Counter()) > 1
+    assert min(seen.values()) >= 10, seen
