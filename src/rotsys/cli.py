@@ -131,7 +131,7 @@ def _cmd_links(args) -> int:
             "vertices": lg.vertex_labels(),
             "edges": [
                 {
-                    "label": f"{le.face}#{le.pos}",
+                    "label": le.label(),
                     "endpoints": [
                         le.u.label(le.u.edge in lg.loops),
                         le.w.label(le.w.edge in lg.loops),

@@ -216,13 +216,6 @@ class PreComplex:
 
     # -- 1-skeleton ---------------------------------------------------------
 
-    def skeleton_adjacency(self) -> dict[VertexId, set[VertexId]]:
-        adj: dict[VertexId, set[VertexId]] = {v: set() for v in self.vertices}
-        for tail, head in self.edges.values():
-            adj[tail].add(head)
-            adj[head].add(tail)
-        return adj
-
     def incident_edges(self, v: VertexId) -> list[EdgeId]:
         """Edges with ``v`` as an endpoint, in id order."""
         return sorted(
@@ -418,13 +411,12 @@ def validate(c: PreComplex) -> list[Violation]:
         for pair, ids in sorted(by_pair.items(), key=lambda kv: kv[1]):
             if len(pair) == 2 and len(ids) > 1:
                 violations.append(Violation("ParallelEdges", tuple(ids)))
-        for f in sorted(c.faces):
-            trail = c.faces[f].trail
-            if len(trail) != 3 or len(c.face_vertices(f)) != 3:
-                violations.append(Violation("NonTriangleFace", (f,)))
         by_support: dict[frozenset[VertexId], list[FaceId]] = {}
         for f in sorted(c.faces):
-            by_support.setdefault(c.face_vertices(f), []).append(f)
+            support = c.face_vertices(f)
+            if len(c.faces[f].trail) != 3 or len(support) != 3:
+                violations.append(Violation("NonTriangleFace", (f,)))
+            by_support.setdefault(support, []).append(f)
         for support, ids in sorted(by_support.items(), key=lambda kv: kv[1]):
             if len(ids) > 1:
                 violations.append(Violation("DuplicateFace", tuple(ids)))

@@ -41,7 +41,9 @@ def _list(value: Any, what: str) -> list:
     return value
 
 
-def _precomplex_from_doc(doc: dict[str, Any]) -> PreComplex:
+def _complex_from_doc(doc: dict[str, Any], cls: type[PreComplex]) -> PreComplex:
+    """A ``cls`` built from a document's fields, their JSON types
+    checked first."""
     for key in ("kind", "vertices", "edges", "faces"):
         if key not in doc:
             raise DocumentError(f"missing key {key!r}")
@@ -84,19 +86,18 @@ def _precomplex_from_doc(doc: dict[str, Any]) -> PreComplex:
         if fid in faces:
             raise DocumentError(f"duplicate face id {fid!r}")
         faces[fid] = FaceBoundary(fid, tuple(trail))
-    return PreComplex(kind, vertices, edges, faces)
+    return cls(kind, vertices, edges, faces)
 
 
 def parse_precomplex(text: str) -> PreComplex:
     """Parse a document leniently: referential integrity and closed
     trails are required, the standing assumptions are not."""
-    return _precomplex_from_doc(_load(text))
+    return _complex_from_doc(_load(text), PreComplex)
 
 
 def parse_complex(text: str) -> DirectedComplex:
     """Parse and fully validate a complex document."""
-    pre = parse_precomplex(text)
-    return DirectedComplex.from_pre(pre)
+    return _complex_from_doc(_load(text), DirectedComplex)
 
 
 def complex_to_doc(c: PreComplex) -> dict[str, Any]:

@@ -30,8 +30,6 @@ def export_dot_link(lg: LinkGraph) -> str:
     for le in lg.edges:
         u = le.u.label(le.u.edge in lg.loops)
         w = le.w.label(le.w.edge in lg.loops)
-        lines.append(
-            f"  {_quote(u)} -- {_quote(w)} [label={_quote(f'{le.face}#{le.pos}')}];"
-        )
+        lines.append(f"  {_quote(u)} -- {_quote(w)} [label={_quote(le.label())}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -27,7 +27,7 @@ from .errors import NotConnectedError, NotLocallyConnectedError, NotPrimeError
 from .links import is_locally_connected
 from .rotation import RotationSystem
 from .surfaces import dual_complex
-from .tracing import is_planar_rotation_system, is_sphere_union, link_tracers
+from .tracing import is_planar_rotation_system, link_tracers
 
 SparseRows = list[dict[int, int]]
 
@@ -467,14 +467,9 @@ class EulerReport:
 def _total_link_cells(c: PreComplex, sigma: RotationSystem) -> tuple[int, bool]:
     """(total cells over all link complexes, every component a sphere),
     over the link tracers kept in ``c.table``."""
-    tracers = link_tracers(c)
-    total = 0
-    all_spheres = True
-    for v in sorted(c.vertices):
-        cc = tracers[v].cell_complex(sigma)
-        total += cc.num_cells()
-        all_spheres = all_spheres and is_sphere_union(cc)
-    return total, all_spheres
+    tracers = link_tracers(c).values()
+    total = sum(len(t.cells(sigma)) for t in tracers)
+    return total, all(t.sphere_union(sigma) for t in tracers)
 
 
 def euler_identity_report(

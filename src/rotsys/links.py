@@ -6,16 +6,20 @@ ends of a loop edge follows the double-counting convention for dual
 complexes: a loop contributes two link vertices.  For loop-free
 complexes the link vertices are simply the edges at v.  A face arrives
 at an edge's head when it runs along the edge, at its tail when it runs
-against it, and leaves from the other end; ``corner_of`` gives the
-corner where one incidence meets an edge-end, for callers that read
-rotators without a link graph.
+against it, and leaves from the other end.  Rotators and link counts
+are read from the link tracers that ``tracing.link_tracers`` builds
+once per complex.
 
-Cut vertices are those of the complex as a space, where a face's open
-disk joins its vertices: splits run on vertex sets over
-``space_adjacency``.  ``parts_at`` gives the vertex sets of the
-complexes attached at a cut vertex, and ``subcomplexes`` builds
+Cut vertices are those of the complex as a space: splits run on vertex
+sets over ``space_adjacency``.  Without its vertices the space falls
+into open pieces, and each edge or face lies in one; its support is
+the set of vertices that piece touches.  A face's open disk joins its
+vertices, and a loop's open arc joins the faces through it, so a loop,
+the faces through it and their loops share one support; any other
+edge's support is its two ends.  ``parts_at`` gives the vertex sets of
+the complexes attached at a cut vertex, and ``subcomplexes`` builds
 complexes on vertex sets, giving each edge and face to the first set
-that holds all its vertices and dropping it when none does.
+that holds its support and dropping it when none does.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .complexes import EdgeId, FaceId, Incidence, PreComplex, VertexId, connected_classes
+from .complexes import EdgeId, FaceId, PreComplex, VertexId, connected_classes
 from .errors import NotACutVertexError, UnknownVertexError
 
 HEAD = "h"
@@ -52,6 +56,9 @@ class LinkEdge(NamedTuple):
     u: LinkVertex
     w: LinkVertex
 
+    def label(self) -> str:
+        return f"{self.face}#{self.pos}"
+
 
 @dataclass(frozen=True)
 class LinkGraph:
@@ -65,42 +72,6 @@ class LinkGraph:
 
     def degree(self, lv: LinkVertex) -> int:
         return sum((le.u == lv) + (le.w == lv) for le in self.edges)
-
-    def component_partition(self) -> list[set[LinkVertex]]:
-        """Connected components over link vertices, least label first.
-        Isolated link vertices (only possible for faceless edges of a
-        PreComplex) form their own components."""
-        index = {lv: i for i, lv in enumerate(self.vertices)}
-        classes = connected_classes(
-            len(self.vertices), ((index[le.u], index[le.w]) for le in self.edges)
-        )
-        groups = [{self.vertices[i] for i in members} for members in classes]
-        return sorted(groups, key=min)
-
-    def is_connected(self) -> bool:
-        return len(self.component_partition()) <= 1
-
-
-def _end_of_arrival(corner_prev_sign: int) -> str:
-    # the previous ref ends at the center: at the edge's head when
-    # traversed forwards, at its tail when traversed backwards
-    return HEAD if corner_prev_sign == 1 else TAIL
-
-
-def _end_of_departure(corner_next_sign: int) -> str:
-    return TAIL if corner_next_sign == 1 else HEAD
-
-
-def corner_of(c: PreComplex, inc: Incidence, end: str) -> int:
-    """The corner of ``inc.face`` where the traversal ``inc`` of an edge
-    meets that edge's end ``end`` (HEAD or TAIL): the next corner when
-    the traversal arrives there, its own when it leaves from there.
-    Reading a rotator of link edges (``face#corner``) from a cyclic
-    order of incidences needs no link graph."""
-    trail = c.faces[inc.face].trail
-    if end == _end_of_arrival(trail[inc.pos].sign):
-        return (inc.pos + 1) % len(trail)
-    return inc.pos
 
 
 def link_graph(c: PreComplex, v: VertexId) -> LinkGraph:
@@ -129,35 +100,71 @@ def link_graph(c: PreComplex, v: VertexId) -> LinkGraph:
         for corner in c.corners(f):
             if corner.vertex != v:
                 continue
-            u = LinkVertex(corner.prev_ref.edge, _end_of_arrival(corner.prev_ref.sign))
-            w = LinkVertex(corner.next_ref.edge, _end_of_departure(corner.next_ref.sign))
+            # the face arrives over its previous ref, at the edge's head
+            # when it runs along the edge, and leaves over its next ref,
+            # from the edge's tail when it runs along it
+            prev, nxt = corner.prev_ref, corner.next_ref
+            u = LinkVertex(prev.edge, HEAD if prev.sign == 1 else TAIL)
+            w = LinkVertex(nxt.edge, TAIL if nxt.sign == 1 else HEAD)
             edges.append(LinkEdge(f, corner.pos, u, w))
     return LinkGraph(v, tuple(vertices), tuple(edges), frozenset(loops))
 
 
 def is_locally_connected(c: PreComplex) -> tuple[bool, VertexId | None]:
     """Whether every link graph is connected; on failure also the least
-    vertex with a disconnected link.  Reads the graphs of the link
-    tracers kept in ``c.table``."""
+    vertex with a disconnected link.  Reads the component counts of the
+    link tracers kept in ``c.table``."""
     from .tracing import link_tracers  # tracing builds on this module
 
     tracers = link_tracers(c)
     for v in sorted(c.vertices):
-        if not tracers[v].link.is_connected():
+        if tracers[v].component_count > 1:
             return False, v
     return True, None
 
 
+def _supports(
+    c: PreComplex,
+) -> tuple[dict[EdgeId, frozenset[VertexId]], dict[FaceId, frozenset[VertexId]]]:
+    """The supports of the loops and of the faces (see the module
+    docstring): the loops and the faces are joined in classes through
+    the loops on each face's trail, each class supported by all its
+    vertices.  Any other edge's support is its two ends."""
+    faces = {f: c.face_vertices(f) for f in c.faces}
+    loops = [e for e, (tail, head) in c.edges.items() if tail == head]
+    if not loops:
+        return {}, faces
+    cells = [frozenset(c.edges[e]) for e in loops] + list(faces.values())
+    index = {e: i for i, e in enumerate(loops)}
+    pairs = [
+        (index[ref.edge], len(loops) + k)
+        for k, boundary in enumerate(c.faces.values())
+        for ref in boundary.trail
+        if ref.edge in index
+    ]
+    for members in connected_classes(len(cells), pairs):
+        joined = frozenset().union(*(cells[i] for i in members))
+        for i in members:
+            cells[i] = joined
+    return dict(zip(loops, cells)), dict(zip(faces, cells[len(loops):]))
+
+
 def space_adjacency(c: PreComplex) -> dict[VertexId, set[VertexId]]:
-    """The skeleton adjacency of ``c`` plus, for each face whose trail
-    revisits a vertex, an edge between any two of its vertices (a face
-    whose trail is a simple cycle joins them along the skeleton)."""
-    adj = c.skeleton_adjacency()
-    for f, boundary in c.faces.items():
-        vs = c.face_vertices(f)
-        if len(vs) < len(boundary.trail):
-            for u in vs:
-                adj[u] |= vs
+    """The skeleton adjacency of ``c`` plus an edge between any two
+    vertices of the support of each loop and of each face with fewer
+    support vertices than corners (a face whose trail is a simple cycle
+    joins its vertices along the skeleton, and the loops of a face
+    through a loop join its support)."""
+    adj: dict[VertexId, set[VertexId]] = {v: set() for v in c.vertices}
+    for tail, head in c.edges.values():
+        adj[tail].add(head)
+        adj[head].add(tail)
+    loop_support, face_support = _supports(c)
+    joins = list(loop_support.values())
+    joins += [vs for f, vs in face_support.items() if len(vs) < len(c.faces[f].trail)]
+    for vs in joins:
+        for u in vs:
+            adj[u] |= vs
     return adj
 
 
@@ -214,11 +221,11 @@ def attached_complexes(c: PreComplex, v: VertexId) -> list[PreComplex]:
 
     Returns one PreComplex per part K of v's own connected component
     with v removed (its vertices joined by the edges and open faces
-    left): vertex set K + v, and exactly the edges and faces all of
-    whose incident vertices lie in K + v.
-    Loops at v and faces touching only v (possible only in general
-    complexes) go to the least component so the face sets stay
-    pairwise disjoint.  Components are ordered by least vertex.
+    left): vertex set K + v, and exactly the edges and faces whose
+    support lies in K + v.  A bare loop at v and the cells on v alone
+    (possible only in general complexes) go to the least component so
+    the face sets stay pairwise disjoint.  Components are ordered by
+    least vertex.
     """
     if v not in c.vertices:
         raise UnknownVertexError(f"unknown vertex {v!r}")
@@ -246,8 +253,8 @@ def parts_at(
 def subcomplexes(c: PreComplex, vertex_sets: list[set[VertexId]]) -> list[PreComplex]:
     """One complex per vertex set, its vertices in ``c``'s order.
 
-    Each edge and face of ``c`` goes to the first set that holds all its
-    vertices, and to none when no set does.  Splitting at a cut vertex
+    Each edge and face of ``c`` goes to the first set that holds its
+    support, and to none when no set does.  Splitting at a cut vertex
     and then splitting the pieces again puts every edge and face where
     this rule puts it among the final vertex sets.
     """
@@ -264,14 +271,15 @@ def subcomplexes(c: PreComplex, vertex_sets: list[set[VertexId]]) -> list[PreCom
     for u in c.vertices:
         for i in holders.get(u, ()):
             vertices[i].append(u)
+    loop_support, face_support = _supports(c)
     edges: list[dict] = [{} for _ in vertex_sets]
     for e, ends in c.edges.items():
-        i = first_holder(frozenset(ends))
+        i = first_holder(loop_support.get(e) or frozenset(ends))
         if i is not None:
             edges[i][e] = ends
     faces: list[dict] = [{} for _ in vertex_sets]
     for f, boundary in c.faces.items():
-        i = first_holder(c.face_vertices(f))
+        i = first_holder(face_support[f])
         if i is not None:
             faces[i][f] = boundary
     return [

@@ -27,8 +27,8 @@ a decided link's orbits are counted on its array by the same code as
 rotator is checked once, before the search.  The backtracker keeps its
 own stack, so the size of a complex is not bounded by Python's
 recursion limit.  The rotators of a generalized witness are read from
-sigma and the edges' incidences, each resolved to its link edge by
-``links.corner_of``, so a ``gprs find`` request builds each link once.
+the same link tracers, so a ``gprs find`` request builds each link
+once.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import networkx as nx
 
 from .complexes import EdgeId, Incidence, PreComplex, VertexId
 from .errors import CapExceededError
-from .links import HEAD, TAIL, LinkGraph, LinkVertex, corner_of
+from .links import LinkGraph
 from .rotation import RotationSystem, candidate_table
 from .tracing import LinkTracer, link_tracers, traces_sphere_union
 
@@ -328,27 +328,19 @@ class GprsSearchResult:
     def rotator_doc(self, c: PreComplex) -> dict:
         """The per-vertex rotators of the found assignment: for every
         link vertex (edge-end at the vertex, in link order), the cyclic
-        order of its link edges (face#corner), read from sigma of its
-        edge, or from the edge's incidences when sigma is empty.  A
-        tail end reads sigma reversed unless the edge is red."""
+        order of its link edges (face#corner) that sigma and the red
+        edges induce, read from the link tracers kept in ``c.table``."""
         assert self.sigma is not None
         red = frozenset(self.red_edges)
-        incidences = c.table.incidences
-        # per vertex, its link vertices as (edge, end, label)
-        ends: dict[VertexId, list[tuple[EdgeId, str, str]]] = {v: [] for v in c.vertices}
-        for e in sorted(c.edges):
-            tail, head = c.edges[e]
-            loop = tail == head
-            ends[head].append((e, HEAD, LinkVertex(e, HEAD).label(loop)))
-            ends[tail].append((e, TAIL, LinkVertex(e, TAIL).label(loop)))
+        tracers = link_tracers(c)
         out: dict[str, dict[str, list[str]]] = {}
         for v in sorted(c.vertices):
-            out[v] = rotators = {}
-            for e, end, label in ends[v]:
-                order = self.sigma.sigma.get(e) or incidences[e]
-                if end == TAIL and e not in red:
-                    order = order[::-1]
-                rotators[label] = [f"{inc.face}#{corner_of(c, inc, end)}" for inc in order]
+            t = tracers[v]
+            labels = t.link.vertex_labels()
+            out[v] = {
+                labels[i]: [t.edge_labels[d >> 1] for d in rot]
+                for i, rot in enumerate(t.rotators(self.sigma, red))
+            }
         return out
 
     def to_doc(self, c: PreComplex | None = None) -> dict:

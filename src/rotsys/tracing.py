@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .complexes import EdgeId, Incidence, PreComplex, VertexId, connected_classes
-from .errors import NotClosedSurfaceError, NotIncidentError
-from .links import HEAD, TAIL, LinkGraph, corner_of, link_graph
+from .errors import NotClosedSurfaceError, NotIncidentError, UnknownVertexError
+from .links import HEAD, TAIL, LinkGraph, LinkVertex, link_graph
 from .rotation import RotationSystem
 
 
@@ -37,24 +37,6 @@ def _orbits_of(trace: Sequence[int]) -> list[tuple[int, ...]]:
             d = trace[d]
         orbits.append(tuple(orbit))
     return orbits
-
-
-def _components(
-    dart_vertex: Sequence[int], n_vertices: int
-) -> list[tuple[list[int], list[int]]]:
-    """Per connected component of a multigraph whose edge k has darts
-    2k and 2k+1: its vertices and its darts, both ascending; components
-    ordered by least vertex."""
-    ends = iter(dart_vertex)
-    classes = connected_classes(n_vertices, zip(ends, ends))
-    comp_of = [0] * n_vertices
-    for ci, vs in enumerate(classes):
-        for v in vs:
-            comp_of[v] = ci
-    darts: list[list[int]] = [[] for _ in classes]
-    for d, v in enumerate(dart_vertex):
-        darts[comp_of[v]].append(d)
-    return list(zip(classes, darts))
 
 
 def traces_sphere_union(trace: Sequence[int], cells: int) -> bool:
@@ -144,21 +126,20 @@ class CellComplex:
     def component_partition(self) -> list[tuple[set[int], set[int]]]:
         """Per connected component: (vertex indices, edge indices).
         Vertices without darts form singleton components."""
-        return [
-            (set(vs), {d >> 1 for d in ds})
-            for vs, ds in _components(self.dart_vertex, self.num_vertices())
-        ]
+        ends = iter(self.dart_vertex)
+        classes = connected_classes(self.num_vertices(), zip(ends, ends))
+        comp_of = {v: ci for ci, vs in enumerate(classes) for v in vs}
+        out = [(set(vs), set()) for vs in classes]
+        for k in range(self.num_edges()):
+            out[comp_of[self.dart_vertex[2 * k]]][1].add(k)
+        return out
 
     def chi_by_component(self) -> list[int]:
-        comps = self.component_partition()
-        cell_home = {}
-        for ci, orbit in enumerate(self.cells):
-            cell_home[ci] = self.dart_vertex[orbit[0]]
-        chis = []
-        for vs, es in comps:
-            ncells = sum(1 for ci in cell_home if cell_home[ci] in vs)
-            chis.append(len(vs) - len(es) + ncells)
-        return chis
+        homes = [self.dart_vertex[orbit[0]] for orbit in self.cells]
+        return [
+            len(vs) - len(es) + sum(home in vs for home in homes)
+            for vs, es in self.component_partition()
+        ]
 
     def chi(self) -> int:
         return self.num_vertices() - self.num_edges() + self.num_cells()
@@ -227,12 +208,13 @@ def maps_isomorphism(
 
 class LinkTracer:
     """Precomputed dart structure of one link graph, retraceable cheaply
-    for different rotator assignments during search."""
+    for different rotator assignments during search: the one reader of
+    a link's rotators, cells and component count."""
 
     def __init__(self, c: PreComplex, lg: LinkGraph):
         self.link = lg
         self.vertex_index = {lv: i for i, lv in enumerate(lg.vertices)}
-        self.edge_labels = [f"{le.face}#{le.pos}" for le in lg.edges]
+        self.edge_labels = [le.label() for le in lg.edges]
         self.dart_vertex: list[int] = []
         self.dart_of_incidence: list[dict[Incidence, int]] = [{} for _ in lg.vertices]
         # link edge k at corner (f, pos): dart 2k arrives at u over the
@@ -244,10 +226,11 @@ class LinkTracer:
             self.dart_of_incidence[u][arrival] = 2 * k
             self.dart_of_incidence[w][Incidence(le.face, le.pos)] = 2 * k + 1
         self.incidences_of_vertex = [tuple(sorted(t)) for t in self.dart_of_incidence]
-        # the orbit count of a sphere union, 2 - V + E per component
+        # the link's connected components, and the orbit count of a
+        # sphere union, 2 - V + E per component
         ends = iter(self.dart_vertex)
-        components = connected_classes(len(lg.vertices), zip(ends, ends))
-        self.sphere_cells = 2 * len(components) - len(lg.vertices) + len(lg.edges)
+        self.component_count = len(connected_classes(len(lg.vertices), zip(ends, ends)))
+        self.sphere_cells = 2 * self.component_count - len(lg.vertices) + len(lg.edges)
 
     def rotator(
         self, i: int, order: Sequence[Incidence], red: bool = False
@@ -313,10 +296,8 @@ class LinkTracer:
     def cell_complex(
         self, sigma: RotationSystem, red_edges: frozenset[EdgeId] = frozenset()
     ) -> CellComplex:
-        lg = self.link
-        labels = lg.vertex_labels()
         return CellComplex.from_rotators(
-            labels,
+            self.link.vertex_labels(),
             self.edge_labels,
             self.dart_vertex,
             self.rotators(sigma, red_edges),
@@ -347,7 +328,10 @@ def link_tracers(c: PreComplex) -> dict[VertexId, LinkTracer]:
 def trace_link_complex(c: PreComplex, sigma: RotationSystem, v: VertexId) -> CellComplex:
     """The link complex of ``(c, sigma)`` at ``v``: the link graph with
     rotators induced by sigma, traced into cells."""
-    return link_tracer(c, v).cell_complex(sigma)
+    tracer = link_tracers(c).get(v)
+    if tracer is None:
+        raise UnknownVertexError(f"unknown vertex {v!r}")
+    return tracer.cell_complex(sigma)
 
 
 def induced_rotator(
@@ -360,20 +344,21 @@ def induced_rotator(
 
     For a loop both ends lie at ``v``; the head end is reported.  The
     single-face convention leaves sigma empty, and the rotator is then
-    the one link edge of the single incidence.
+    the one link edge of the single incidence.  Read from the link
+    tracer at ``v`` kept in ``c.table``.
     """
     if e not in c.edges:
         raise NotIncidentError(f"unknown edge {e!r}")
     tail, head = c.edges[e]
     if v not in (tail, head):
         raise NotIncidentError(f"vertex {v!r} is not an endpoint of edge {e!r}")
-    end = HEAD if head == v else TAIL
-    order = sigma.sigma[e]
-    if not order:
-        order = c.table.incidences[e]
-    elif end == TAIL:
-        order = order[::-1]
-    return [(f"{inc.face}#{corner_of(c, inc, end)}", inc) for inc in order]
+    tracer = link_tracers(c)[v]
+    i = tracer.vertex_index[LinkVertex(e, HEAD if head == v else TAIL)]
+    incidence_of = {d: inc for inc, d in tracer.dart_of_incidence[i].items()}
+    return [
+        (tracer.edge_labels[d >> 1], incidence_of[d])
+        for d in tracer.rotator(i, sigma.sigma[e])
+    ]
 
 
 def is_planar_rotation_system(

@@ -5,9 +5,11 @@ vertex do, so the verdict splits at cut vertices (and at connected
 components) and combines leaf-block verdicts.  The splits run on vertex
 sets, with the cut vertices found once, and a complex is built only for
 each leaf block: every edge and face goes to the first leaf, in
-pre-order, that holds all its vertices, so a loop or one-vertex face at
-a cut vertex lands in the first leaf holding that vertex; cut vertices
-are those of the complex as a space, so no face crosses two leaves.
+pre-order, that holds its support, so a loop goes with the faces
+through it, and only a piece on a cut vertex alone (a bare loop, or
+faces on it alone and their loops) lands in the first leaf holding that
+vertex; cut vertices are those of the complex as a space, so no face
+crosses two leaves.
 Per block: no planar rotation system denies even an orientable
 3-manifold; one found plus a certified trivial fundamental group gives
 the 3-sphere; trivial F_p homology at some requested prime combined

@@ -1,5 +1,6 @@
 """General complexes for the tests: small pieces with loops, one-vertex
-faces, bigons and a face that passes one vertex twice, glued in trees."""
+faces, bigons and a face that passes one vertex twice, glued in trees;
+and the oracle for how a complex falls apart at a vertex."""
 
 from rotsys import FaceBoundary, PreComplex, SignedEdgeRef
 
@@ -33,6 +34,93 @@ GENERAL_PIECES = [
         [("x", [("p", 1), ("q", 1), ("r", 1), ("s", 1)])],
     ),
 ]
+
+
+# loops that join faces: a face through a loop, a loop shared by two
+# faces that meet nowhere else, and two such loops chained through a
+# face on z alone; kept apart from GENERAL_PIECES so that the corpora
+# drawn from that list stay as they are
+LOOP_PIECES = [
+    complex_from_lists(
+        "general",
+        "za",
+        [("p", "z", "a"), ("q", "a", "z"), ("l", "z", "z")],
+        [("f", [("p", 1), ("q", 1), ("l", 1)])],
+    ),
+    complex_from_lists(
+        "general",
+        "zab",
+        [("p", "z", "a"), ("q", "a", "z"), ("r", "z", "b"), ("s", "b", "z"), ("l", "z", "z")],
+        [("f", [("p", 1), ("q", 1), ("l", 1)]), ("g", [("r", 1), ("s", 1), ("l", -1)])],
+    ),
+    complex_from_lists(
+        "general",
+        "zab",
+        [("p", "z", "a"), ("q", "a", "z"), ("r", "z", "b"), ("s", "b", "z")]
+        + [("l", "z", "z"), ("m", "z", "z")],
+        [
+            ("f", [("p", 1), ("q", 1), ("l", 1)]),
+            ("o", [("l", 1), ("m", 1)]),
+            ("g", [("r", 1), ("s", 1), ("m", 1)]),
+        ],
+    ),
+]
+
+
+def loop_at_cut_vertex(x, loop_in_g=False):
+    """A triangle G on v, b, c and a face F running v -> x -> v around the
+    loop L at v; with ``loop_in_g`` G runs around L as well, so L's open
+    arc joins F and G and v cuts nothing."""
+    g = [("vb", 1), ("bc", 1), ("cv", 1)] + ([("L", 1)] if loop_in_g else [])
+    return complex_from_lists(
+        "general",
+        ["v", "b", "c", x],
+        [("vb", "v", "b"), ("bc", "b", "c"), ("cv", "c", "v")]
+        + [("vx", "v", x), ("xv", x, "v"), ("L", "v", "v")],
+        [("G", g), ("F", [("vx", 1), ("xv", 1), ("L", 1)])],
+    )
+
+
+def parts_without(c, v):
+    """Oracle: how the component of ``c`` at ``v`` falls apart when ``v``
+    is removed, read off the cells.  An edge's open arc joins its ends
+    other than ``v`` and the open disks of the faces through it.  Returns
+    each part that holds a vertex, as (vertices, edges, faces) ordered by
+    least vertex, and the edges and faces of the pieces left with no
+    vertex (a bare loop at ``v``, or faces on ``v`` alone and their
+    loops)."""
+    comp = next(comp for comp in c.components() if v in comp)
+    nodes = [("v", u) for u in sorted(comp - {v})]
+    nodes += [("e", e) for e, ends in c.edges.items() if ends[0] in comp]
+    nodes += [("f", f) for f in c.faces if c.face_vertices(f) <= comp]
+    adj = {node: set() for node in nodes}
+    for kind, x in nodes:
+        if kind == "e":
+            for u in set(c.edges[x]) - {v}:
+                adj[kind, x].add(("v", u))
+                adj["v", u].add((kind, x))
+        elif kind == "f":
+            for ref in c.faces[x].trail:
+                adj[kind, x].add(("e", ref.edge))
+                adj["e", ref.edge].add((kind, x))
+    parts, vertexless = [], (set(), set())
+    seen = set()
+    for start in nodes:
+        if start in seen:
+            continue
+        piece, stack = {start}, [start]
+        while stack:
+            for node in adj[stack.pop()] - piece:
+                piece.add(node)
+                stack.append(node)
+        seen |= piece
+        cells = [{x for kind, x in piece if kind == k} for k in "vef"]
+        if cells[0]:
+            parts.append(tuple(cells))
+        else:
+            vertexless[0].update(cells[1])
+            vertexless[1].update(cells[2])
+    return parts, vertexless
 
 
 def glued(rng, pieces, disjoint=0.0):

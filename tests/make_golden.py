@@ -30,6 +30,10 @@ COMMANDS = {
     "surfaces": (["surfaces"], []),
     "dual": (["dual"], []),
     "identities-p2": (["identities"], ["--prime", "2"]),
+    "links": (["links"], []),
+    "validate": (["validate"], []),
+    "homology-p2": (["homology"], ["--prime", "2"]),
+    "homology-integral": (["homology"], ["--integral"]),
 }
 
 # fixtures a command is not recorded on: the identities need a connected,

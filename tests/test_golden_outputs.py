@@ -1,9 +1,11 @@
 """The canonical CLI outputs on the fixtures stay byte for byte.
 
 ``prs find``, ``prs count``, ``gprs find`` (rotators included),
-``verdict --primes 2,3``, ``surfaces``, ``dual`` and ``identities
---prime 2`` (on the fixtures where it applies) against tests/golden/,
-written by ``make_golden.py``: stdout, exit code and an empty stderr.
+``verdict --primes 2,3``, ``surfaces``, ``dual``, ``identities
+--prime 2`` (on the fixtures where it applies), ``links``, ``validate``,
+``homology --prime 2`` and ``homology --integral`` against
+tests/golden/, written by ``make_golden.py``: stdout, exit code and an
+empty stderr.
 """
 
 import json

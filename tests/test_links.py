@@ -14,38 +14,22 @@ from rotsys import (
 )
 from rotsys.errors import NotACutVertexError
 
-from general_pieces import GENERAL_PIECES, glued
+from general_pieces import (
+    GENERAL_PIECES,
+    LOOP_PIECES,
+    glued,
+    loop_at_cut_vertex,
+    parts_without,
+)
 
 
 def brute_cut_vertices(c):
     """Oracle: remove each vertex and test whether the other vertices of
-    its component stay connected through the edges and open faces left.
-    An edge joins its two ends and a face's open disk all of its
-    vertices; cells left with no vertex (a loop at the removed vertex
-    and the faces on it alone) do not count as a part."""
-    out = set()
-    for v in c.vertices:
-        comp_of = next(comp for comp in c.components() if v in comp)
-        rest = comp_of - {v}
-        joins = [set(ends) & rest for ends in c.edges.values()]
-        joins += [set(c.face_vertices(f)) & rest for f in c.faces]
-        seen = set()
-        parts = 0
-        for s in rest:
-            if s in seen:
-                continue
-            parts += 1
-            stack = [s]
-            seen.add(s)
-            while stack:
-                u = stack.pop()
-                for joined in joins:
-                    if u in joined:
-                        stack += joined - seen
-                        seen |= joined
-        if parts > 1:
-            out.add(v)
-    return out
+    its component stay connected through the edges and open faces left,
+    by ``parts_without``: an edge's open arc joins its ends and the faces
+    through it, so a loop joins the faces it lies on.  Pieces left with
+    no vertex do not count as a part."""
+    return {v for v in c.vertices if len(parts_without(c, v)[0]) > 1}
 
 
 def test_link_graph_tetrahedron_is_triangle(complexes):
@@ -131,6 +115,28 @@ def test_cut_vertices_against_oracle_on_general_complexes():
     assert with_cuts >= 30 and crossing >= 40
 
 
+def test_cut_vertices_against_oracle_on_loops_joining_faces():
+    """Glued corpora with faces through loops, loops shared by two faces
+    and loops chained through a face on one vertex: a loop's open arc
+    joins the faces through it, so a vertex whose sides only such a loop
+    joins is no cut vertex."""
+    rng = random.Random(29)
+    with_cuts = joined = 0
+    for _ in range(120):
+        c = glued(rng, rng.choices(GENERAL_PIECES + LOOP_PIECES, k=rng.randint(1, 5)), 0.1)
+        cuts = cut_vertices(c)
+        assert cuts == brute_cut_vertices(c)
+        with_cuts += bool(cuts)
+        shared = [
+            e
+            for e, (tail, head) in c.edges.items()
+            if tail == head
+            and sum(ref.edge == e for b in c.faces.values() for ref in b.trail) > 1
+        ]
+        joined += any(c.edges[e][0] not in cuts for e in shared)
+    assert with_cuts >= 30 and joined >= 20
+
+
 def test_locally_connected_fixtures(complexes):
     assert is_locally_connected(complexes["tetrahedron"]) == (True, None)
     assert is_locally_connected(complexes["torus-7"]) == (True, None)
@@ -173,6 +179,19 @@ def test_attached_complexes_chain_of_triangles():
     parts = attached_complexes(c, "v3")
     assert len(parts) == 2
     assert sorted(len(p.faces) for p in parts) == [1, 2]
+
+
+def test_attached_complexes_keep_a_loop_with_its_face():
+    """The loop L at the cut vertex v goes with the face through it,
+    whether the part of that face comes first or second."""
+    for x in "xa":
+        c = loop_at_cut_vertex(x)
+        assert cut_vertices(c) == {"v"}
+        parts = attached_complexes(c, "v")
+        assert [validate(p) for p in parts] == [[], []]
+        holder = next(p for p in parts if "F" in p.faces)
+        assert "L" in holder.edges and x in holder.vertices
+    assert cut_vertices(loop_at_cut_vertex("x", loop_in_g=True)) == set()
 
 
 def test_attached_requires_cut_vertex(complexes):

@@ -3,12 +3,17 @@
 ``perfbench/spans.py`` looks every ``TARGETS`` entry of
 ``perfbench/layers.py`` up in its owner's ``__dict__``, so a refactor
 that moves or renames one of them stops ``run.py --trace 1`` with a
-``KeyError``.  This test only reads ``layers``.
+``KeyError``.  The first test only reads ``layers``; the smoke test
+runs each workload once, traced, for no timed pass beyond the first.
 """
 
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,3 +37,19 @@ def test_every_traced_target_resolves():
         if not callable(owner.__dict__.get(attr)):
             missing.append(f"{where}.{attr}")
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["search-mix", "surface-verdict", "crosscheck"])
+def test_traced_run_completes(workload):
+    """``run.py --trace 1`` exits 0 and its last line, the result
+    document, reports every output correct."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload]
+        + ["--seconds", "0", "--trace", "1"],
+        cwd=PERFBENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -24,7 +24,7 @@ from rotsys.errors import CapExceededError, NotConnectedError, NotLocallyConnect
 from rotsys.homology import euler_identity_report
 from rotsys.rotation import canonical_rotation_system, sigma_candidates, total_search_space
 from rotsys.search import _compile_links, _mirror_cut, link_planarity_precheck
-from rotsys.tracing import induced_rotator, link_tracer, link_tracers, traces_sphere_union
+from rotsys.tracing import induced_rotator, link_tracer, traces_sphere_union
 
 from general_pieces import GENERAL_PIECES, glued
 
@@ -375,24 +375,42 @@ def test_each_complex_builds_each_link_graph_once(monkeypatch, complexes):
     assert max(built.values()) == 1
 
 
-def tracer_rotator_doc(result, c):
-    """Oracle for ``GprsSearchResult.rotator_doc``: the rotators of the
-    witness read off each vertex's link tracer, dart by dart."""
+def _corner_of(c, inc, end):
+    """The corner of ``inc.face`` where the traversal ``inc`` meets its
+    edge's end ``end``: the next corner when the face arrives there
+    (at the head when it runs along the edge), its own when it leaves."""
+    trail = c.faces[inc.face].trail
+    arrives = "h" if trail[inc.pos].sign == 1 else "t"
+    return (inc.pos + 1) % len(trail) if end == arrives else inc.pos
+
+
+def walked_rotator(c, order, e, end, red=False):
+    """Oracle for one rotator, with no link graph: the incidences of
+    sigma(e), or of ``e`` when sigma is empty, reversed at a tail end
+    unless the edge is red, each resolved to its corner."""
+    order = order or c.edge_incidences()[e]
+    if end == "t" and not red:
+        order = order[::-1]
+    return [(f"{inc.face}#{_corner_of(c, inc, end)}", inc) for inc in order]
+
+
+def walked_rotator_doc(result, c):
+    """Oracle for ``GprsSearchResult.rotator_doc``: every vertex's edge
+    ends walked in edge id order, head end before tail end."""
     red = frozenset(result.red_edges)
-    tracers = link_tracers(c)
-    out = {}
-    for v in sorted(c.vertices):
-        tracer = tracers[v]
-        labels = tracer.link.vertex_labels()
-        out[v] = {
-            labels[i]: [tracer.edge_labels[d >> 1] for d in rot]
-            for i, rot in enumerate(tracer.rotators(result.sigma, red))
-        }
+    out = {v: {} for v in sorted(c.vertices)}
+    for e in sorted(c.edges):
+        tail, head = c.edges[e]
+        for v, end in ((head, "h"), (tail, "t")):
+            label = f"{e}:{end}" if tail == head else e
+            order = result.sigma.sigma.get(e, ())
+            out[v][label] = [lab for lab, _ in walked_rotator(c, order, e, end, e in red)]
     return out
 
 
 def test_rotator_doc_matches_the_tracer_reading(complexes):
-    """On the search's witnesses and on random (sigma, red edges) pairs
+    """The tracers' reading against the walk over edge ends, on the
+    search's witnesses and on random (sigma, red edges) pairs
     over fixtures, randgen complexes and glued general complexes (loops,
     bigons, a face passing a vertex twice, bare loops that stay
     faceless)."""
@@ -423,7 +441,7 @@ def test_rotator_doc_matches_the_tracer_reading(complexes):
         seen["red loop"] += any(c.edges[e][0] == c.edges[e][1] for e in red)
         for result in results:
             doc = result.rotator_doc(c)
-            assert doc == tracer_rotator_doc(result, c)
+            assert doc == walked_rotator_doc(result, c)
             for e in search._faceless_edges(c):
                 tail, head = c.edges[e]
                 keys = [f"{e}:h", f"{e}:t"] if tail == head else [e]
@@ -433,7 +451,8 @@ def test_rotator_doc_matches_the_tracer_reading(complexes):
 
 
 def test_induced_rotator_matches_the_tracer_reading(complexes):
-    """On every edge and endpoint, under random rotation systems."""
+    """The tracer's reading against the walk, on every edge and endpoint,
+    under random rotation systems."""
     rng = random.Random(23)
     corpus = list(complexes.values()) + [
         glued(rng, rng.choices(GENERAL_PIECES, k=rng.randint(1, 4))) for _ in range(30)
@@ -446,13 +465,7 @@ def test_induced_rotator_matches_the_tracer_reading(complexes):
         )
         for e, (tail, head) in c.edges.items():
             for v in {tail, head}:
-                tracer = link_tracer(c, v)
-                i = tracer.vertex_index[links.LinkVertex(e, "h" if head == v else "t")]
-                incidence_of = {d: inc for inc, d in tracer.dart_of_incidence[i].items()}
-                expected = [
-                    (tracer.edge_labels[d >> 1], incidence_of[d])
-                    for d in tracer.rotator(i, sigma.sigma[e])
-                ]
+                expected = walked_rotator(c, sigma.sigma[e], e, "h" if head == v else "t")
                 assert induced_rotator(c, sigma, e, v) == expected, (e, v)
                 checked += 1
     assert checked >= 300

@@ -10,7 +10,7 @@ from rotsys import (
     surface_dual,
     trace_link_complex,
 )
-from rotsys.errors import NotIncidentError
+from rotsys.errors import NotIncidentError, UnknownVertexError
 from rotsys.rotation import (
     canonical_rotation_system,
     enumerate_rotation_systems,
@@ -103,6 +103,8 @@ def test_bowtie_link_is_sphere_union(complexes):
     cc = trace_link_complex(c, sigma, "v")
     assert cc.chi_by_component() == [2, 2]
     assert is_sphere_union(cc)
+    with pytest.raises(UnknownVertexError):
+        trace_link_complex(c, sigma, "nowhere")
 
 
 def test_cone_k5_apex_brute_force(complexes):

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 
@@ -12,10 +13,18 @@ from rotsys import (
     links,
     verdict,
 )
-from rotsys.documents import complex_to_doc
+from rotsys.cli import main
+from rotsys.documents import complex_to_doc, emit_complex
 from rotsys.errors import EmptyKindError, NotPrimeError
 
-from general_pieces import GENERAL_PIECES, complex_from_lists, glued
+from general_pieces import (
+    GENERAL_PIECES,
+    LOOP_PIECES,
+    complex_from_lists,
+    glued,
+    loop_at_cut_vertex,
+    parts_without,
+)
 
 # ``rotsys.verdict`` is the exported function; the module lives here
 verdict_module = sys.modules["rotsys.verdict"]
@@ -217,40 +226,21 @@ def _docs(complexes):
 
 def _restricted_parts(c, v):
     """The complexes attached at ``v`` in the connected complex ``c``,
-    written out: each part of the vertices other than ``v``, joined by
-    the edges between them and by the open disk of every face (which
-    joins all of its vertices but ``v``), plus ``v``, with the edges and
-    faces all of whose vertices it holds, but loops and faces at ``v``
-    alone only in the first."""
-    rest = set(c.vertices) - {v}
-    joins = [set(ends) for ends in c.edges.values()]
-    joins += [set(c.face_vertices(f)) for f in c.faces]
-    parts = []
-    for start in sorted(rest):
-        if any(start in part for part in parts):
-            continue
-        part, stack = {start}, [start]
-        while stack:
-            u = stack.pop()
-            for joined in joins:
-                if u in joined:
-                    new = (joined & rest) - part
-                    part |= new
-                    stack += new
-        parts.append(part)
+    written out from ``parts_without``: each part of the vertices other
+    than ``v``, plus ``v``, with the edges and faces of its piece of the
+    space, and the pieces left with no vertex (a bare loop at ``v``, or
+    faces on ``v`` alone and their loops) in the first."""
+    parts, (loose_edges, loose_faces) = parts_without(c, v)
     out = []
-    for k, part in enumerate(parts):
-        keep = part | {v}
-
-        def held(support):
-            return support <= keep and (k == 0 or support != {v})
-
+    for k, (part, edges, faces) in enumerate(parts):
+        if k == 0:
+            edges, faces = edges | loose_edges, faces | loose_faces
         out.append(
             PreComplex(
                 c.kind,
-                tuple(u for u in c.vertices if u in keep),
-                {e: ends for e, ends in c.edges.items() if held(set(ends))},
-                {f: b for f, b in c.faces.items() if held(c.face_vertices(f))},
+                tuple(u for u in c.vertices if u in part or u == v),
+                {e: ends for e, ends in c.edges.items() if e in edges},
+                {f: b for f, b in c.faces.items() if f in faces},
             )
         )
     return out
@@ -396,3 +386,49 @@ def test_split_matches_recursive_oracle_on_general_complexes():
         )
         assert sum(len(b.faces) for _, b in blocks) == len(c.faces)
     assert all(seen.values()), seen
+
+
+def test_split_matches_recursive_oracle_on_loops_joining_faces():
+    """Loops whose open arcs join faces go with those faces, whatever the
+    vertex names, so no face is split from a loop on its trail."""
+    rng = random.Random(31)
+    split = 0
+    for i in range(60):
+        pieces = [_random_piece(rng) for _ in range(rng.randint(0, 2))]
+        pieces += rng.choices(LOOP_PIECES + GENERAL_PIECES[:1], k=rng.randint(1, 4))
+        c = glued(rng, pieces, 0.1)
+        if i % 2:
+            c = _shuffled(rng, c)
+        _assert_split_matches_oracle(c)
+        blocks = verdict_module._leaf_blocks(c)
+        assert sum(len(b.faces) for _, b in blocks) == len(c.faces)
+        split += len(blocks) > 1
+    assert split >= 20
+
+
+def test_verdict_cli_on_a_loop_at_a_cut_vertex(tmp_path, capsys):
+    """The loop goes with the face through it whatever the vertex names:
+    every variant prints a verdict document, and renaming x to a keeps
+    its decided fields (the reasons follow the blocks' order, which
+    follows the names)."""
+    decided = []
+    for name, c in [
+        ("x", loop_at_cut_vertex("x")),
+        ("a", loop_at_cut_vertex("a")),
+        ("shared", loop_at_cut_vertex("x", loop_in_g=True)),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(emit_complex(c))
+        code = main(["verdict", str(path), "--primes", "2"])
+        out = capsys.readouterr()
+        assert code in (0, 2) and out.err == "", (name, out.err)
+        doc = json.loads(out.out)
+        blocks = sorted(
+            (b["orientable_3manifold"], b["sphere3"], b["reasons"]) for b in doc["blocks"]
+        )
+        reasons = sorted(doc["reasons"])
+        decided.append((doc["orientable_3manifold"], doc["sphere3"], reasons, blocks))
+        assert [b["path"] for b in doc["blocks"]] == (
+            ["whole"] if name == "shared" else ["@v.0", "@v.1"]
+        )
+    assert decided[0] == decided[1]
