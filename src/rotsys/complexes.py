@@ -424,22 +424,23 @@ def validate(c: PreComplex) -> list[Violation]:
     return violations
 
 
+def find(parent: list[int], x: int) -> int:
+    """The root of ``x`` in the union-find forest ``parent``, halving paths."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def connected_classes(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     """Classes of 0..n-1 under the equivalence generated by ``pairs``
     (union-find), each class ascending, classes ordered by least member."""
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in pairs:
-        ra, rb = find(a), find(b)
+        ra, rb = find(parent, a), find(parent, b)
         if ra != rb:
             parent[rb] = ra
     classes: dict[int, list[int]] = {}
     for x in range(n):
-        classes.setdefault(find(x), []).append(x)
+        classes.setdefault(find(parent, x), []).append(x)
     return list(classes.values())

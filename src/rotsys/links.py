@@ -16,14 +16,16 @@ into open pieces, and each edge or face lies in one; its support is
 the set of vertices that piece touches.  A face's open disk joins its
 vertices, and a loop's open arc joins the faces through it, so a loop,
 the faces through it and their loops share one support; any other
-edge's support is its two ends.  ``parts_at`` gives the vertex sets of
-the complexes attached at a cut vertex, and ``subcomplexes`` builds
+edge's support is its two ends.  ``blocks`` gives the vertex sets of
+the blocks from one lowpoint pass; the cut vertices and the complexes
+attached at one are read off them, and ``subcomplexes`` builds
 complexes on vertex sets, giving each edge and face to the first set
 that holds its support and dropping it when none does.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -168,52 +170,59 @@ def space_adjacency(c: PreComplex) -> dict[VertexId, set[VertexId]]:
     return adj
 
 
-def cut_vertices(c: PreComplex) -> set[VertexId]:
-    """Vertices whose removal disconnects the other vertices of their
-    own component, joined by the edges and open faces left.
+def blocks(c: PreComplex) -> list[set[VertexId]]:
+    """The blocks of ``c`` as a space: the vertex sets of the maximal
+    connected pieces of ``space_adjacency`` that no one vertex of their
+    own disconnects; a vertex with no neighbour is a block alone.
 
-    The articulation points of ``space_adjacency`` by Hopcroft and
-    Tarjan's lowpoint pass: a depth-first search kept on an explicit
-    stack, so the size of a complex is not bounded by the recursion
-    limit.  A root cuts when it has two or more tree children, any
-    other vertex when no subtree of a child reaches above it.
-    """
+    Hopcroft and Tarjan's lowpoint pass on an explicit stack, so the
+    recursion limit does not bound the size of a complex: a child no
+    subtree of which reaches above its parent makes a block with the
+    parent and what the vertex stack holds from the child on."""
     adj = space_adjacency(c)
     order = list(adj)
     index = {v: i for i, v in enumerate(order)}
     neighbours = [[index[w] for w in adj[v] if w != v] for v in order]
     disc = [-1] * len(order)  # discovery time, -1 while unvisited
     low = [0] * len(order)
-    cuts: set[VertexId] = set()
+    found: list[set[VertexId]] = []
     clock = 0
     for root in range(len(order)):
         if disc[root] >= 0:
             continue
         disc[root] = low[root] = clock
         clock += 1
-        children = 0
-        stack = [(root, -1, iter(neighbours[root]))]
+        visited: list[VertexId] = []  # the vertex stack, without the root
+        stack = [(root, -1, 0, iter(neighbours[root]))]
         while stack:
-            u, parent, untried = stack[-1]
+            u, parent, at, untried = stack[-1]
             for w in untried:
                 if disc[w] < 0:
                     disc[w] = low[w] = clock
                     clock += 1
-                    stack.append((w, u, iter(neighbours[w])))
+                    stack.append((w, u, len(visited), iter(neighbours[w])))
+                    visited.append(order[w])
                     break
                 if w != parent and disc[w] < low[u]:
                     low[u] = disc[w]
             else:
                 stack.pop()
-                if parent == root:
-                    children += 1
-                elif parent >= 0:
+                if parent >= 0:
                     low[parent] = min(low[parent], low[u])
                     if low[u] >= disc[parent]:
-                        cuts.add(order[parent])
-        if children > 1:
-            cuts.add(order[root])
-    return cuts
+                        found.append({order[parent], *visited[at:]})
+                        del visited[at:]
+        if not neighbours[root]:
+            found.append({order[root]})
+    return found
+
+
+def cut_vertices(c: PreComplex) -> set[VertexId]:
+    """Vertices whose removal disconnects the other vertices of their
+    own component, joined by the edges and open faces left: the
+    vertices in two or more blocks."""
+    counts = Counter(u for block in blocks(c) for u in block)
+    return {u for u, k in counts.items() if k > 1}
 
 
 def attached_complexes(c: PreComplex, v: VertexId) -> list[PreComplex]:
@@ -229,25 +238,17 @@ def attached_complexes(c: PreComplex, v: VertexId) -> list[PreComplex]:
     """
     if v not in c.vertices:
         raise UnknownVertexError(f"unknown vertex {v!r}")
-    if v not in cut_vertices(c):
+    found = blocks(c)
+    if sum(v in block for block in found) < 2:
         raise NotACutVertexError(f"{v!r} is not a cut vertex")
-    own_component = next(comp for comp in c.components() if v in comp)
-    return subcomplexes(c, parts_at(space_adjacency(c), own_component, v))
-
-
-def parts_at(
-    adj: dict[VertexId, set[VertexId]], piece: set[VertexId], v: VertexId
-) -> list[set[VertexId]]:
-    """The vertex sets of the complexes attached at ``v`` within the
-    connected vertex set ``piece``: each component of ``adj`` on
-    ``piece`` minus ``v``, plus ``v``, ordered by least vertex.  ``adj``
-    is the ``space_adjacency`` of a complex containing ``piece``."""
-    rest = sorted(piece - {v})
-    index = {u: i for i, u in enumerate(rest)}
-    classes = connected_classes(
-        len(rest), ((i, index[w]) for i, u in enumerate(rest) for w in adj[u] if w in index)
-    )
-    return [{rest[i] for i in members} | {v} for members in classes]
+    first: dict[VertexId, int] = {}
+    pairs = [(first.setdefault(u, i), i) for i, block in enumerate(found) for u in block - {v}]
+    parts = [
+        set().union(*(found[i] for i in members))
+        for members in connected_classes(len(found), pairs)
+        if any(v in found[i] for i in members)
+    ]
+    return subcomplexes(c, sorted(parts, key=lambda part: min(part - {v})))
 
 
 def subcomplexes(c: PreComplex, vertex_sets: list[set[VertexId]]) -> list[PreComplex]:

@@ -7,7 +7,7 @@ fixed order.  Identical parameters therefore produce byte-identical
 documents on every platform.  Both modes consume the generator once per
 candidate triangle, so a request is refused up front when its
 candidates, all C(n, 3) triangles on n vertices, exceed
-``MAX_TRIANGLES``.
+``MAX_TRIANGLES``; so is a nonsense one, before any draw.
 """
 
 from __future__ import annotations
@@ -51,8 +51,14 @@ def generate_random_complex(params: GenParams) -> DirectedComplex:
             f"{n} vertices give {candidates} candidate triangles, "
             f"more than the limit of {MAX_TRIANGLES}"
         )
-    q = params.face_probability
-    if q is None and params.target_faces is None:
+    q, target = params.face_probability, params.target_faces
+    if q is not None and target is not None:
+        raise ValueError("give a face probability or a target face count, not both")
+    if q is not None and not 0 <= q <= 1:
+        raise ValueError(f"face probability {q} is not in [0, 1]")
+    if target is not None and target < 0:
+        raise ValueError(f"target face count {target} is negative")
+    if q is None and target is None:
         q = 0.5
     rng = random.Random(params.seed)
     width = len(str(n))
@@ -66,7 +72,7 @@ def generate_random_complex(params: GenParams) -> DirectedComplex:
         for i in range(len(order) - 1, 0, -1):  # Fisher-Yates
             j = rng.randrange(i + 1)
             order[i], order[j] = order[j], order[i]
-        take = sorted(order[: params.target_faces])
+        take = sorted(order[:target])
         chosen = [triangles[k] for k in take]
     if not chosen:
         raise UnsatisfiableError("no faces survived sampling")

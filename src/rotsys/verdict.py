@@ -3,9 +3,9 @@
 A complex embeds in the 3-sphere iff all complexes attached at a cut
 vertex do, so the verdict splits at cut vertices (and at connected
 components) and combines leaf-block verdicts.  The splits run on vertex
-sets, with the cut vertices found once, and a complex is built only for
-each leaf block: every edge and face goes to the first leaf, in
-pre-order, that holds its support, so a loop goes with the faces
+sets read off the blocks of one lowpoint pass, and a complex is built
+only for each leaf block: every edge and face goes to the first leaf,
+in pre-order, that holds its support, so a loop goes with the faces
 through it, and only a piece on a cut vertex alone (a bare loop, or
 faces on it alone and their loops) lands in the first leaf holding that
 vertex; cut vertices are those of the complex as a space, so no face
@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import DirectedComplex, PreComplex, VertexId
+from .complexes import DirectedComplex, PreComplex, VertexId, find
+from .documents import sigma_to_doc
 from .errors import NotPrimeError
 from .homology import h1_integral, is_p_nullhomologous, is_prime, least_prime_factor
-from .links import cut_vertices, parts_at, space_adjacency, subcomplexes
+from .links import blocks, subcomplexes
 from .presentation import Pi1Verdict, check_budget, pi1_trivial_heuristic
 from .rotation import RotationSystem
 from .search import PrsSearchResult, search_planar_rotation_system
@@ -83,34 +84,43 @@ def _leaf_blocks(c: PreComplex) -> list[tuple[str, PreComplex]]:
     pieces attached at ``v`` come in turn, in pre-order, piece ``k``
     labeled ``@v.k`` after its parent's path.
 
-    Pieces are vertex sets.  The cut vertices are found once, since
-    those of a piece split off at ``v`` are its parent's that lie in
-    it, other than ``v``.  A complex is built only for each leaf block,
-    by ``subcomplexes``, or ``c`` itself is the one block.
+    The blocks of one lowpoint pass are joined back at the cut vertices
+    from the greatest down: the piece joined at ``v`` is the piece split
+    at ``v``, since every other cut vertex in it is greater, and the
+    pieces it joins are its parts.  A complex is built only for each
+    leaf block, by ``subcomplexes``, or ``c`` itself is the one block.
     """
-    cuts = cut_vertices(c)
-    adj = space_adjacency(c)
-    components = c.components()
-    stack = [
-        (min(comp) if len(components) > 1 else "", comp, cuts & comp)
-        for comp in reversed(components)
-    ]
+    found = blocks(c)
+    holders: dict[VertexId, list[int]] = {}
+    for i, block in enumerate(found):
+        for u in block:
+            holders.setdefault(u, []).append(i)
+    # union-find roots keep their piece's split tree (a block, or a cut
+    # vertex and its parts' trees) and its two least vertices
+    parent = list(range(len(found)))
+    tree: list = list(found)
+    least = [sorted(block)[:2] for block in found]
+    for v in sorted((u for u, ids in holders.items() if len(ids) > 1), reverse=True):
+        roots = [find(parent, i) for i in holders[v]]
+        roots.sort(key=lambda r: least[r][least[r][0] == v])  # least other than v
+        for r in roots[1:]:
+            parent[r] = roots[0]
+        tree[roots[0]] = (v, [tree[r] for r in roots])
+        least[roots[0]] = sorted({u for r in roots for u in least[r]})[:2]
+    components = sorted({find(parent, i) for i in range(len(found))}, key=least.__getitem__)
+    stack = [(least[r][0] if len(components) > 1 else "", tree[r]) for r in components[::-1]]
     leaves: list[tuple[str, set[VertexId]]] = []
     while stack:
-        path, piece, piece_cuts = stack.pop()
-        if not piece_cuts:
-            leaves.append((path or "whole", piece))
-            continue
-        v = min(piece_cuts)
-        parts = [
-            (f"{path}@{v}.{k}", part, (piece_cuts & part) - {v})
-            for k, part in enumerate(parts_at(adj, piece, v))
-        ]
-        stack.extend(reversed(parts))
+        path, node = stack.pop()
+        if isinstance(node, set):
+            leaves.append((path or "whole", node))
+        else:
+            v, parts = node
+            stack.extend(reversed([(f"{path}@{v}.{k}", part) for k, part in enumerate(parts)]))
     if len(leaves) == 1:
         return [(leaves[0][0], c)]
-    blocks = subcomplexes(c, [piece for _, piece in leaves])
-    return [(path, block) for (path, _), block in zip(leaves, blocks)]
+    pieces = subcomplexes(c, [piece for _, piece in leaves])
+    return [(path, piece) for (path, _), piece in zip(leaves, pieces)]
 
 
 def _mixed_prime_reason(null_prime: int, torsion: list[int]) -> str:
@@ -125,8 +135,6 @@ def _block_verdict(
     tietze_budget: int,
     cap: int | None,
 ) -> BlockVerdict:
-    from .documents import sigma_to_doc  # local to avoid import cycle
-
     prs: PrsSearchResult = search_planar_rotation_system(block, "first", cap)
     if prs.status == "exhausted":
         return BlockVerdict(

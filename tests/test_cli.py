@@ -314,6 +314,22 @@ def test_gen_output_validates(capsys):
     assert validate(c) == []
 
 
+def test_gen_refuses_nonsense_parameters(capsys):
+    for prob in ("2", "nan"):
+        code, out, err = run(capsys, "gen", "--seed", "0", "--vertices", "5", "--prob", prob)
+        assert (code, out) == (1, "")
+        assert err == f"error: face probability {float(prob)} is not in [0, 1]\n"
+
+
+def test_words_refuses_too_many_letters(capsys):
+    for argv, message in [
+        (["--windings", "2,2,2,2,2,2,2"], "14 letters, more than the limit of 11"),
+        (["--windings", "1,2,2,2,2,2", "--linear"], "11 letters, more than the limit of 10"),
+    ]:
+        code, out, err = run(capsys, "words", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_gen_refuses_oversized_requests(capsys):
     code, out, err = run(capsys, "gen", "--seed", "0", "--vertices", "2000")
     assert code == 1 and out == ""

@@ -5,6 +5,8 @@ runs the same checkers over fewer instances (shifted seeds) so property
 violations localize quickly during development.
 """
 
+import pytest
+
 from conftest import SEED_BASE
 from identity_checks import (
     check_chain_condition,
@@ -58,6 +60,17 @@ def test_generation_deterministic():
     assert emit_complex(generate_random_complex(params)) == emit_complex(
         generate_random_complex(params)
     )
+
+
+def test_generation_refuses_nonsense_parameters():
+    for kwargs in [
+        {"target_faces": -3},
+        {"face_probability": 2.0},
+        {"face_probability": float("nan")},
+        {"face_probability": 0.5, "target_faces": 3},
+    ]:
+        with pytest.raises(ValueError):
+            generate_random_complex(GenParams(seed=0, n_vertices=6, **kwargs))
 
 
 def test_chain_condition():

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import time
 
 import pytest
 
@@ -203,18 +204,30 @@ def test_split_of_a_long_chain_needs_no_recursion():
     assert [b.path for b in v.blocks] == expected
 
 
-def test_chain_verdict_finds_cut_vertices_once(monkeypatch):
+def test_chain_verdict_builds_space_adjacency_once(monkeypatch):
     calls = []
+    space_adjacency = links.space_adjacency
 
     def counted(c):
         calls.append(c)
-        return cut_vertices(c)
+        return space_adjacency(c)
 
-    monkeypatch.setattr(links, "cut_vertices", counted)
-    monkeypatch.setattr(verdict_module, "cut_vertices", counted)
+    monkeypatch.setattr(links, "space_adjacency", counted)
+    # counts the calls, too, of a module holding its own reference
+    monkeypatch.setattr(verdict_module, "space_adjacency", counted, raising=False)
     c, _ = _chain(300)
     assert len(verdict(c, [2, 3]).blocks) == 300
     assert len(calls) == 1
+
+
+def test_split_of_a_long_chain_takes_linear_time():
+    """Splitting at one cut vertex after another once reflooded the
+    rest of the chain each time: 5.4 s of CPU time for these 2,000
+    blocks on a Xeon core, against 0.07 s for the one block pass."""
+    c, _ = _chain(2000)
+    start = time.process_time()
+    assert len(verdict_module._leaf_blocks(c)) == 2000
+    assert time.process_time() - start < 1.0
 
 
 # -- the split at cut vertices against the recursive oracle -----------------
@@ -248,9 +261,9 @@ def _restricted_parts(c, v):
 
 def _recursive_leaf_blocks(c):
     """The split as a recursion over complexes: each component, then
-    each piece at its least cut vertex, with ``cut_vertices`` run on
-    every piece and ``attached_complexes`` building the pieces, checked
-    against ``_restricted_parts``."""
+    each piece at its least cut vertex, the cut vertices and the pieces
+    read off ``parts_without`` by brute force, and ``attached_complexes``
+    checked against the pieces on the way."""
     out = []
     components = c.components()
     for comp in components:
@@ -266,13 +279,13 @@ def _recursive_leaf_blocks(c):
             stack = [("", c)]
         while stack:
             path, piece = stack.pop()
-            cuts = cut_vertices(piece)
+            cuts = [v for v in piece.vertices if len(parts_without(piece, v)[0]) > 1]
             if not cuts:
                 out.append((path or "whole", piece))
                 continue
             v = min(cuts)
-            parts = attached_complexes(piece, v)
-            assert _docs(parts) == _docs(_restricted_parts(piece, v))
+            parts = _restricted_parts(piece, v)
+            assert _docs(attached_complexes(piece, v)) == _docs(parts)
             stack.extend(reversed([(f"{path}@{v}.{k}", p) for k, p in enumerate(parts)]))
     return out
 
