@@ -253,6 +253,25 @@ class DirectedComplex(PreComplex):
                 raise EmptyKindError(str(first))
             raise SimplicialViolationError(str(first))
 
+    @classmethod
+    def valid_by_construction(
+        cls,
+        kind: str,
+        vertices: tuple[VertexId, ...],
+        edges: dict[EdgeId, tuple[VertexId, VertexId]],
+        faces: dict[FaceId, FaceBoundary],
+    ) -> "DirectedComplex":
+        """A complex its builder guarantees to meet the standing
+        assumptions: the structural checks of PreComplex run, and
+        :func:`validate` does not."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "kind", kind)
+        object.__setattr__(c, "vertices", vertices)
+        object.__setattr__(c, "edges", edges)
+        object.__setattr__(c, "faces", faces)
+        PreComplex.__post_init__(c)
+        return c
+
     @staticmethod
     def from_pre(pre: PreComplex) -> "DirectedComplex":
         return DirectedComplex(pre.kind, pre.vertices, pre.edges, pre.faces)

@@ -2,17 +2,35 @@
 
 The presentation collapses a spanning tree of the 1-skeleton:
 generators are the non-tree edges, relators the face boundary words.
-Simplification applies Tietze moves only (free and cyclic reduction,
-elimination of a generator that occurs exactly once in some relator,
-length-reducing substitution of long relator subwords), so a "trivial"
-answer is always correct; anything else comes back "unknown".
-Triviality of presentations is undecidable, hence the step budget.
+Simplification applies Tietze moves only, so a "trivial" answer is
+always correct; anything else comes back "unknown".  Relators stay
+freely and cyclically reduced.  Each round takes one step:
+
+- eliminate a generator: in the first relator where some generator
+  occurs exactly once, the least such one, solved for and substituted
+  into every relator holding it; this costs one step plus one per other
+  relator;
+- else, one length-reducing substitution (one step): for the first
+  relator r, its first variant (r, then r inverted) and rotation
+  u = w t with w longer than half of u, the first other relator holding
+  w cyclically gets w replaced by t inverted.
+
+Rounds stop when neither applies or the steps exceed the budget; an
+elimination that overruns the budget is still followed by the search
+for one length-reducing substitution.  Triviality of presentations is
+undecidable, hence the budget.  The steps are found through indices:
+letter counts per relator, the relators holding each generator and a
+heap of the relators with a letter that occurs once.  An elimination
+costs about the size of the relators it rewrites, and the
+length-reducing search tries only the relators holding the first
+letter of w.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .complexes import PreComplex
 from .errors import NotConnectedError, RotsysError
@@ -108,18 +126,19 @@ def _substitute(word: Word, g: int, value: Word) -> Word:
     return free_reduce(tuple(out))
 
 
-def _find_subword(haystack: Word, needle: Word, cyclic: bool) -> int | None:
-    """Start index of ``needle`` in ``haystack`` (scanning the doubled
-    word when cyclic); None when absent."""
-    n, k = len(haystack), len(needle)
-    if k == 0 or k > n:
-        return None
-    doubled = haystack + haystack if cyclic else haystack
-    limit = n if cyclic else n - k + 1
-    for i in range(limit):
-        if doubled[i : i + k] == needle:
+def _find_subword(haystack: Word, needle: Word) -> int | None:
+    """Start index of the first cyclic occurrence of the nonempty
+    ``needle`` in ``haystack`` (scanning the doubled word); None when
+    absent."""
+    doubled = haystack + haystack
+    i = -1
+    while True:
+        try:
+            i = doubled.index(needle[0], i + 1, len(haystack))
+        except ValueError:
+            return None
+        if doubled[i : i + len(needle)] == needle:
             return i
-    return None
 
 
 def _replace_cyclic(word: Word, start: int, length: int, repl: Word) -> Word:
@@ -138,6 +157,32 @@ def check_budget(budget: int) -> None:
         raise RotsysError(f"tietze budget must be >= 0, got {budget}")
 
 
+def _shorten(relators: list[Word], holders: dict[int, set[int]]) -> tuple[int, Word] | None:
+    """The first length-reducing substitution of the module docstring,
+    as (index, rewritten relator), or None.  Only the relators that hold
+    the first letter of w (``holders``) are searched, in index order."""
+    ascending: dict[int, list[int]] = {}
+    for i, r in enumerate(relators):
+        if len(r) < 2:
+            continue
+        for variant in (r, invert(r)):
+            for rot in range(len(variant)):
+                u = variant[rot:] + variant[:rot]
+                cut = len(u) // 2 + 1
+                w, t = u[:cut], u[cut:]
+                g = abs(w[0])
+                if g not in ascending:
+                    ascending[g] = sorted(holders[g])
+                for j in ascending[g]:
+                    s = relators[j]
+                    if j == i or len(s) < cut:
+                        continue
+                    hit = _find_subword(s, w)
+                    if hit is not None:
+                        return j, _replace_cyclic(s, hit, cut, invert(t))
+    return None
+
+
 def pi1_trivial_heuristic(c: PreComplex, budget: int = 100_000) -> Pi1Verdict:
     """Try to certify that the fundamental group of ``c`` is trivial.
 
@@ -150,11 +195,33 @@ def pi1_trivial_heuristic(c: PreComplex, budget: int = 100_000) -> Pi1Verdict:
     tree = spanning_tree_edges(c)
     generators = [e for e in sorted(c.edges) if e not in tree]
     generator_index = {e: i + 1 for i, e in enumerate(generators)}
-    relators = [cyclic_reduce(w) for w in face_words(c, generator_index)]
-    n_gens_before = len(generators)
-    n_rels_before = len(relators)
-
+    words = [cyclic_reduce(w) for w in face_words(c, generator_index)]
     alive = set(generator_index.values())
+
+    # Relators keep their slots; a deleted or emptied one reads ().
+    # Per slot, the occurrences of each generator; per generator, the
+    # slots holding it; and a heap of the slots that held a generator
+    # exactly once when last written (stale entries are skipped).
+    relators: list[Word] = [()] * len(words)
+    counts: list[Counter] = [Counter() for _ in words]
+    holders: dict[int, set[int]] = {g: set() for g in alive}
+    singles: list[int] = []
+    live = 0  # nonempty relators
+
+    def write(i: int, word: Word) -> None:
+        nonlocal live
+        live += bool(word) - bool(relators[i])
+        for g in counts[i]:
+            holders[g].discard(i)
+        relators[i] = word
+        counts[i] = Counter(abs(x) for x in word)
+        for g in counts[i]:
+            holders[g].add(i)
+        if 1 in counts[i].values():
+            heappush(singles, i)
+
+    for i, w in enumerate(words):
+        write(i, w)
     steps = 0
 
     def spend(n: int = 1) -> bool:
@@ -165,72 +232,44 @@ def pi1_trivial_heuristic(c: PreComplex, budget: int = 100_000) -> Pi1Verdict:
     changed = True
     while changed and steps <= budget:
         changed = False
-        relators = [r for r in relators if r]
 
-        # eliminate a generator occurring exactly once in some relator
-        for idx, r in enumerate(relators):
-            target = None
-            for g in sorted(alive):
-                occurrences = sum(1 for x in r if abs(x) == g)
-                if occurrences == 1:
-                    target = g
-                    break
-            if target is None:
-                continue
-            pos = next(i for i, x in enumerate(r) if abs(x) == target)
-            rotated = r[pos:] + r[:pos]
-            if rotated[0] < 0:
-                rotated = invert(rotated)
-                pos = next(i for i, x in enumerate(rotated) if abs(x) == target)
-                rotated = rotated[pos:] + rotated[:pos]
-            value = invert(rotated[1:])  # g = (rest)^-1
-            del relators[idx]
-            relators = [cyclic_reduce(_substitute(w, target, value)) for w in relators]
+        # eliminate the least generator occurring exactly once in the
+        # first relator that has one
+        while singles and 1 not in counts[singles[0]].values():
+            heappop(singles)
+        if singles:
+            idx = heappop(singles)
+            r = relators[idx]
+            target = min(g for g, n in counts[idx].items() if n == 1)
+            pos = r.index(target) if target in r else r.index(-target)
+            rest = r[pos + 1 :] + r[:pos]
+            value = invert(rest) if r[pos] > 0 else rest  # g rest = 1 or g^-1 rest = 1
+            cost = live  # one step, plus one per other relator
+            write(idx, ())
+            for j in list(holders[target]):
+                write(j, cyclic_reduce(_substitute(relators[j], target, value)))
+            del holders[target]
             alive.discard(target)
-            if not spend(1 + len(relators)):
-                break
-            changed = True
-            break
-        if changed:
-            continue
+            if spend(cost):
+                changed = True
+                continue
+            # over budget: the search for one substitution still runs
 
         # length-reducing substitution: a subword longer than half of
         # another relator can be rewritten through it
-        for i, r in enumerate(relators):
-            if len(r) < 2:
-                continue
-            applied = False
-            for variant in (r, invert(r)):
-                for rot in range(len(variant)):
-                    u = variant[rot:] + variant[:rot]
-                    cut = len(u) // 2 + 1
-                    w, t = u[:cut], u[cut:]
-                    for j, s in enumerate(relators):
-                        if j == i or len(s) < len(w):
-                            continue
-                        hit = _find_subword(s, w, cyclic=True)
-                        if hit is None:
-                            continue
-                        relators[j] = _replace_cyclic(s, hit, len(w), invert(t))
-                        spend()
-                        applied = True
-                        break
-                    if applied:
-                        break
-                if applied:
-                    break
-            if applied:
-                changed = True
-                break
+        rewrite = _shorten(relators, holders)
+        if rewrite is not None:
+            write(*rewrite)
+            spend()
+            changed = True
 
-    relators = [r for r in relators if r]
     status = "trivial" if not alive else "unknown"
     return Pi1Verdict(
         status=status,
-        generators_before=n_gens_before,
+        generators_before=len(generators),
         generators_after=len(alive),
-        relators_before=n_rels_before,
-        relators_after=len(relators),
+        relators_before=len(words),
+        relators_after=live,
         steps_used=min(steps, budget),
         budget=budget,
     )

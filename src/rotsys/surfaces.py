@@ -351,7 +351,7 @@ def dual_complex(
         for t, i in enumerate(ids):
             position[i] = t
         faces[e] = FaceBoundary(e, tuple(dual_ref[i] for i in ids))
-    dual = DirectedComplex(GENERAL, vertices, edges, faces)
+    dual = DirectedComplex.valid_by_construction(GENERAL, vertices, edges, faces)
 
     # sigma of the dual: the boundary trail of each primal face, as
     # incidences into the dual faces it traverses
@@ -474,10 +474,13 @@ def surface_duality_check(
     out: dict[str, str] = {}
     for s in dual.surfaces:
         tracer = tracers[s.id]
-        a = tracer.cell_complex(dual.sigma_c)
+        succ = [-1] * len(tracer.dart_vertex)
+        for rot in tracer.rotators(dual.sigma_c):
+            for j, d in enumerate(rot):
+                succ[rot[j - 1]] = d
         b = surface_dual(s.cell_complex())
         gluing_index = {glue_start[g.edge] + g.seq: k for k, g in enumerate(s.gluings)}
-        dart_map = [-1] * len(a.dart_vertex)
+        dart_map = [-1] * len(succ)
         for k, le in enumerate(tracer.link.edges):
             # dual face = primal edge e, corner t: the gluing of sigma(e)'s
             # entries t - 1 and t
@@ -485,7 +488,7 @@ def surface_duality_check(
             g_idx = gluing_index[glue_start[e] + (t - 1) % len(incidences[e])]
             dart_map[2 * k] = 2 * g_idx       # u side <-> positive side
             dart_map[2 * k + 1] = 2 * g_idx + 1
-        verdict = maps_isomorphism(a, b, dart_map)
+        verdict = maps_isomorphism(succ, b.succ, dart_map)
         if verdict is None:
             raise BijectionFailureError(
                 f"dual link at {s.id} is not the surface dual of its local surface"

@@ -117,12 +117,6 @@ class CellComplex:
     def num_cells(self) -> int:
         return len(self.cells)
 
-    def pred(self) -> tuple[int, ...]:
-        inv = [0] * len(self.succ)
-        for d, s in enumerate(self.succ):
-            inv[s] = d
-        return tuple(inv)
-
     def component_partition(self) -> list[tuple[set[int], set[int]]]:
         """Per connected component: (vertex indices, edge indices).
         Vertices without darts form singleton components."""
@@ -182,23 +176,27 @@ def surface_dual(cc: CellComplex) -> CellComplex:
 
 
 def maps_isomorphism(
-    a: CellComplex, b: CellComplex, dart_map: Sequence[int]
+    a_succ: Sequence[int], b_succ: Sequence[int], dart_map: Sequence[int]
 ) -> str | None:
-    """Check a dart bijection as a cell-complex isomorphism.
+    """Check a dart bijection as an isomorphism of two rotator systems,
+    given as successor permutations over darts whose mates are 2k and
+    2k+1.
 
     Returns "direct" if it intertwines the rotator successors, "mirror"
     if it intertwines successor with predecessor uniformly (the two
     tracing conventions differ by a global mirror), else None.
     """
-    n = len(a.dart_vertex)
-    if len(b.dart_vertex) != n or sorted(dart_map) != list(range(n)):
+    n = len(a_succ)
+    if len(b_succ) != n or sorted(dart_map) != list(range(n)):
         return None
     if any(dart_map[d ^ 1] != dart_map[d] ^ 1 for d in range(n)):
         return None
-    if all(dart_map[a.succ[d]] == b.succ[dart_map[d]] for d in range(n)):
+    if all(dart_map[a_succ[d]] == b_succ[dart_map[d]] for d in range(n)):
         return "direct"
-    b_pred = b.pred()
-    if all(dart_map[a.succ[d]] == b_pred[dart_map[d]] for d in range(n)):
+    b_pred = [0] * n
+    for d, s in enumerate(b_succ):
+        b_pred[s] = d
+    if all(dart_map[a_succ[d]] == b_pred[dart_map[d]] for d in range(n)):
         return "mirror"
     return None
 

@@ -65,6 +65,21 @@ def _grid_surface(n: int, twisted: bool) -> DirectedComplex:
     return _triangle_complex(n * n, triangles)
 
 
+def _capped_cylinder(k: int, m: int, names: list[str] | None = None) -> DirectedComplex:
+    """A sphere: a cylinder of m rings of k vertices (ring j's vertex i
+    is k*j + i), each annulus split along one diagonal, capped by a cone
+    at each end (apexes k*m and k*m + 1)."""
+    triangles = []
+    for j in range(m - 1):
+        for i in range(k):
+            a, b = k * j + i, k * j + (i + 1) % k
+            triangles += [(a, b, b + k), (a, b + k, a + k)]
+    for i in range(k):
+        triangles.append((k * m, i, (i + 1) % k))
+        triangles.append((k * m + 1, k * (m - 1) + i, k * (m - 1) + (i + 1) % k))
+    return _triangle_complex(k * m + 2, triangles, names)
+
+
 def tetrahedron() -> DirectedComplex:
     return _triangle_complex(4, list(itertools.combinations(range(4), 3)))
 

@@ -365,7 +365,7 @@ def surface_duality_check(
             g_idx = gluing_index[(e, (t - 1) % deg)]
             dart_map[2 * k] = 2 * g_idx       # u side <-> positive side
             dart_map[2 * k + 1] = 2 * g_idx + 1
-        verdict = maps_isomorphism(a, b, dart_map)
+        verdict = maps_isomorphism(a.succ, b.succ, dart_map)
         if verdict is None:
             raise BijectionFailureError(
                 f"dual link at {s.id} is not the surface dual of its local surface"

@@ -1,12 +1,18 @@
+import itertools
+
 from rotsys import (
+    DirectedComplex,
+    GenParams,
     OrientedFace,
     dual_complex,
+    generate_random_complex,
     iota_check,
     local_surfaces,
     surface_duality_check,
     trace_link_complex,
     validate,
 )
+from rotsys.errors import UnsatisfiableError
 from rotsys.rotation import canonical_rotation_system, enumerate_rotation_systems
 
 
@@ -110,6 +116,27 @@ def test_dual_counts(complexes):
         d = dual_complex(c, canonical_rotation_system(c)).complex
         assert d.counts() == counts, name
         assert validate(d) == []
+
+
+def test_duals_of_fixtures_and_randgen_complexes_validate(complexes):
+    """``dual_complex`` skips ``validate``: its duals meet the standing
+    assumptions by construction, and the validating constructor takes
+    them as they are."""
+    corpus = list(complexes.values())
+    for seed in range(80):
+        params = GenParams(seed=seed, n_vertices=4 + seed % 4, target_faces=1 + seed % 9)
+        try:
+            corpus.append(generate_random_complex(params))
+        except UnsatisfiableError:
+            pass
+    checked = 0
+    for c in corpus:
+        for sigma in itertools.islice(enumerate_rotation_systems(c), 20):
+            d = dual_complex(c, sigma).complex
+            assert validate(d) == []
+            assert DirectedComplex(d.kind, d.vertices, d.edges, d.faces) == d
+            checked += 1
+    assert checked >= 250
 
 
 def test_dual_incidence_transpose(complexes):

@@ -63,10 +63,11 @@ def glued_corpus(n):
 
 def check_every_system(c, mismatches):
     """Compare library and reference on every rotation system of ``c``,
-    and iota on the surfaces of the system before, counting its outcome
-    types in ``mismatches``; returns the number of systems."""
+    and iota, the dual and the duality check on the surfaces of the
+    system before, counting their outcome types in ``mismatches``;
+    returns the number of systems."""
     n = 0
-    previous = None  # the surfaces of the previous system, a mismatch for iota
+    previous = None  # the surfaces of the previous system, a mismatch
     for sigma in enumerate_rotation_systems(c):
         mine = outcome(surfaces.local_surfaces, c, sigma)
         theirs = outcome(ref.local_surfaces, c, sigma)
@@ -94,6 +95,14 @@ def check_every_system(c, mismatches):
             mismatched = outcome(surfaces.iota_check, c, sigma, previous)
             assert mismatched == outcome(ref.iota_check, c, sigma, previous)
             mismatches[type(mismatched)] += 1
+            mismatched = outcome(surfaces.dual_complex, c, sigma, previous)
+            ref_mismatched = outcome(ref.dual_complex, c, sigma, previous)
+            assert mismatched == ref_mismatched
+            mismatches["dual", type(mismatched)] += 1
+            if isinstance(ref_mismatched, ref.DualComplex):
+                checked = outcome(surfaces.surface_duality_check, c, sigma, mismatched)
+                assert checked == outcome(ref.surface_duality_check, c, sigma, ref_mismatched)
+                mismatches["duality check", type(checked)] += 1
         previous = theirs if isinstance(theirs, list) else None
         assert outcome(surfaces.surface_duality_check, c, sigma) == outcome(
             ref.surface_duality_check, c, sigma
@@ -107,8 +116,12 @@ def test_surfaces_match_the_reference_on_randgen_complexes():
     mismatches = Counter()
     systems = sum(check_every_system(c, mismatches) for c in corpus)
     assert systems >= 500
-    # iota on another system's surfaces fails, with the same message
+    # iota on another system's surfaces fails, with the same message; the
+    # dual of them has a face trail that does not close, or fails the
+    # duality check
     assert mismatches[tuple] >= 100, mismatches
+    assert mismatches["dual", tuple] >= 30, mismatches
+    assert mismatches["duality check", tuple] >= 100, mismatches
 
 
 def test_surfaces_match_the_reference_on_glued_general_complexes():
