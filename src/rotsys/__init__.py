@@ -17,16 +17,13 @@ from .complexes import (
 )
 from .documents import (
     emit_complex,
-    emit_sigma,
     parse_complex,
     parse_precomplex,
     parse_sigma,
 )
 from .homology import (
     EulerReport,
-    FpMatrix,
     HomologySummary,
-    boundary_matrices,
     euler_identity_report,
     h1_integral,
     homology_summary,

@@ -155,7 +155,3 @@ def sigma_to_doc(sigma: RotationSystem) -> dict[str, Any]:
             e: [inc.face for inc in sigma.canonical(e)] for e in sorted(sigma.sigma)
         }
     }
-
-
-def emit_sigma(sigma: RotationSystem) -> str:
-    return dump_canonical(sigma_to_doc(sigma))

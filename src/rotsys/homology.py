@@ -12,9 +12,15 @@ rank is the number of pivots; over Z only the block left without a
 unit entry goes to the dense Smith normal form `snf_diagonal`, with
 exact big-integer arithmetic.  (Dumas, Saunders and Villard, "On
 efficient sparse integer matrix Smith normal form computations",
-J. Symb. Comput. 2001.)  The dense routines (`fp_rank`, `snf_diagonal`,
-the `FpMatrix` rows of `boundary_matrices`) stay as the reference the
-tests compare against.
+J. Symb. Comput. 2001.)  The dense `fp_rank` and `snf_diagonal` stay
+as the references the tests compare against.
+
+Only d2 is eliminated: d1 is the incidence matrix of a graph, totally
+unimodular, so its rank is |V| - k over F_p and over Z alike (k the
+number of skeleton components), and the cycle space has dimension
+|E| - |V| + k.  The integral answer decides every prime: H_0 is free,
+so H_1(C; F_p) = H_1(C; Z) (x) F_p, trivial iff betti1 = 0 and p
+divides no torsion coefficient.
 """
 
 from __future__ import annotations
@@ -49,38 +55,6 @@ def is_prime(p: int) -> bool:
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-
-
-@dataclass(frozen=True)
-class FpMatrix:
-    """A dense matrix over F_p with row and column labels."""
-
-    p: int
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-    def rank(self) -> int:
-        return sparse_fp_rank(
-            self.p, [{j: x for j, x in enumerate(row) if x} for row in self.rows]
-        )
-
-    def mul(self, other: "FpMatrix") -> "FpMatrix":
-        assert self.col_labels == other.row_labels
-        p = self.p
-        out = []
-        for row in self.rows:
-            acc = [0] * len(other.col_labels)
-            for k, coeff in enumerate(row):
-                if coeff:
-                    orow = other.rows[k]
-                    for j in range(len(acc)):
-                        acc[j] = (acc[j] + coeff * orow[j]) % p
-            out.append(tuple(acc))
-        return FpMatrix(p, self.row_labels, other.col_labels, tuple(out))
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.rows)
 
 
 def fp_rank(p: int, rows: list[list[int]]) -> int:
@@ -233,33 +207,6 @@ def boundary_rows(c: PreComplex) -> tuple[SparseRows, SparseRows, list[str], lis
     return d1, d2, vertices, edges, faces
 
 
-def dense_rows(rows: SparseRows, n_cols: int) -> list[list[int]]:
-    """Sparse rows as dense lists of ``n_cols`` entries."""
-    return [[row.get(j, 0) for j in range(n_cols)] for row in rows]
-
-
-def boundary_matrices(c: PreComplex, p: int) -> tuple[FpMatrix, FpMatrix]:
-    """(d1: edges x vertices, d2: faces x edges) over F_p, dense.
-
-    The rows of `boundary_rows` reduced mod p.  d2 . d1 = 0 mod p.
-    """
-    _require_prime(p)
-    d1, d2, vertices, edges, faces = boundary_rows(c)
-
-    def fp(rows: SparseRows, n_cols: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(x % p for x in row) for row in dense_rows(rows, n_cols))
-
-    m1 = FpMatrix(p, tuple(edges), tuple(vertices), fp(d1, len(vertices)))
-    m2 = FpMatrix(p, tuple(faces), tuple(edges), fp(d2, len(edges)))
-    return m1, m2
-
-
-def cycle_space_dimension(c: PreComplex) -> int:
-    """|E| - |V| + number of skeleton components (isolated vertices each
-    count as a component)."""
-    return len(c.edges) - len(c.vertices) + len(c.components())
-
-
 @dataclass(frozen=True)
 class HomologySummary:
     """F_p (or integral, p = "Z") first-homology data of a complex."""
@@ -288,26 +235,30 @@ class HomologySummary:
         return doc
 
 
+def _chains(c: PreComplex) -> tuple[SparseRows, int, int]:
+    """(d2 as sparse rows, Z_C, k_C): the one matrix homology eliminates,
+    the cycle-space dimension and the number of skeleton components."""
+    k = len(c.components())
+    return boundary_rows(c)[1], len(c.edges) - len(c.vertices) + k, k
+
+
 def homology_summary(c: PreComplex, p: int) -> HomologySummary:
     _require_prime(p)
-    d1, d2, *_ = boundary_rows(c)
-    z_c = cycle_space_dimension(c)
+    d2, z_c, k = _chains(c)
     r2 = sparse_fp_rank(p, d2)
     return HomologySummary(
         p=p,
-        rank_d1=sparse_fp_rank(p, d1),
+        rank_d1=len(c.vertices) - k,
         rank_d2=r2,
         z_c=z_c,
-        k_c=len(c.components()),
+        k_c=k,
         h1_trivial=(r2 == z_c),
     )
 
 
 def is_p_nullhomologous(c: PreComplex, p: int) -> bool:
     """H_1(c, F_p) trivial: the face boundaries span the cycle space."""
-    _require_prime(p)
-    _, d2, *_ = boundary_rows(c)
-    return sparse_fp_rank(p, d2) == cycle_space_dimension(c)
+    return homology_summary(c, p).h1_trivial
 
 
 def snf_diagonal(rows: list[list[int]]) -> list[int]:
@@ -378,36 +329,30 @@ def snf_diagonal(rows: list[list[int]]) -> list[int]:
     return diag
 
 
-def h1_integral(c: PreComplex) -> tuple[int, list[int]]:
-    """(betti1, torsion coefficients) of H_1(c, Z).
-
-    The cycle lattice is a direct summand of the edge lattice, so the
-    torsion of H_1 equals the nontrivial elementary divisors of d2
-    itself; betti1 is the cycle-space dimension minus rank(d2).
-    """
-    _, d2, *_ = boundary_rows(c)
-    return _h1(cycle_space_dimension(c), sparse_snf_divisors(d2))
-
-
-def _h1(z_c: int, d2_divisors: list[int]) -> tuple[int, list[int]]:
-    return z_c - len(d2_divisors), [d for d in d2_divisors if d > 1]
-
-
 def integral_summary(c: PreComplex) -> HomologySummary:
-    d1, d2, *_ = boundary_rows(c)
-    z_c = cycle_space_dimension(c)
+    """The cycle lattice is a direct summand of the edge lattice, so the
+    torsion of H_1 equals the nontrivial elementary divisors of d2
+    itself; betti1 is the cycle-space dimension minus rank(d2)."""
+    d2, z_c, k = _chains(c)
     divisors = sparse_snf_divisors(d2)
-    betti1, torsion = _h1(z_c, divisors)
+    betti1 = z_c - len(divisors)
+    torsion = tuple(d for d in divisors if d > 1)
     return HomologySummary(
         p="Z",
-        rank_d1=len(sparse_snf_divisors(d1)),
+        rank_d1=len(c.vertices) - k,
         rank_d2=len(divisors),
         z_c=z_c,
-        k_c=len(c.components()),
+        k_c=k,
         h1_trivial=(betti1 == 0 and not torsion),
         betti1=betti1,
-        torsion=tuple(torsion),
+        torsion=torsion,
     )
+
+
+def h1_integral(c: PreComplex) -> tuple[int, list[int]]:
+    """(betti1, torsion coefficients) of H_1(c, Z)."""
+    s = integral_summary(c)
+    return s.betti1, list(s.torsion)
 
 
 # -- the Euler-type identities as an executable report -----------------------
@@ -492,8 +437,8 @@ def euler_identity_report(
     nv, ne, nf = c.counts()
     nvd = len(d.vertices)
     lhs = nv - ne + nf - nvd
-    z_c = cycle_space_dimension(c)
-    z_d = cycle_space_dimension(d)
+    hc, hd = homology_summary(c, p), homology_summary(d, p)
+    z_c, z_d = hc.z_c, hd.z_c
     sum_deg_f = sum(len(b.trail) for b in c.faces.values())
     sum_deg_e = sum(len(b.trail) for b in d.faces.values())
     assert sum_deg_f == sum_deg_e, "incidence count must be self-transpose"
@@ -504,8 +449,7 @@ def euler_identity_report(
     planar, _ = is_planar_rotation_system(c, sigma)
     eq1_holds = 2 * nv == 2 * ne - sum_deg_f + a
     eq2_slack = 2 * nvd - (2 * nf - sum_deg_e + a_prime)
-    null_c = is_p_nullhomologous(c, p)
-    null_d = is_p_nullhomologous(d, p)
+    null_c, null_d = hc.h1_trivial, hd.h1_trivial
     geq_applicable = planar and null_c
     return EulerReport(
         p=p,

@@ -36,7 +36,6 @@ class GenParams:
     n_vertices: int
     face_probability: float | None = None
     target_faces: int | None = None
-    kind: str = SIMPLICIAL
 
 
 def generate_random_complex(params: GenParams) -> DirectedComplex:
@@ -97,4 +96,4 @@ def generate_random_complex(params: GenParams) -> DirectedComplex:
                 SignedEdgeRef(edge_id(a, c), -1),
             ),
         )
-    return DirectedComplex(params.kind, vertices, edges, faces)
+    return DirectedComplex(SIMPLICIAL, vertices, edges, faces)

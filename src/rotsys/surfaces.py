@@ -16,7 +16,7 @@ system runs on integer ids and builds only the values it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .complexes import (
@@ -134,9 +134,6 @@ class LocalSurface:
     genus: int
     polygon_lengths: tuple[int, ...]
 
-    def member_index(self, m: OrientedFace) -> int:
-        return self.members.index(m)
-
     def cell_complex(self) -> CellComplex:
         """The surface as a traced cell complex: vertices are the corner
         orbits, edges the gluings (dart 2k on the positive side), cells
@@ -145,30 +142,25 @@ class LocalSurface:
         for vi, sv in enumerate(self.vertices):
             for d in sv.rotator:
                 dart_vertex[d] = vi
-        cc = CellComplex.from_rotators(
-            [sv.label for sv in self.vertices],
-            [g.label() for g in self.gluings],
-            dart_vertex,
-            [sv.rotator for sv in self.vertices],
-        )
-        # cells trace out exactly the member polygons; label them so
+        cc = CellComplex.from_rotators(dart_vertex, [sv.rotator for sv in self.vertices])
+        # cells trace out exactly the member polygons, each once
         index = {m: i for i, m in enumerate(self.members)}
         dart_member = []
         for g in self.gluings:
             dart_member += (index[g.pos_member], index[g.neg_member])
-        labels = []
+        traced = []
         for orbit in cc.cells:
             owners = {dart_member[d] for d in orbit}
             if len(owners) != 1:
                 raise NotClosedSurfaceError(
                     f"traced cell mixes polygons in local surface {self.id}"
                 )
-            labels.append(self.members[owners.pop()].label())
-        if sorted(labels) != sorted(m.label() for m in self.members):
+            traced.append(owners.pop())
+        if sorted(traced) != list(range(len(self.members))):
             raise NotClosedSurfaceError(
                 f"traced cells do not match member polygons in {self.id}"
             )
-        return replace(cc, cell_labels=tuple(labels))
+        return cc
 
     def as_complex(self) -> DirectedComplex:
         """The surface as a general directed complex: vertices are the
@@ -178,9 +170,10 @@ class LocalSurface:
         for sv in self.vertices:
             for corner in sv.corners:
                 vertex_of_corner[corner] = sv.label
+        index = {m: i for i, m in enumerate(self.members)}
         edges: dict[str, tuple[str, str]] = {}
         for g in self.gluings:
-            m = self.member_index(g.pos_member)
+            m = index[g.pos_member]
             k = self.polygon_lengths[m]
             # positive side runs tail -> head of the primal edge
             tail_clone = vertex_of_corner[(m, g.pos_side)]
@@ -188,8 +181,8 @@ class LocalSurface:
             edges[g.label()] = (tail_clone, head_clone)
         side_gluing: dict[tuple[int, int], tuple[Gluing, int]] = {}
         for g in self.gluings:
-            side_gluing[(self.member_index(g.pos_member), g.pos_side)] = (g, 1)
-            side_gluing[(self.member_index(g.neg_member), g.neg_side)] = (g, -1)
+            side_gluing[(index[g.pos_member], g.pos_side)] = (g, 1)
+            side_gluing[(index[g.neg_member], g.neg_side)] = (g, -1)
         faces: dict[str, FaceBoundary] = {}
         for m, member in enumerate(self.members):
             refs = []

@@ -65,26 +65,21 @@ def traces_sphere_union(trace: Sequence[int], cells: int) -> bool:
 
 @dataclass(frozen=True)
 class CellComplex:
-    """A traced multigraph: vertices, edges (dart pairs 2k / 2k+1), a
-    rotator system encoded as the successor permutation, and the traced
-    cells."""
+    """A traced multigraph: ``vertex_count`` vertices, edges (dart pairs
+    2k / 2k+1), a rotator system encoded as the successor permutation,
+    and the traced cells."""
 
-    vertex_labels: tuple[str, ...]
-    edge_labels: tuple[str, ...]
+    vertex_count: int
     dart_vertex: tuple[int, ...]
     succ: tuple[int, ...]
     cells: tuple[tuple[int, ...], ...]
-    cell_labels: tuple[str, ...]
 
     @staticmethod
     def from_rotators(
-        vertex_labels: Sequence[str],
-        edge_labels: Sequence[str],
-        dart_vertex: Sequence[int],
-        rotators: Sequence[Sequence[int]],
+        dart_vertex: Sequence[int], rotators: Sequence[Sequence[int]]
     ) -> "CellComplex":
+        """One vertex per rotator, so a vertex without darts counts."""
         n = len(dart_vertex)
-        assert n == 2 * len(edge_labels)
         succ = [-1] * n
         placed = 0
         for vi, rot in enumerate(rotators):
@@ -96,23 +91,15 @@ class CellComplex:
         if placed != n:
             raise ValueError("rotator does not cover every dart")
         trace = [succ[d] ^ 1 for d in range(n)]
-        cells = tuple(_orbits_of(trace))
-        return CellComplex(
-            tuple(vertex_labels),
-            tuple(edge_labels),
-            tuple(dart_vertex),
-            tuple(succ),
-            cells,
-            tuple(f"c{i}" for i in range(len(cells))),
-        )
+        return CellComplex(len(rotators), tuple(dart_vertex), tuple(succ), tuple(_orbits_of(trace)))
 
     # -- structure ----------------------------------------------------------
 
     def num_vertices(self) -> int:
-        return len(self.vertex_labels)
+        return self.vertex_count
 
     def num_edges(self) -> int:
-        return len(self.edge_labels)
+        return len(self.dart_vertex) // 2
 
     def num_cells(self) -> int:
         return len(self.cells)
@@ -163,15 +150,8 @@ def surface_dual(cc: CellComplex) -> CellComplex:
             dual_vertex_of_dart[d] = ci
     dual_succ = tuple(cc.succ[d] ^ 1 for d in range(n))
     trace = tuple(dual_succ[d] ^ 1 for d in range(n))  # equals cc.succ
-    cells = tuple(_orbits_of(trace))
-    cell_labels = tuple(cc.vertex_labels[cc.dart_vertex[orbit[0]]] for orbit in cells)
     return CellComplex(
-        cc.cell_labels,
-        cc.edge_labels,
-        tuple(dual_vertex_of_dart),
-        dual_succ,
-        cells,
-        cell_labels,
+        len(cc.cells), tuple(dual_vertex_of_dart), dual_succ, tuple(_orbits_of(trace))
     )
 
 
@@ -294,12 +274,7 @@ class LinkTracer:
     def cell_complex(
         self, sigma: RotationSystem, red_edges: frozenset[EdgeId] = frozenset()
     ) -> CellComplex:
-        return CellComplex.from_rotators(
-            self.link.vertex_labels(),
-            self.edge_labels,
-            self.dart_vertex,
-            self.rotators(sigma, red_edges),
-        )
+        return CellComplex.from_rotators(self.dart_vertex, self.rotators(sigma, red_edges))
 
 
 def link_tracer(

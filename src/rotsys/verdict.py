@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .complexes import DirectedComplex, PreComplex, VertexId, find
 from .documents import sigma_to_doc
 from .errors import NotPrimeError
-from .homology import h1_integral, is_p_nullhomologous, is_prime, least_prime_factor
+from .homology import h1_integral, is_prime, least_prime_factor
 from .links import blocks, subcomplexes
 from .presentation import Pi1Verdict, check_budget, pi1_trivial_heuristic
 from .rotation import RotationSystem
@@ -124,7 +124,7 @@ def _leaf_blocks(c: PreComplex) -> list[tuple[str, PreComplex]]:
 
 
 def _mixed_prime_reason(null_prime: int, torsion: list[int]) -> str:
-    witness = min((least_prime_factor(t) for t in torsion), default="betti")
+    witness = min(least_prime_factor(t) for t in torsion)
     return f"MixedPrimeHomology({null_prime},{witness})"
 
 
@@ -163,11 +163,11 @@ def _block_verdict(
     betti1, torsion = h1_integral(block)
     homology_doc = {"betti1": betti1, "torsion": list(torsion)}
     if betti1 > 0 or torsion:
-        null_prime = None
-        for p in primes:
-            if is_p_nullhomologous(block, p):
-                null_prime = p
-                break
+        # H_1(F_p) = H_1(Z) (x) F_p: trivial iff betti1 = 0 and p
+        # divides no torsion coefficient
+        null_prime = next(
+            (p for p in primes if betti1 == 0 and all(t % p for t in torsion)), None
+        )
         if null_prime is not None:
             reasons.append(_mixed_prime_reason(null_prime, torsion))
             return BlockVerdict(

@@ -67,6 +67,23 @@ LOOP_PIECES = [
 ]
 
 
+# one vertex, five loops and five faces, with no cut vertex and a planar
+# rotation system: H_1 = Z/2 + Z/6, so H_1 over F_3 is not trivial
+# although 3 does not divide the first torsion coefficient
+MIXED_TORSION = complex_from_lists(
+    "general",
+    "z",
+    [(f"l{i}", "z", "z") for i in range(5)],
+    [
+        ("f0", [("l4", -1), ("l1", -1), ("l3", -1)]),
+        ("f1", [("l2", -1), ("l1", -1), ("l0", -1)]),
+        ("f2", [("l1", -1), ("l4", 1), ("l0", 1)]),
+        ("f3", [("l1", -1), ("l4", -1), ("l3", 1)]),
+        ("f4", [("l0", 1), ("l2", -1), ("l1", 1)]),
+    ],
+)
+
+
 def loop_at_cut_vertex(x, loop_in_g=False):
     """A triangle G on v, b, c and a face F running v -> x -> v around the
     loop L at v; with ``loop_in_g`` G runs around L as well, so L's open

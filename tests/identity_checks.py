@@ -8,11 +8,11 @@ them over the seeded corpus.
 from __future__ import annotations
 
 from rotsys import (
-    boundary_matrices,
     cut_vertices,
     is_locally_connected,
     is_p_nullhomologous,
 )
+from rotsys.homology import boundary_rows
 from rotsys.rotation import enumerate_rotation_systems
 from rotsys.surfaces import (
     dual_complex,
@@ -24,10 +24,15 @@ from rotsys.surfaces import (
 from rotsys.tracing import link_tracer
 
 
-def check_chain_condition(c, primes=(2, 3)) -> None:
-    for p in primes:
-        d1, d2 = boundary_matrices(c, p)
-        assert d2.mul(d1).is_zero(), f"chain condition failed mod {p}"
+def check_chain_condition(c) -> None:
+    """d2 . d1 = 0 over Z, so mod every prime too."""
+    d1, d2, *_ = boundary_rows(c)
+    for f, row in enumerate(d2):
+        acc: dict[int, int] = {}
+        for e, x in row.items():
+            for v, y in d1[e].items():
+                acc[v] = acc.get(v, 0) + x * y
+        assert not any(acc.values()), f"chain condition failed over Z at face row {f}"
 
 
 def check_is_loc_con_implication(c, primes=(2, 3)) -> bool:

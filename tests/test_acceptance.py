@@ -105,7 +105,7 @@ def test_criterion_3_randomized_suite(corpus):
         sigma_checked = 0
         eligible = 0
         for c in corpus:
-            check_chain_condition(c, (2, 3))
+            check_chain_condition(c)
             implication_hits += check_is_loc_con_implication(c, (2, 3))
             if c.is_connected() and is_locally_connected(c)[0]:
                 eligible += 1

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,23 +7,32 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from rotsys import (
-    boundary_matrices,
     euler_identity_report,
+    generate_random_complex,
     h1_integral,
     homology_summary,
     integral_summary,
     is_p_nullhomologous,
 )
-from rotsys.errors import NotConnectedError, NotLocallyConnectedError, NotPrimeError
+from rotsys.errors import (
+    NotConnectedError,
+    NotLocallyConnectedError,
+    NotPrimeError,
+    UnsatisfiableError,
+)
 from rotsys.homology import (
     boundary_rows,
-    dense_rows,
     fp_rank,
     snf_diagonal,
     sparse_fp_rank,
     sparse_snf_divisors,
 )
 from rotsys.rotation import canonical_rotation_system
+
+import make_fixtures
+from conftest import corpus_params
+from general_pieces import GENERAL_PIECES, LOOP_PIECES, MIXED_TORSION, complex_from_lists, glued
+from identity_checks import check_chain_condition
 
 
 def numpy_rank_mod_p(rows, p):
@@ -55,18 +66,20 @@ def sympy_divisors(rows):
     return [abs(int(s[i, i])) for i in range(min(s.shape)) if s[i, i] != 0]
 
 
+def _dense(rows, n_cols):
+    return [[row.get(j, 0) for j in range(n_cols)] for row in rows]
+
+
 def test_single_triangle_mod2(complexes):
     c = complexes["triangle"]
-    d1, d2 = boundary_matrices(c, 2)
-    assert d2.rows == ((1, 1, 1),)
-    assert d2.rank() == 1
+    _, d2, *_ = boundary_rows(c)
+    assert [{j: x % 2 for j, x in row.items()} for row in d2] == [{0: 1, 1: 1, 2: 1}]
+    assert sparse_fp_rank(2, d2) == 1
 
 
 def test_chain_condition_fixtures(complexes):
     for c in complexes.values():
-        for p in (2, 3, 5):
-            d1, d2 = boundary_matrices(c, p)
-            assert d2.mul(d1).is_zero()
+        check_chain_condition(c)
 
 
 def test_tetrahedron_ranks(complexes):
@@ -94,10 +107,10 @@ def test_torus_not_nullhomologous(complexes):
 
 def test_rank_matches_numpy_oracle(complexes):
     for c in complexes.values():
+        d1, d2, vertices, edges, _ = boundary_rows(c)
         for p in (2, 3, 5):
-            d1, d2 = boundary_matrices(c, p)
-            assert d1.rank() == numpy_rank_mod_p([list(r) for r in d1.rows], p)
-            assert d2.rank() == numpy_rank_mod_p([list(r) for r in d2.rows], p)
+            assert sparse_fp_rank(p, d1) == numpy_rank_mod_p(_dense(d1, len(vertices)), p)
+            assert sparse_fp_rank(p, d2) == numpy_rank_mod_p(_dense(d2, len(edges)), p)
 
 
 def test_h1_integral_classical_values(complexes):
@@ -111,7 +124,7 @@ def test_h1_integral_classical_values(complexes):
 def test_snf_against_sympy_on_boundaries(complexes):
     for c in complexes.values():
         d1, d2, vertices, edges, _ = boundary_rows(c)
-        for mat in (dense_rows(d1, len(vertices)), dense_rows(d2, len(edges))):
+        for mat in (_dense(d1, len(vertices)), _dense(d2, len(edges))):
             ours = [d for d in snf_diagonal(mat) if d != 0]
             assert ours == sympy_divisors(mat)
 
@@ -175,8 +188,6 @@ def test_sparse_elimination_matches_dense_oracles(rows):
 
 @pytest.mark.parametrize("twisted, expected", [(False, (2, [])), (True, (1, [2]))])
 def test_h1_of_20x20_grid_surfaces(twisted, expected):
-    import make_fixtures
-
     c = make_fixtures._grid_surface(20, twisted)
     assert c.counts() == (400, 1200, 800)
     assert h1_integral(c) == expected
@@ -184,10 +195,54 @@ def test_h1_of_20x20_grid_surfaces(twisted, expected):
     assert not is_p_nullhomologous(c, 3)
 
 
+def _bouquet(k, last_sign):
+    """``k`` loops at one vertex, a face over each two neighbouring
+    loops, the last one closing the ring with ``last_sign``."""
+    loops = [f"l{i}" for i in range(k)]
+    faces = [(f"f{i}", [(loops[i], 1), (loops[i + 1], 1)]) for i in range(k - 1)]
+    if k > 1:
+        faces.append(("f", [(loops[-1], 1), (loops[0], last_sign)]))
+    return complex_from_lists("general", "z", [(l, "z", "z") for l in loops], faces)
+
+
+def _homology_corpus(complexes):
+    """The fixtures, the randgen corpus, glued general and loop pieces (a
+    loop is a zero row of d1), one-vertex bouquets, and grid tori and
+    Klein bottles."""
+    corpus = list(complexes.values())
+    for i in range(300):
+        try:
+            corpus.append(generate_random_complex(corpus_params(i)))
+        except UnsatisfiableError:
+            pass
+    rng = random.Random(14)
+    for _ in range(60):
+        corpus.append(glued(rng, rng.choices(GENERAL_PIECES + LOOP_PIECES, k=rng.randint(1, 4)), 0.2))
+    corpus += [_bouquet(k, sign) for k in range(1, 6) for sign in (1, -1)]
+    corpus.append(MIXED_TORSION)
+    corpus += [make_fixtures._grid_surface(n, t) for n in range(3, 8) for t in (False, True)]
+    return corpus
+
+
+def test_one_elimination_of_d2_answers_every_prime(complexes):
+    """H_1 over F_p is read off the integral answer (H_0 is free), and d1,
+    a graph's incidence matrix, has rank |V| - k over F_p and over Z."""
+    seen_torsion = set()
+    for c in _homology_corpus(complexes):
+        betti1, torsion = h1_integral(c)
+        seen_torsion.add(tuple(torsion))
+        d1, *_ = boundary_rows(c)
+        assert integral_summary(c).rank_d1 == len(sparse_snf_divisors(d1))
+        for p in (2, 3, 5, 7):
+            assert is_p_nullhomologous(c, p) == (betti1 == 0 and all(t % p for t in torsion))
+            assert homology_summary(c, p).rank_d1 == sparse_fp_rank(p, d1)
+    assert {(), (2,), (2, 6)} <= seen_torsion
+
+
 def test_not_prime_rejected(complexes):
     c = complexes["triangle"]
     with pytest.raises(NotPrimeError):
-        boundary_matrices(c, 4)
+        homology_summary(c, 4)
     with pytest.raises(NotPrimeError):
         is_p_nullhomologous(c, 1)
 
@@ -228,8 +283,6 @@ def test_euler_report_preconditions(complexes):
     sigma = canonical_rotation_system(complexes["bowtie"])
     with pytest.raises(NotLocallyConnectedError):
         euler_identity_report(complexes["bowtie"], sigma, 2)
-    import make_fixtures
-
     two = make_fixtures._triangle_complex(6, [(0, 1, 2), (3, 4, 5)])
     with pytest.raises(NotConnectedError):
         euler_identity_report(two, canonical_rotation_system(two), 2)

@@ -75,7 +75,7 @@ def test_generation_refuses_nonsense_parameters():
 
 def test_chain_condition():
     for c in CORPUS:
-        check_chain_condition(c, (2, 3))
+        check_chain_condition(c)
 
 
 def test_is_loc_con_implication():

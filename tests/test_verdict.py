@@ -18,9 +18,11 @@ from rotsys.cli import main
 from rotsys.documents import complex_to_doc, emit_complex
 from rotsys.errors import EmptyKindError, NotPrimeError
 
+import make_fixtures
 from general_pieces import (
     GENERAL_PIECES,
     LOOP_PIECES,
+    MIXED_TORSION,
     complex_from_lists,
     glued,
     loop_at_cut_vertex,
@@ -42,6 +44,28 @@ def test_rp2_sphere_no_mixed_prime(complexes):
     assert v.orientable_3manifold == "yes"
     assert v.sphere3 == "no"
     assert any(r.startswith("MixedPrimeHomology(3,2)") for r in v.reasons)
+
+
+def test_mixed_prime_reads_h1_at_each_requested_prime(complexes):
+    """H_1 over F_p is trivial iff betti1 = 0 and p divides no torsion
+    coefficient: rp2-6 (Z/2) is trivial at 3, MIXED_TORSION (Z/2 + Z/6)
+    at 5 but not at 2 or 3, and a Klein bottle (Z + Z/2) at no prime."""
+    rp2 = complexes["rp2-6"]
+    assert verdict(rp2, [3]).reasons[-1] == "MixedPrimeHomology(3,2)"
+    assert verdict(rp2, [2]).reasons[-1] == "Undecided"
+    assert verdict(MIXED_TORSION, [2, 3]).reasons[-1] == "Undecided"
+    assert verdict(MIXED_TORSION, [3, 5]).reasons[-1] == "MixedPrimeHomology(5,2)"
+    klein = make_fixtures._grid_surface(4, True)
+    assert verdict(klein, [3]).reasons[-1] == "Undecided"
+
+
+def test_verdict_runs_no_fp_elimination(complexes, monkeypatch):
+    def refuse(p, rows):
+        raise AssertionError("the verdict eliminated over F_p")
+
+    monkeypatch.setattr(sys.modules["rotsys.homology"], "sparse_fp_rank", refuse)
+    assert verdict(complexes["rp2-6"], [2, 3]).sphere3 == "no"
+    assert verdict(complexes["torus-7"], [2, 3]).sphere3 == "unknown"
 
 
 def test_cone_k5_no_planar_system(complexes):
