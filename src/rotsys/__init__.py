@@ -34,7 +34,6 @@ from .links import (
     LinkGraph,
     attached_complexes,
     cut_vertices,
-    is_locally_connected,
     link_graph,
 )
 from .presentation import Pi1Verdict, pi1_trivial_heuristic
@@ -63,6 +62,7 @@ from .surfaces import (
 from .tracing import (
     CellComplex,
     induced_rotator,
+    is_locally_connected,
     is_planar_rotation_system,
     is_sphere_union,
     surface_dual,

@@ -132,10 +132,7 @@ def _cmd_links(args) -> int:
             "edges": [
                 {
                     "label": le.label(),
-                    "endpoints": [
-                        le.u.label(le.u.edge in lg.loops),
-                        le.w.label(le.w.edge in lg.loops),
-                    ],
+                    "endpoints": [lg.label_of(le.u), lg.label_of(le.w)],
                 }
                 for le in lg.edges
             ],

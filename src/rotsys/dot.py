@@ -26,10 +26,9 @@ def export_dot_link(lg: LinkGraph) -> str:
     traversal index of the corner they came from."""
     lines = ["graph " + _quote(f"link_{lg.center}") + " {"]
     for lv in lg.vertices:
-        lines.append(f"  {_quote(lv.label(lv.edge in lg.loops))};")
+        lines.append(f"  {_quote(lg.label_of(lv))};")
     for le in lg.edges:
-        u = le.u.label(le.u.edge in lg.loops)
-        w = le.w.label(le.w.edge in lg.loops)
+        u, w = lg.label_of(le.u), lg.label_of(le.w)
         lines.append(f"  {_quote(u)} -- {_quote(w)} [label={_quote(le.label())}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 
 from .complexes import PreComplex
 from .errors import NotConnectedError, NotLocallyConnectedError, NotPrimeError
-from .links import is_locally_connected
 from .rotation import RotationSystem
 from .surfaces import dual_complex
-from .tracing import is_planar_rotation_system, link_tracers
+from .tracing import is_locally_connected, link_tracers
 
 SparseRows = list[dict[int, int]]
 
@@ -410,11 +409,14 @@ class EulerReport:
 
 
 def _total_link_cells(c: PreComplex, sigma: RotationSystem) -> tuple[int, bool]:
-    """(total cells over all link complexes, every component a sphere),
-    over the link tracers kept in ``c.table``."""
-    tracers = link_tracers(c).values()
-    total = sum(len(t.cells(sigma)) for t in tracers)
-    return total, all(t.sphere_union(sigma) for t in tracers)
+    """(total cells over all link complexes, every one a sphere union),
+    tracing each link kept in ``c.table`` once."""
+    total, spheres = 0, True
+    for t in link_tracers(c).values():
+        cells = len(t.cells(sigma))
+        total += cells
+        spheres = spheres and cells == t.sphere_cells
+    return total, spheres
 
 
 def euler_identity_report(
@@ -443,10 +445,8 @@ def euler_identity_report(
     sum_deg_e = sum(len(b.trail) for b in d.faces.values())
     assert sum_deg_f == sum_deg_e, "incidence count must be self-transpose"
 
-    a, _ = _total_link_cells(c, sigma)
+    a, planar = _total_link_cells(c, sigma)
     a_prime, dual_links_all_spheres = _total_link_cells(d, dual.sigma_c)
-
-    planar, _ = is_planar_rotation_system(c, sigma)
     eq1_holds = 2 * nv == 2 * ne - sum_deg_f + a
     eq2_slack = 2 * nvd - (2 * nf - sum_deg_e + a_prime)
     null_c, null_d = hc.h1_trivial, hd.h1_trivial

@@ -8,7 +8,7 @@ complexes the link vertices are simply the edges at v.  A face arrives
 at an edge's head when it runs along the edge, at its tail when it runs
 against it, and leaves from the other end.  Rotators and link counts
 are read from the link tracers that ``tracing.link_tracers`` builds
-once per complex.
+once per complex, and so is local connectivity.
 
 Cut vertices are those of the complex as a space: splits run on vertex
 sets over ``space_adjacency``.  Without its vertices the space falls
@@ -69,11 +69,13 @@ class LinkGraph:
     edges: tuple[LinkEdge, ...]
     loops: frozenset[EdgeId]
 
-    def vertex_labels(self) -> list[str]:
-        return [lv.label(lv.edge in self.loops) for lv in self.vertices]
+    def label_of(self, lv: LinkVertex) -> str:
+        """The label of link vertex ``lv``: its edge id, with the end
+        appended for a loop."""
+        return lv.label(lv.edge in self.loops)
 
-    def degree(self, lv: LinkVertex) -> int:
-        return sum((le.u == lv) + (le.w == lv) for le in self.edges)
+    def vertex_labels(self) -> list[str]:
+        return [self.label_of(lv) for lv in self.vertices]
 
 
 def link_graph(c: PreComplex, v: VertexId) -> LinkGraph:
@@ -110,19 +112,6 @@ def link_graph(c: PreComplex, v: VertexId) -> LinkGraph:
             w = LinkVertex(nxt.edge, TAIL if nxt.sign == 1 else HEAD)
             edges.append(LinkEdge(f, corner.pos, u, w))
     return LinkGraph(v, tuple(vertices), tuple(edges), frozenset(loops))
-
-
-def is_locally_connected(c: PreComplex) -> tuple[bool, VertexId | None]:
-    """Whether every link graph is connected; on failure also the least
-    vertex with a disconnected link.  Reads the component counts of the
-    link tracers kept in ``c.table``."""
-    from .tracing import link_tracers  # tracing builds on this module
-
-    tracers = link_tracers(c)
-    for v in sorted(c.vertices):
-        if tracers[v].component_count > 1:
-            return False, v
-    return True, None
 
 
 def _supports(

@@ -29,10 +29,6 @@ def canonical_cycle(seq: Sequence) -> tuple:
     return min(items[k:] + items[:k] for k, x in enumerate(items) if x == least)
 
 
-def cyclic_equal(a: Sequence, b: Sequence) -> bool:
-    return canonical_cycle(a) == canonical_cycle(b)
-
-
 @dataclass(frozen=True)
 class RotationSystem:
     """Per edge, the cyclic order of its face incidences.

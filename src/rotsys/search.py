@@ -158,22 +158,23 @@ def _compile_links(
     }
     arrays: dict[VertexId, tuple[list[int], int]] = {}
     for v, t in tracers.items():
-        if all(lv.edge in fixed for lv in t.link.vertices) and t.sphere_union(first):
-            continue
         n = len(t.dart_vertex)
         slot = [0] * n
         for k, d in enumerate(sorted(range(n), key=t.dart_vertex.__getitem__)):
             slot[d] = k
         trace = [0] * n
         start = 0
+        open_ends = False
         for i, lv in enumerate(t.link.vertices):
             if lv.edge in fixed:
                 _, lo, hi, values = _write(t, i, trace, slot, start, first[lv.edge], False)
                 trace[lo:hi] = values
             else:
                 ends[lv.edge].append((t, i, trace, slot, start))
+                open_ends = True
             start += len(t.incidences_of_vertex[i])
-        arrays[v] = (trace, t.sphere_cells)
+        if open_ends or not traces_sphere_union(trace, t.sphere_cells):
+            arrays[v] = (trace, t.sphere_cells)
     steps = [
         [
             (cand, red, tuple(_write(*end, cand, red) for end in ends[e]))

@@ -40,6 +40,7 @@ from .tracing import (
     LinkTracer,
     link_tracers,
     maps_isomorphism,
+    successors,
     surface_dual,
 )
 
@@ -111,16 +112,6 @@ def _glue(
     return gluings, sides
 
 
-def related_pairs(c: PreComplex, sigma: RotationSystem) -> list[Gluing]:
-    """All gluings induced by sigma, over every equivalence class.
-
-    For an edge with d >= 2 incidences, consecutive entries of sigma(e)
-    are related (d gluings); a single-incidence edge relates the two
-    orientations of its one face (one gluing).
-    """
-    return _glue(c.table.polygons, sigma)[0]
-
-
 @dataclass(frozen=True)
 class LocalSurface:
     """One equivalence class of oriented faces, assembled into a closed
@@ -138,11 +129,7 @@ class LocalSurface:
         """The surface as a traced cell complex: vertices are the corner
         orbits, edges the gluings (dart 2k on the positive side), cells
         the member polygons."""
-        dart_vertex = [-1] * (2 * len(self.gluings))
-        for vi, sv in enumerate(self.vertices):
-            for d in sv.rotator:
-                dart_vertex[d] = vi
-        cc = CellComplex.from_rotators(dart_vertex, [sv.rotator for sv in self.vertices])
+        cc = CellComplex.from_rotators([sv.rotator for sv in self.vertices])
         # cells trace out exactly the member polygons, each once
         index = {m: i for i, m in enumerate(self.members)}
         dart_member = []
@@ -467,10 +454,7 @@ def surface_duality_check(
     out: dict[str, str] = {}
     for s in dual.surfaces:
         tracer = tracers[s.id]
-        succ = [-1] * len(tracer.dart_vertex)
-        for rot in tracer.rotators(dual.sigma_c):
-            for j, d in enumerate(rot):
-                succ[rot[j - 1]] = d
+        succ = successors(tracer.rotators(dual.sigma_c), len(tracer.dart_vertex))
         b = surface_dual(s.cell_complex())
         gluing_index = {glue_start[g.edge] + g.seq: k for k, g in enumerate(s.gluings)}
         dart_map = [-1] * len(succ)

@@ -63,6 +63,23 @@ def traces_sphere_union(trace: Sequence[int], cells: int) -> bool:
     return orbits == cells
 
 
+def successors(rotators: Sequence[Sequence[int]], n: int) -> list[int]:
+    """The successor permutation of ``rotators`` over darts 0..n-1:
+    each dart to the next one in its rotator."""
+    succ = [-1] * n
+    for rot in rotators:
+        for j, d in enumerate(rot):
+            succ[rot[j - 1]] = d
+    return succ
+
+
+def _component_count(vertex_count: int, dart_vertex: Sequence[int]) -> int:
+    """Connected components of a traced graph, isolated vertices
+    included."""
+    ends = iter(dart_vertex)
+    return len(connected_classes(vertex_count, zip(ends, ends)))
+
+
 @dataclass(frozen=True)
 class CellComplex:
     """A traced multigraph: ``vertex_count`` vertices, edges (dart pairs
@@ -75,22 +92,18 @@ class CellComplex:
     cells: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def from_rotators(
-        dart_vertex: Sequence[int], rotators: Sequence[Sequence[int]]
-    ) -> "CellComplex":
-        """One vertex per rotator, so a vertex without darts counts."""
-        n = len(dart_vertex)
-        succ = [-1] * n
-        placed = 0
+    def from_rotators(rotators: Sequence[Sequence[int]]) -> "CellComplex":
+        """One vertex per rotator, so a vertex without darts counts.  The
+        rotators must hold the darts 0..n-1 of whole edges, each once."""
+        n = sum(len(rot) for rot in rotators)
+        if n % 2 or sorted(d for rot in rotators for d in rot) != list(range(n)):
+            raise ValueError("rotators do not partition the darts")
+        dart_vertex = [0] * n
         for vi, rot in enumerate(rotators):
-            for j, d in enumerate(rot):
-                if dart_vertex[d] != vi or succ[d] != -1:
-                    raise ValueError("rotator does not partition the darts")
-                succ[d] = rot[(j + 1) % len(rot)]
-                placed += 1
-        if placed != n:
-            raise ValueError("rotator does not cover every dart")
-        trace = [succ[d] ^ 1 for d in range(n)]
+            for d in rot:
+                dart_vertex[d] = vi
+        succ = successors(rotators, n)
+        trace = [s ^ 1 for s in succ]
         return CellComplex(len(rotators), tuple(dart_vertex), tuple(succ), tuple(_orbits_of(trace)))
 
     # -- structure ----------------------------------------------------------
@@ -104,55 +117,40 @@ class CellComplex:
     def num_cells(self) -> int:
         return len(self.cells)
 
-    def component_partition(self) -> list[tuple[set[int], set[int]]]:
-        """Per connected component: (vertex indices, edge indices).
-        Vertices without darts form singleton components."""
-        ends = iter(self.dart_vertex)
-        classes = connected_classes(self.num_vertices(), zip(ends, ends))
-        comp_of = {v: ci for ci, vs in enumerate(classes) for v in vs}
-        out = [(set(vs), set()) for vs in classes]
-        for k in range(self.num_edges()):
-            out[comp_of[self.dart_vertex[2 * k]]][1].add(k)
-        return out
-
     def chi_by_component(self) -> list[int]:
-        homes = [self.dart_vertex[orbit[0]] for orbit in self.cells]
-        return [
-            len(vs) - len(es) + sum(home in vs for home in homes)
-            for vs, es in self.component_partition()
-        ]
+        """V - E + cells per connected component, components ordered by
+        least vertex; a vertex without darts is a component alone."""
+        ends = iter(self.dart_vertex)
+        classes = connected_classes(self.vertex_count, zip(ends, ends))
+        component = {v: ci for ci, vs in enumerate(classes) for v in vs}
+        chi = [len(vs) for vs in classes]
+        for v in self.dart_vertex[::2]:
+            chi[component[v]] -= 1
+        for orbit in self.cells:
+            chi[component[self.dart_vertex[orbit[0]]]] += 1
+        return chi
 
     def chi(self) -> int:
         return self.num_vertices() - self.num_edges() + self.num_cells()
 
 
 def is_sphere_union(cc: CellComplex) -> bool:
-    """True iff every connected component has Euler characteristic 2."""
-    return all(chi == 2 for chi in cc.chi_by_component())
+    """True iff every connected component has Euler characteristic 2:
+    each has at most 2, so iff the cells reach 2 - V + E per component."""
+    components = _component_count(cc.vertex_count, cc.dart_vertex)
+    return cc.num_cells() == 2 * components - cc.num_vertices() + cc.num_edges()
 
 
 def surface_dual(cc: CellComplex) -> CellComplex:
     """Swap vertices and cells of a closed traced surface.
 
-    The dual keeps the darts and mates; its rotator system is the
-    tracing map of ``cc`` (the Edmonds-Hefter-Ringel principle), so its
-    cells are the vertex rotators of ``cc``.
+    The dual keeps the darts and mates; its rotators are the cells of
+    ``cc``, each listed in tracing order (the Edmonds-Hefter-Ringel
+    principle), so its cells are the vertex rotators of ``cc``.
     """
-    n = len(cc.dart_vertex)
-    counts = [0] * cc.num_vertices()
-    for v in cc.dart_vertex:
-        counts[v] += 1
-    if any(count == 0 for count in counts):
+    if len(set(cc.dart_vertex)) < cc.num_vertices():
         raise NotClosedSurfaceError("isolated vertex; not a closed traced surface")
-    dual_vertex_of_dart = [0] * n
-    for ci, orbit in enumerate(cc.cells):
-        for d in orbit:
-            dual_vertex_of_dart[d] = ci
-    dual_succ = tuple(cc.succ[d] ^ 1 for d in range(n))
-    trace = tuple(dual_succ[d] ^ 1 for d in range(n))  # equals cc.succ
-    return CellComplex(
-        len(cc.cells), tuple(dual_vertex_of_dart), dual_succ, tuple(_orbits_of(trace))
-    )
+    return CellComplex.from_rotators(cc.cells)
 
 
 def maps_isomorphism(
@@ -206,8 +204,7 @@ class LinkTracer:
         self.incidences_of_vertex = [tuple(sorted(t)) for t in self.dart_of_incidence]
         # the link's connected components, and the orbit count of a
         # sphere union, 2 - V + E per component
-        ends = iter(self.dart_vertex)
-        self.component_count = len(connected_classes(len(lg.vertices), zip(ends, ends)))
+        self.component_count = _component_count(len(lg.vertices), self.dart_vertex)
         self.sphere_cells = 2 * self.component_count - len(lg.vertices) + len(lg.edges)
 
     def rotator(
@@ -229,38 +226,25 @@ class LinkTracer:
         return [table[inc] for inc in order]
 
     def rotators(
-        self,
-        sigma: "RotationSystem | dict[EdgeId, tuple[Incidence, ...]]",
-        red_edges: frozenset[EdgeId] = frozenset(),
+        self, sigma: RotationSystem, red_edges: frozenset[EdgeId] = frozenset()
     ) -> list[list[int]]:
-        """Resolve sigma to dart rotators, one per link vertex.
-
-        ``sigma`` may be a bare edge-to-cycle mapping; faceless edges
-        (PreComplex searches) need no entry.
-        """
-        order_map = sigma.sigma if isinstance(sigma, RotationSystem) else sigma
+        """Resolve sigma to dart rotators, one per link vertex; faceless
+        edges (PreComplex searches) need no entry in sigma."""
         return [
-            self.rotator(i, order_map.get(lv.edge, ()), lv.edge in red_edges)
+            self.rotator(i, sigma.sigma.get(lv.edge, ()), lv.edge in red_edges)
             for i, lv in enumerate(self.link.vertices)
         ]
 
     def trace(
-        self,
-        sigma: "RotationSystem | dict[EdgeId, tuple[Incidence, ...]]",
-        red_edges: frozenset[EdgeId] = frozenset(),
+        self, sigma: RotationSystem, red_edges: frozenset[EdgeId] = frozenset()
     ) -> list[int]:
         """The tracing map of the rotators sigma induces: each dart to
         the mate of its successor."""
-        trace = [-1] * len(self.dart_vertex)
-        for rot in self.rotators(sigma, red_edges):
-            for j, succ in enumerate(rot):
-                trace[rot[j - 1]] = succ ^ 1
-        return trace
+        succ = successors(self.rotators(sigma, red_edges), len(self.dart_vertex))
+        return [s ^ 1 for s in succ]
 
     def sphere_union(
-        self,
-        sigma: "RotationSystem | dict[EdgeId, tuple[Incidence, ...]]",
-        red_edges: frozenset[EdgeId] = frozenset(),
+        self, sigma: RotationSystem, red_edges: frozenset[EdgeId] = frozenset()
     ) -> bool:
         """Whether every component traces to Euler characteristic 2,
         without materializing a CellComplex."""
@@ -271,10 +255,8 @@ class LinkTracer:
         ``cell_complex(sigma)``, without materializing it."""
         return _orbits_of(self.trace(sigma))
 
-    def cell_complex(
-        self, sigma: RotationSystem, red_edges: frozenset[EdgeId] = frozenset()
-    ) -> CellComplex:
-        return CellComplex.from_rotators(self.dart_vertex, self.rotators(sigma, red_edges))
+    def cell_complex(self, sigma: RotationSystem) -> CellComplex:
+        return CellComplex.from_rotators(self.rotators(sigma))
 
 
 def link_tracer(
@@ -296,6 +278,17 @@ def link_tracers(c: PreComplex) -> dict[VertexId, LinkTracer]:
     if table.tracers is None:
         table.tracers = {v: link_tracer(c, v) for v in c.vertices}
     return table.tracers
+
+
+def is_locally_connected(c: PreComplex) -> tuple[bool, VertexId | None]:
+    """Whether every link graph is connected; on failure also the least
+    vertex with a disconnected link.  Reads the component counts of the
+    link tracers kept in ``c.table``."""
+    tracers = link_tracers(c)
+    for v in sorted(c.vertices):
+        if tracers[v].component_count > 1:
+            return False, v
+    return True, None
 
 
 def trace_link_complex(c: PreComplex, sigma: RotationSystem, v: VertexId) -> CellComplex:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -356,6 +357,52 @@ def test_links_dot(capsys, fixture_files):
     assert code == 0
     assert out.count(" -- ") == 10
     assert out.count(";") == 5 + 10
+
+
+def _dot_link_edges(text):
+    """The (label, [u, w]) of each edge line of a DOT link graph."""
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    line = re.compile(rf"^  {quoted} -- {quoted} \[label={quoted}\];$")
+    edges = []
+    for text_line in text.splitlines():
+        m = line.match(text_line)
+        if m:
+            u, w, label = (re.sub(r"\\(.)", r"\1", g) for g in m.groups())
+            edges.append((label, [u, w]))
+    return edges
+
+
+def test_links_dot_endpoints_match_the_json(capsys, fixture_files, tmp_path):
+    """For every vertex of every fixture, and of general complexes with
+    loops, ``links --vertex v --dot`` joins the link vertices that the
+    ``links`` JSON names as each edge's endpoints, edge for edge."""
+    from general_pieces import GENERAL_PIECES, LOOP_PIECES
+    from make_fixtures import BUILDERS
+
+    from rotsys import DirectedComplex, emit_complex
+    from rotsys.errors import RotsysError
+
+    paths = [fx(fixture_files, name) for name in BUILDERS]
+    for k, piece in enumerate(GENERAL_PIECES + LOOP_PIECES):
+        try:
+            DirectedComplex.from_pre(piece)
+        except RotsysError:
+            continue  # not a complex the CLI accepts
+        path = tmp_path / f"piece{k}.json"
+        path.write_text(emit_complex(piece))
+        paths.append(str(path))
+    checked = loops = 0
+    for path in paths:
+        code, out, _ = run(capsys, "links", path)
+        assert code == 0, path
+        for v, link in json.loads(out).items():
+            code, dot, _ = run(capsys, "links", path, "--vertex", v, "--dot")
+            assert code == 0, (path, v)
+            expected = [(e["label"], e["endpoints"]) for e in link["edges"]]
+            assert _dot_link_edges(dot) == expected, (path, v)
+            checked += len(expected)
+            loops += any(":" in label for label in link["vertices"])
+    assert checked >= 100 and loops >= 1
 
 
 def test_links_dot_requires_vertex(capsys, fixture_files):

@@ -7,12 +7,18 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 from rotsys import (
+    GenParams,
+    RotationSystem,
+    dual_complex,
     euler_identity_report,
     generate_random_complex,
     h1_integral,
     homology_summary,
     integral_summary,
+    is_locally_connected,
     is_p_nullhomologous,
+    is_planar_rotation_system,
+    trace_link_complex,
 )
 from rotsys.errors import (
     NotConnectedError,
@@ -27,7 +33,7 @@ from rotsys.homology import (
     sparse_fp_rank,
     sparse_snf_divisors,
 )
-from rotsys.rotation import canonical_rotation_system
+from rotsys.rotation import canonical_rotation_system, sigma_candidates
 
 import make_fixtures
 from conftest import corpus_params
@@ -277,6 +283,38 @@ def test_euler_report_torus(complexes):
     assert not r.dual_links_all_spheres
     assert r.eq1_holds and r.eq2_slack == 4
     assert r.double_counting_holds  # lhs < 0 matches non-sphere dual links
+
+
+def test_euler_report_link_counts_match_the_traced_links(complexes):
+    """One tracing pass per link gives the report's ``a``, ``a_prime``
+    and ``planar``: they equal the cell counts of the traced link
+    complexes and the planarity test, on the fixtures under their
+    canonical systems and on randgen complexes under random ones."""
+    rng = random.Random(3)
+    cases = [(c, canonical_rotation_system(c)) for c in complexes.values()]
+    for seed in range(150):
+        params = GenParams(seed=seed, n_vertices=4 + seed % 4, target_faces=2 + seed % 9)
+        try:
+            c = generate_random_complex(params)
+        except UnsatisfiableError:
+            continue
+        incidences = c.edge_incidences()
+        sigma = RotationSystem({e: rng.choice(sigma_candidates(incidences[e])) for e in c.edges})
+        cases.append((c, sigma))
+    seen = {True: 0, False: 0}
+    for c, sigma in cases:
+        if not (c.is_connected() and is_locally_connected(c)[0]):
+            continue
+        r = euler_identity_report(c, sigma, 2)
+        dual = dual_complex(c, sigma)
+        d = dual.complex
+        assert r.planar == is_planar_rotation_system(c, sigma)[0]
+        assert r.a == sum(trace_link_complex(c, sigma, v).num_cells() for v in c.vertices)
+        assert r.a_prime == sum(
+            trace_link_complex(d, dual.sigma_c, v).num_cells() for v in d.vertices
+        )
+        seen[r.planar] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_euler_report_preconditions(complexes):

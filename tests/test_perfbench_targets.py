@@ -3,8 +3,9 @@
 ``perfbench/spans.py`` looks every ``TARGETS`` entry of
 ``perfbench/layers.py`` up in its owner's ``__dict__``, so a refactor
 that moves or renames one of them stops ``run.py --trace 1`` with a
-``KeyError``.  The first test only reads ``layers``; the smoke test
-runs each workload once, traced, for no timed pass beyond the first.
+``KeyError``.  The first test only reads ``layers``; the smoke tests
+run each workload once, traced and untraced, for no timed pass beyond
+the first.
 """
 
 import importlib
@@ -39,17 +40,33 @@ def test_every_traced_target_resolves():
     assert missing == []
 
 
-@pytest.mark.parametrize("workload", ["search-mix", "surface-verdict", "crosscheck"])
-def test_traced_run_completes(workload):
-    """``run.py --trace 1`` exits 0 and its last line, the result
-    document, reports every output correct."""
+def _run(workload, trace):
+    """The result document of ``run.py`` on ``workload`` for no timed
+    pass beyond the first, after checking that it exits 0."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload]
-        + ["--seconds", "0", "--trace", "1"],
+        + ["--seconds", "0", "--trace", trace],
         cwd=PERFBENCH.parent,
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+WORKLOADS = ["search-mix", "surface-verdict", "crosscheck"]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_run_completes(workload):
+    """``run.py --trace 1`` exits 0 and its last line, the result
+    document, reports every output correct."""
+    assert _run(workload, "1")["correct"] is True
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_untraced_run_completes(workload):
+    """``run.py --trace 0``, the timed command with its setup and
+    end-to-end measurements, exits 0 and reports every output correct."""
+    assert _run(workload, "0")["correct"] is True

@@ -492,7 +492,7 @@ def test_compiled_link_writes_agree_with_sphere_union():
             for _, _, writes in picks:
                 for trace, lo, hi, values in writes:
                     trace[lo:hi] = values
-            sigma = {e: cand for e, (cand, _, _) in zip(edges, picks)}
+            sigma = RotationSystem({e: cand for e, (cand, _, _) in zip(edges, picks)})
             red = frozenset(e for e, (_, is_red, _) in zip(edges, picks) if is_red)
             for v, t in tracers.items():
                 expected = t.sphere_union(sigma, red)

@@ -91,7 +91,7 @@ def test_invariants_on_fixtures(complexes):
         check_gluing_multiset(c, surfaces)
         for s in surfaces:
             # connected by construction; the traced complex agrees
-            assert len(s.cell_complex().component_partition()) == 1
+            assert len(s.cell_complex().chi_by_component()) == 1
 
 
 def test_local_surface_as_complex_is_closed(complexes):

@@ -1,23 +1,36 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
+from general_pieces import GENERAL_PIECES, LOOP_PIECES, glued
 
 from rotsys import (
+    CellComplex,
+    GenParams,
+    RotationSystem,
+    generate_random_complex,
     induced_rotator,
     is_planar_rotation_system,
     is_sphere_union,
     surface_dual,
     trace_link_complex,
 )
-from rotsys.errors import NotIncidentError, UnknownVertexError
+from rotsys.errors import (
+    NotClosedSurfaceError,
+    NotIncidentError,
+    RotsysError,
+    UnknownVertexError,
+    UnsatisfiableError,
+)
 from rotsys.rotation import (
     canonical_rotation_system,
     enumerate_rotation_systems,
     rotation_system_from_face_lists,
+    sigma_candidates,
 )
 from rotsys.surfaces import local_surfaces
-from rotsys.tracing import maps_isomorphism
+from rotsys.tracing import _orbits_of, maps_isomorphism
 
 
 def oracle_trace_cells(vertex_rotators):
@@ -230,3 +243,117 @@ def test_cell_complex_partition_invariants(complexes):
             assert darts == list(range(2 * cc.num_edges()))
             for chi in cc.chi_by_component():
                 assert chi % 2 == 0 and chi <= 2
+
+
+def test_from_rotators_rejects_rotators_that_do_not_partition_the_darts():
+    for rotators in (
+        [[0, 1], [1, 2]],  # dart 1 twice
+        [[0, 1, 4], [3]],  # dart 4 out of range
+        [[-1, 0]],  # dart -1 out of range
+        [[0], [2]],  # dart 1 missing
+        [[0, 1, 2]],  # dart 3, the mate of 2, missing
+    ):
+        with pytest.raises(ValueError):
+            CellComplex.from_rotators(rotators)
+
+
+def test_isolated_vertices_are_components_of_their_own():
+    # one vertex with two loops in the order a+ b+ a- b-: a one-cell
+    # torus; then two vertices without darts
+    torus = CellComplex.from_rotators([[0, 2, 1, 3]])
+    assert (torus.dart_vertex, torus.succ, torus.cells) == ((0,) * 4, (2, 3, 1, 0), ((0, 3, 1, 2),))
+    assert surface_dual(torus).cells == ((0, 2, 1, 3),)
+    cc = CellComplex.from_rotators([[0, 2, 1, 3], [], []])
+    assert cc.num_vertices() == 3
+    assert cc.chi_by_component() == [0, 1, 1]
+    # 2 - V + E per component asks 1 cell, as many as the torus has:
+    # only counting the isolated vertices makes it fail
+    assert not is_sphere_union(cc)
+    with pytest.raises(NotClosedSurfaceError):
+        surface_dual(cc)
+    sphere = CellComplex.from_rotators([[0], [1], []])
+    assert sphere.chi_by_component() == [2, 1]
+    assert not is_sphere_union(sphere)
+
+
+def reference_surface_dual(cc):
+    """The surface dual built by hand from the cells: dart d moves to
+    the vertex of its cell, the dual successor is the tracing map of
+    ``cc``, and the dual cells are the orbits of ``cc.succ``."""
+    n = len(cc.dart_vertex)
+    counts = [0] * cc.num_vertices()
+    for v in cc.dart_vertex:
+        counts[v] += 1
+    if any(count == 0 for count in counts):
+        raise NotClosedSurfaceError("isolated vertex; not a closed traced surface")
+    dual_vertex_of_dart = [0] * n
+    for ci, orbit in enumerate(cc.cells):
+        for d in orbit:
+            dual_vertex_of_dart[d] = ci
+    dual_succ = tuple(cc.succ[d] ^ 1 for d in range(n))
+    trace = tuple(dual_succ[d] ^ 1 for d in range(n))
+    return CellComplex(
+        len(cc.cells), tuple(dual_vertex_of_dart), dual_succ, tuple(_orbits_of(trace))
+    )
+
+
+def traced_corpus(complexes):
+    """(complex, rotation system) pairs: each fixture under its
+    canonical system, 120 randgen complexes and 80 glued general
+    complexes (faceless loops give isolated link vertices) under a
+    random one."""
+    rng = random.Random(7)
+
+    def random_sigma(c):
+        return RotationSystem(
+            {e: rng.choice(sigma_candidates(incs)) for e, incs in c.edge_incidences().items()}
+        )
+
+    out = [(c, canonical_rotation_system(c)) for c in complexes.values()]
+    seed = 0
+    while len(out) < len(complexes) + 120:
+        params = GenParams(seed=seed, n_vertices=4 + seed % 4, target_faces=2 + seed % 9)
+        seed += 1
+        try:
+            c = generate_random_complex(params)
+        except UnsatisfiableError:
+            continue
+        out.append((c, random_sigma(c)))
+    for _ in range(80):
+        c = glued(rng, rng.choices(GENERAL_PIECES + LOOP_PIECES, k=rng.randint(1, 4)), 0.1)
+        out.append((c, random_sigma(c)))
+    return out
+
+
+def traced_cell_complexes(complexes):
+    """Every link complex and every local-surface cell complex of the
+    traced corpus."""
+    for c, sigma in traced_corpus(complexes):
+        for v in c.vertices:
+            yield trace_link_complex(c, sigma, v)
+        for s in local_surfaces(c, sigma):
+            yield s.cell_complex()
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RotsysError as exc:
+        return type(exc), str(exc)
+
+
+def test_surface_dual_and_sphere_union_against_the_cells(complexes):
+    """``surface_dual`` reads the dual from the cells as the hand-built
+    reference does, and ``is_sphere_union`` (cells against 2 - V + E
+    per component) agrees with the Euler characteristic of every
+    component."""
+    seen = {"complexes": 0, "isolated": 0, "spheres": 0, "other": 0}
+    for cc in traced_cell_complexes(complexes):
+        assert outcome(surface_dual, cc) == outcome(reference_surface_dual, cc)
+        sphere = is_sphere_union(cc)
+        assert sphere == all(chi == 2 for chi in cc.chi_by_component())
+        seen["complexes"] += 1
+        seen["isolated"] += len(set(cc.dart_vertex)) < cc.num_vertices()
+        seen["spheres" if sphere else "other"] += 1
+    assert seen["complexes"] >= 1000
+    assert min(seen.values()) >= 10, seen
