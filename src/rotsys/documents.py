@@ -30,6 +30,8 @@ def _load(text: str) -> dict[str, Any]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise DocumentError("top-level value must be an object")
     return doc

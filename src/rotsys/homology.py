@@ -1,35 +1,32 @@
-"""Exact homological predicates over F_p and the integers.
+"""Exact first homology over the integers, and over F_p read off it.
 
 Boundary matrices are built as sparse rows (column index -> entry)
-straight from edge ends and face trails.  Every rank and every set of
-elementary divisors comes from one sparse elimination that pivots only
-on unit entries -- any nonzero entry over F_p, +-1 over Z -- taking at
-each step the entry of least Markowitz cost (row nonzeros - 1) *
-(column nonzeros - 1), ties broken by row and then column, so the
-order is deterministic and fill stays low.  A unit pivot splits off a
-diagonal 1 of the Smith normal form: over F_p nothing is left and the
-rank is the number of pivots; over Z only the block left without a
-unit entry goes to the dense Smith normal form `snf_diagonal`, with
-exact big-integer arithmetic.  (Dumas, Saunders and Villard, "On
-efficient sparse integer matrix Smith normal form computations",
-J. Symb. Comput. 2001.)  The dense `fp_rank` and `snf_diagonal` stay
-as the references the tests compare against.
+straight from edge ends and face trails.  One integral elimination
+answers every question: it pivots only on +-1 entries, taking at each
+step the entry of least Markowitz cost (row nonzeros - 1) * (column
+nonzeros - 1), ties broken by row and then column, so the order is
+deterministic and fill stays low.  Each pivot splits off a diagonal 1
+of the Smith normal form; only the block left without a +-1 entry goes
+to the dense `snf_diagonal`, with exact big-integer arithmetic.
+(Dumas, Saunders and Villard, "On efficient sparse integer matrix
+Smith normal form computations", J. Symb. Comput. 2001.)
 
 Only d2 is eliminated: d1 is the incidence matrix of a graph, totally
 unimodular, so its rank is |V| - k over F_p and over Z alike (k the
 number of skeleton components), and the cycle space has dimension
-|E| - |V| + k.  The integral answer decides every prime: H_0 is free,
-so H_1(C; F_p) = H_1(C; Z) (x) F_p, trivial iff betti1 = 0 and p
-divides no torsion coefficient.
+|E| - |V| + k.  H_0 is free, so H_1(C; F_p) = H_1(C; Z) (x) F_p: the
+rank of d2 mod p is its integral rank less the torsion coefficients p
+divides.  The dense `fp_rank` and `snf_diagonal` stay as the references
+the tests compare against.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .complexes import PreComplex
-from .errors import NotConnectedError, NotLocallyConnectedError, NotPrimeError
+from .errors import NotConnectedError, NotLocallyConnectedError, NotPrimeError, TooLargeError
 from .rotation import RotationSystem
 from .surfaces import dual_complex
 from .tracing import is_locally_connected, link_tracers
@@ -47,11 +44,39 @@ def least_prime_factor(n: int) -> int:
     return n
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this
+# bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
-    return p >= 2 and least_prime_factor(p) == p
+    """Deterministic Miller-Rabin; TooLargeError from `_MR_BOUND` up."""
+    if p >= _MR_BOUND:
+        raise TooLargeError(f"{p} is too large: primality is decided only below {_MR_BOUND}")
+    if p < 2:
+        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def _require_prime(p: int) -> None:
+def require_prime(p: int) -> None:
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
 
@@ -59,7 +84,7 @@ def _require_prime(p: int) -> None:
 def fp_rank(p: int, rows: list[list[int]]) -> int:
     """Rank by dense elimination; pivots scan columns left to right
     (labels ascending) and take the first row with a nonzero entry.
-    The reference for `sparse_fp_rank`."""
+    A test reference: homology reads F_p ranks off the Smith form."""
     if not rows:
         return 0
     m, n = len(rows), len(rows[0])
@@ -87,36 +112,28 @@ def fp_rank(p: int, rows: list[list[int]]) -> int:
     return rank
 
 
-def _unit_pivot_elimination(rows: SparseRows, p: int | None) -> tuple[int, SparseRows]:
-    """(number of unit pivots, rows left without a unit entry) of an
-    integer matrix, reduced mod the prime ``p`` or, for None, over Z.
+def sparse_snf_divisors(rows: SparseRows) -> list[int]:
+    """Nonzero diagonal of the Smith normal form of an integer matrix
+    given as sparse rows, in divisor-chain order: a 1 per unit pivot,
+    then `snf_diagonal` of the block left without a +-1 entry.
 
     Each pivot clears its column by row operations; the column
     operations that would then clear its row touch no other row, so
-    they are left implicit and the pivot row is dropped.  The input is
-    thus equivalent to an identity block of the pivot count plus the
-    leftover rows, which over F_p are all zero and are not returned.
-    The caller's rows are not modified.
+    they are left implicit and the pivot row is dropped.  The caller's
+    rows are not modified.
     """
-    if p is None:
-        rows = [{j: x for j, x in row.items() if x} for row in rows]
-    else:
-        rows = [{j: x % p for j, x in row.items() if x % p} for row in rows]
-
-    def unit(x: int) -> bool:
-        return p is not None or x == 1 or x == -1
-
+    rows = [{j: x for j, x in row.items() if x} for row in rows]
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
             cols.setdefault(j, set()).add(i)
-    # (Markowitz cost, row, column) of every unit entry, plus stale
+    # (Markowitz cost, row, column) of every +-1 entry, plus stale
     # keys: a key counts only while it equals the entry's current cost
     heap = [
         ((len(row) - 1) * (len(cols[j]) - 1), i, j)
         for i, row in enumerate(rows)
         for j, x in row.items()
-        if unit(x)
+        if x in (1, -1)
     ]
     heapq.heapify(heap)
     pivots = 0
@@ -124,7 +141,7 @@ def _unit_pivot_elimination(rows: SparseRows, p: int | None) -> tuple[int, Spars
         cost, r, c = heapq.heappop(heap)
         pivot = rows[r]
         x = pivot.get(c)
-        if x is None or not unit(x) or cost != (len(pivot) - 1) * (len(cols[c]) - 1):
+        if x not in (1, -1) or cost != (len(pivot) - 1) * (len(cols[c]) - 1):
             continue
         pivots += 1
         rows[r] = {}
@@ -132,14 +149,11 @@ def _unit_pivot_elimination(rows: SparseRows, p: int | None) -> tuple[int, Spars
             cols[j].discard(r)
         targets, cols[c] = cols[c], set()
         del pivot[c]
-        inv = x if p is None else pow(x, p - 2, p)
         for i in targets:
             row = rows[i]
-            f = row.pop(c) * inv
+            f = row.pop(c) * x  # x is its own inverse
             for j, y in pivot.items():
                 z = row.get(j, 0) - f * y
-                if p is not None:
-                    z %= p
                 if z:
                     if j not in row:
                         cols[j].add(i)
@@ -152,27 +166,15 @@ def _unit_pivot_elimination(rows: SparseRows, p: int | None) -> tuple[int, Spars
         for i in targets:
             row = rows[i]
             for j, y in row.items():
-                if unit(y):
+                if y in (1, -1):
                     heapq.heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
         for j in pivot:
             col = cols[j]
             for i in col - targets:
                 row = rows[i]
-                if unit(row[j]):
+                if row[j] in (1, -1):
                     heapq.heappush(heap, ((len(row) - 1) * (len(col) - 1), i, j))
-    return pivots, [row for row in rows if row]
-
-
-def sparse_fp_rank(p: int, rows: SparseRows) -> int:
-    """Rank over F_p of an integer matrix given as sparse rows."""
-    return _unit_pivot_elimination(rows, p)[0]
-
-
-def sparse_snf_divisors(rows: SparseRows) -> list[int]:
-    """Nonzero diagonal of the Smith normal form of an integer matrix
-    given as sparse rows, in divisor-chain order: a 1 per unit pivot,
-    then `snf_diagonal` of the leftover block."""
-    pivots, left = _unit_pivot_elimination(rows, None)
+    left = [row for row in rows if row]
     if not left:
         return [1] * pivots
     columns = sorted({j for row in left for j in row})
@@ -234,25 +236,15 @@ class HomologySummary:
         return doc
 
 
-def _chains(c: PreComplex) -> tuple[SparseRows, int, int]:
-    """(d2 as sparse rows, Z_C, k_C): the one matrix homology eliminates,
-    the cycle-space dimension and the number of skeleton components."""
-    k = len(c.components())
-    return boundary_rows(c)[1], len(c.edges) - len(c.vertices) + k, k
-
-
 def homology_summary(c: PreComplex, p: int) -> HomologySummary:
-    _require_prime(p)
-    d2, z_c, k = _chains(c)
-    r2 = sparse_fp_rank(p, d2)
-    return HomologySummary(
-        p=p,
-        rank_d1=len(c.vertices) - k,
-        rank_d2=r2,
-        z_c=z_c,
-        k_c=k,
-        h1_trivial=(r2 == z_c),
-    )
+    """F_p first-homology data, read off the integral Smith form of d2:
+    a diagonal form has rank mod p the number of its entries that p
+    does not divide, so rank_d2 drops by the torsion coefficients p
+    divides."""
+    require_prime(p)
+    s = integral_summary(c)
+    r2 = s.rank_d2 - sum(1 for t in s.torsion if t % p == 0)
+    return replace(s, p=p, rank_d2=r2, h1_trivial=(r2 == s.z_c), betti1=None, torsion=None)
 
 
 def is_p_nullhomologous(c: PreComplex, p: int) -> bool:
@@ -264,7 +256,8 @@ def snf_diagonal(rows: list[list[int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form of a dense integer
     matrix, as positive integers in divisor-chain order.  Exact
     big-integer arithmetic throughout; cubic in the matrix size, so
-    homology sends it only the block `_unit_pivot_elimination` leaves."""
+    homology sends it only the block `sparse_snf_divisors` leaves
+    without a unit pivot."""
     a = [list(row) for row in rows]
     m = len(a)
     n = len(a[0]) if a else 0
@@ -332,8 +325,9 @@ def integral_summary(c: PreComplex) -> HomologySummary:
     """The cycle lattice is a direct summand of the edge lattice, so the
     torsion of H_1 equals the nontrivial elementary divisors of d2
     itself; betti1 is the cycle-space dimension minus rank(d2)."""
-    d2, z_c, k = _chains(c)
-    divisors = sparse_snf_divisors(d2)
+    k = len(c.components())
+    z_c = len(c.edges) - len(c.vertices) + k
+    divisors = sparse_snf_divisors(boundary_rows(c)[1])
     betti1 = z_c - len(divisors)
     torsion = tuple(d for d in divisors if d > 1)
     return HomologySummary(
@@ -427,7 +421,7 @@ def euler_identity_report(
     Requires a connected, locally connected complex.  All fields are
     exact integers; the boolean flags state which identities held.
     """
-    _require_prime(p)
+    require_prime(p)
     if not c.is_connected():
         raise NotConnectedError("the identities require a connected complex")
     loc, witness = is_locally_connected(c)

@@ -78,6 +78,8 @@ def rotation_system_from_face_lists(
 
     Faces are trails, so a face id identifies its unique incidence at an
     edge.  Edges of degree <= 2 may be omitted; their order is forced.
+    Every edge is checked here, so the result is a rotation system of
+    ``c`` without a `check_rotation_system` pass.
     """
     incs = c.table.incidences
     sigma: dict[EdgeId, tuple[Incidence, ...]] = {}
@@ -110,9 +112,7 @@ def rotation_system_from_face_lists(
     unknown = sorted(set(face_lists) - set(incs))
     if unknown:
         raise InvalidRotationSystemError(f"sigma names unknown edges {unknown}")
-    result = RotationSystem(sigma)
-    check_rotation_system(c, result)
-    return result
+    return RotationSystem(sigma)
 
 
 def canonical_rotation_system(c: PreComplex) -> RotationSystem:

@@ -50,8 +50,7 @@ _BLACK_OR_RED = (False, True)
 
 
 def _faceless_edges(c: PreComplex) -> set[EdgeId]:
-    used = {ref.edge for b in c.faces.values() for ref in b.trail}
-    return set(c.edges) - used
+    return {e for e, incs in c.table.incidences.items() if not incs}
 
 
 def _searchable(c: PreComplex) -> PreComplex:

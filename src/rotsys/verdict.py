@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .complexes import DirectedComplex, PreComplex, VertexId, find
 from .documents import sigma_to_doc
 from .errors import NotPrimeError
-from .homology import h1_integral, is_prime, least_prime_factor
+from .homology import h1_integral, least_prime_factor, require_prime
 from .links import blocks, subcomplexes
 from .presentation import Pi1Verdict, check_budget, pi1_trivial_heuristic
 from .rotation import RotationSystem
@@ -193,8 +193,7 @@ def verdict(
     if not primes:
         raise NotPrimeError("at least one prime is required")
     for p in primes:
-        if not is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
+        require_prime(p)
     check_budget(tietze_budget)
     if not isinstance(c, DirectedComplex):
         DirectedComplex.from_pre(c)

@@ -1,10 +1,11 @@
 """Record the canonical CLI outputs on the fixtures as golden files.
 
 Run as a script to (re)write tests/golden/: one file per fixture and
-command holding its stdout byte for byte, and ``exit_codes.json`` with
-each command's exit code.  ``test_golden_outputs.py`` replays the same
-commands and compares.  Rewrite the files only for a deliberate change
-of the output contract.
+command, and one per fixture-free command (``words``, ``gen``), holding
+its stdout byte for byte, and ``exit_codes.json`` with each command's
+exit code.  ``test_golden_outputs.py`` replays the same commands and
+compares.  Rewrite the files only for a deliberate change of the output
+contract.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from rotsys.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
+# stands for the fixture's least vertex label in an argument list
+LEAST_VERTEX = object()
+
 # golden file suffix -> (CLI arguments before the input path, after it)
 COMMANDS = {
     "prs-find": (["prs", "find"], []),
@@ -34,21 +38,42 @@ COMMANDS = {
     "validate": (["validate"], []),
     "homology-p2": (["homology"], ["--prime", "2"]),
     "homology-integral": (["homology"], ["--integral"]),
+    "homology-p3": (["homology"], ["--prime", "3"]),
+    "identities-p3": (["identities"], ["--prime", "3"]),
+    "dot": (["dot"], []),
+    "links-dot": (["links"], ["--vertex", LEAST_VERTEX, "--dot"]),
 }
+
+# commands whose output is DOT, not JSON
+DOT_OUTPUTS = {"dot", "links-dot"}
 
 # fixtures a command is not recorded on: the identities need a connected,
 # locally connected complex, and the link of bowtie at v is disconnected
-SKIPPED = {"identities-p2": {"bowtie"}}
+SKIPPED = {"identities-p2": {"bowtie"}, "identities-p3": {"bowtie"}}
+
+# golden file name -> argv of the commands that read no fixture
+FIXTURE_FREE = {
+    "words.1-2-2.json": ["words", "--windings", "1,2,2"],
+    "words.1-1-2.json": ["words", "--windings", "1,1,2"],
+    "words.1-1-2-linear.json": ["words", "--windings", "1,1,2", "--linear"],
+    "gen.seed0-v6.json": ["gen", "--seed", "0", "--vertices", "6"],
+    "gen.seed7-v5-p0.6.json": ["gen", "--seed", "7", "--vertices", "5", "--prob", "0.6"],
+}
 
 
 def cases() -> list[tuple[str, list[str]]]:
-    """(golden file name, full argv) per fixture and command."""
-    return [
-        (f"{name}.{suffix}.json", [*before, str(FIXTURE_DIR / f"{name}.json"), *after])
-        for name in BUILDERS
-        for suffix, (before, after) in COMMANDS.items()
-        if name not in SKIPPED.get(suffix, ())
-    ]
+    """(golden file name, full argv) per fixture and command, then the
+    fixture-free commands."""
+    out = []
+    for name, build in BUILDERS.items():
+        path, least = str(FIXTURE_DIR / f"{name}.json"), min(build().vertices)
+        for suffix, (before, after) in COMMANDS.items():
+            if name in SKIPPED.get(suffix, ()):
+                continue
+            ext = "dot" if suffix in DOT_OUTPUTS else "json"
+            after = [least if a is LEAST_VERTEX else a for a in after]
+            out.append((f"{name}.{suffix}.{ext}", [*before, path, *after]))
+    return out + list(FIXTURE_FREE.items())
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

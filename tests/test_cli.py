@@ -1,8 +1,14 @@
 import json
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+from sympy import nextprime
 
+import rotsys
 from rotsys.cli import main
 
 
@@ -468,3 +474,47 @@ def test_sigma_file_flow(capsys, fixture_files, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["lhs"] == 0
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("depth", [1_100, 100_000])
+@pytest.mark.parametrize("target", ["validate", "verdict", "surfaces --sigma"])
+def test_deeply_nested_json_is_a_document_error(depth, target, tmp_path, fixture_files):
+    """Nesting past the interpreter's recursion limit ends in one
+    ``error:`` line and exit 1, in a fresh interpreter as a user runs it."""
+    path = tmp_path / "deep.json"
+    if target == "surfaces --sigma":
+        path.write_text('{"sigma": ' + _nested(depth) + "}")
+        argv = ["surfaces", fx(fixture_files, "book3"), "--sigma", str(path)]
+    else:
+        path.write_text('{"kind": "general", "vertices": ' + _nested(depth) + "}")
+        argv = [target, str(path)] + (["--primes", "2"] if target == "verdict" else [])
+    src = str(Path(rotsys.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "rotsys.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_verdict_decides_a_large_prime_quickly(capsys, fixture_files):
+    start = time.process_time()
+    code, out, _ = run(capsys, "verdict", fx(fixture_files, "rp2-6"), "--primes", str(nextprime(10**18)))
+    assert time.process_time() - start < 1
+    assert code == 0 and json.loads(out)["reasons"][-1] == f"MixedPrimeHomology({nextprime(10**18)},2)"
+
+
+@pytest.mark.parametrize("command, option", [("homology", "--prime"), ("verdict", "--primes")])
+def test_prime_beyond_the_primality_bound_exit_1(command, option, capsys, fixture_files):
+    code, out, err = run(capsys, command, fx(fixture_files, "triangle"), option, str(10**25))
+    assert code == 1 and out == ""
+    bound = "3317044064679887385961981"
+    assert err == f"error: {10**25} is too large: primality is decided only below {bound}\n"

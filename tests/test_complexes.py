@@ -136,6 +136,11 @@ def test_general_kind_allows_duplicate_support():
     assert parse_complex(text).counts() == (3, 3, 2)
 
 
+def test_fixtures_are_their_builders_output(complexes, fixture_files):
+    for name, c in complexes.items():
+        assert (fixture_files / f"{name}.json").read_text() == emit_complex(c), name
+
+
 def test_round_trip_byte_exact(complexes, fixture_files):
     for name in complexes:
         text = (fixture_files / f"{name}.json").read_text()

@@ -1,11 +1,12 @@
-"""The canonical CLI outputs on the fixtures stay byte for byte.
+"""The canonical CLI outputs stay byte for byte.
 
-``prs find``, ``prs count``, ``gprs find`` (rotators included),
-``verdict --primes 2,3``, ``surfaces``, ``dual``, ``identities
---prime 2`` (on the fixtures where it applies), ``links``, ``validate``,
-``homology --prime 2`` and ``homology --integral`` against
-tests/golden/, written by ``make_golden.py``: stdout, exit code and an
-empty stderr.
+On the fixtures: ``prs find``, ``prs count``, ``gprs find`` (rotators
+included), ``verdict --primes 2,3``, ``surfaces``, ``dual``,
+``identities --prime 2`` and ``--prime 3`` (on the fixtures where they
+apply), ``links``, ``validate``, ``homology --prime 2``, ``--prime 3``
+and ``--integral``, ``dot`` and ``links --vertex <least vertex> --dot``.
+Without a fixture: ``words`` and ``gen``.  Each against tests/golden/,
+written by ``make_golden.py``: stdout, exit code and an empty stderr.
 """
 
 import json

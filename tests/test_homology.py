@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Matrix
+from sympy import Matrix, isprime, nextprime, prevprime
 from sympy.matrices.normalforms import smith_normal_form
 
 from rotsys import (
@@ -24,13 +24,14 @@ from rotsys.errors import (
     NotConnectedError,
     NotLocallyConnectedError,
     NotPrimeError,
+    TooLargeError,
     UnsatisfiableError,
 )
 from rotsys.homology import (
     boundary_rows,
     fp_rank,
+    is_prime,
     snf_diagonal,
-    sparse_fp_rank,
     sparse_snf_divisors,
 )
 from rotsys.rotation import canonical_rotation_system, sigma_candidates
@@ -80,7 +81,7 @@ def test_single_triangle_mod2(complexes):
     c = complexes["triangle"]
     _, d2, *_ = boundary_rows(c)
     assert [{j: x % 2 for j, x in row.items()} for row in d2] == [{0: 1, 1: 1, 2: 1}]
-    assert sparse_fp_rank(2, d2) == 1
+    assert homology_summary(c, 2).rank_d2 == 1
 
 
 def test_chain_condition_fixtures(complexes):
@@ -112,11 +113,14 @@ def test_torus_not_nullhomologous(complexes):
 
 
 def test_rank_matches_numpy_oracle(complexes):
-    for c in complexes.values():
+    """The F_p ranks read off the integral Smith form against an
+    elimination mod p, on the whole homology corpus."""
+    for c in _homology_corpus(complexes):
         d1, d2, vertices, edges, _ = boundary_rows(c)
-        for p in (2, 3, 5):
-            assert sparse_fp_rank(p, d1) == numpy_rank_mod_p(_dense(d1, len(vertices)), p)
-            assert sparse_fp_rank(p, d2) == numpy_rank_mod_p(_dense(d2, len(edges)), p)
+        for p in (2, 3, 5, 7):
+            s = homology_summary(c, p)
+            assert s.rank_d1 == numpy_rank_mod_p(_dense(d1, len(vertices)), p)
+            assert s.rank_d2 == numpy_rank_mod_p(_dense(d2, len(edges)), p)
 
 
 def test_h1_integral_classical_values(complexes):
@@ -189,7 +193,7 @@ def test_sparse_elimination_matches_dense_oracles(rows):
     assert ours == [d for d in snf_diagonal(rows) if d != 0]
     assert ours == (sympy_divisors(rows) if rows and rows[0] else [])
     for p in (2, 3, 5, 7):
-        assert sparse_fp_rank(p, _sparse(rows)) == fp_rank(p, [[x % p for x in r] for r in rows])
+        assert sum(1 for d in ours if d % p) == fp_rank(p, [[x % p for x in r] for r in rows])
 
 
 @pytest.mark.parametrize("twisted, expected", [(False, (2, [])), (True, (1, [2]))])
@@ -238,10 +242,11 @@ def test_one_elimination_of_d2_answers_every_prime(complexes):
         betti1, torsion = h1_integral(c)
         seen_torsion.add(tuple(torsion))
         d1, *_ = boundary_rows(c)
-        assert integral_summary(c).rank_d1 == len(sparse_snf_divisors(d1))
+        d1_divisors = sparse_snf_divisors(d1)
+        assert integral_summary(c).rank_d1 == len(d1_divisors)
         for p in (2, 3, 5, 7):
             assert is_p_nullhomologous(c, p) == (betti1 == 0 and all(t % p for t in torsion))
-            assert homology_summary(c, p).rank_d1 == sparse_fp_rank(p, d1)
+            assert homology_summary(c, p).rank_d1 == sum(1 for d in d1_divisors if d % p)
     assert {(), (2,), (2, 6)} <= seen_torsion
 
 
@@ -251,6 +256,26 @@ def test_not_prime_rejected(complexes):
         homology_summary(c, 4)
     with pytest.raises(NotPrimeError):
         is_p_nullhomologous(c, 1)
+
+
+def test_is_prime_agrees_with_sympy():
+    """Miller-Rabin on the first 13 prime bases against sympy: every
+    integer up to 20,000, 2,000 seeded 64-bit integers, and strong
+    pseudoprimes to the bases 2..7 and 2..23."""
+    rng = random.Random(16)
+    for n in [*range(-3, 20_001), *(rng.getrandbits(64) for _ in range(2000))]:
+        assert is_prime(n) == isprime(n), n
+    for n in (3_215_031_751, 3_825_123_056_546_413_051):
+        assert not is_prime(n) and not isprime(n)
+    assert is_prime(nextprime(10**18))
+
+
+def test_is_prime_refuses_beyond_the_miller_rabin_bound():
+    assert is_prime(prevprime(3_317_044_064_679_887_385_961_981))
+    with pytest.raises(TooLargeError):
+        is_prime(3_317_044_064_679_887_385_961_981)
+    with pytest.raises(TooLargeError):
+        homology_summary(make_fixtures.triangle(), nextprime(10**30))
 
 
 def test_integral_summary(complexes):

@@ -59,15 +59,6 @@ def test_mixed_prime_reads_h1_at_each_requested_prime(complexes):
     assert verdict(klein, [3]).reasons[-1] == "Undecided"
 
 
-def test_verdict_runs_no_fp_elimination(complexes, monkeypatch):
-    def refuse(p, rows):
-        raise AssertionError("the verdict eliminated over F_p")
-
-    monkeypatch.setattr(sys.modules["rotsys.homology"], "sparse_fp_rank", refuse)
-    assert verdict(complexes["rp2-6"], [2, 3]).sphere3 == "no"
-    assert verdict(complexes["torus-7"], [2, 3]).sphere3 == "unknown"
-
-
 def test_cone_k5_no_planar_system(complexes):
     v = verdict(complexes["cone-k5"], [2, 3])
     assert v.orientable_3manifold == "no"
