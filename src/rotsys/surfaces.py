@@ -11,7 +11,12 @@ cyclic order at that edge.
 The polygons, their sides and corners, and each incidence's sides are
 sigma-independent: they are read from the complex's table
 (``PolygonTable``, compiled once per complex), so the work per rotation
-system runs on integer ids and builds only the values it returns.
+system runs on integer ids and builds only the values it returns.  The
+identity checks build once what does not depend on sigma either: the
+bijection check reads each link edge's corner id from its link tracer,
+which computes them on first use, and the duality check traces each
+local surface once, reading its surface dual's successors straight off
+the traced cells.
 """
 
 from __future__ import annotations
@@ -34,14 +39,14 @@ from .complexes import (
     connected_classes,
 )
 from .errors import BijectionFailureError, NotClosedSurfaceError
-from .rotation import RotationSystem, canonical_cycle
+from .rotation import RotationSystem
 from .tracing import (
     CellComplex,
     LinkTracer,
     link_tracers,
     maps_isomorphism,
     successors,
-    surface_dual,
+    surface_dual_successors,
 )
 
 class Gluing(NamedTuple):
@@ -360,7 +365,17 @@ class IotaReport:
 
 
 def _canon_word(word: tuple) -> tuple:
-    return min(canonical_cycle(word), canonical_cycle(tuple(reversed(word))))
+    """The least rotation of either reading of a cyclic word, that is
+    ``min(canonical_cycle(word), canonical_cycle(word[::-1]))``: both
+    start at an occurrence of the least letter, so one pass over those
+    occurrences compares the forward and backward reading from each."""
+    least = min(word)
+    first = word.index(least)
+    best = min(word[first:] + word[:first], word[first::-1] + word[:first:-1])
+    for i in range(first + 1, len(word)):
+        if word[i] == least:
+            best = min(best, word[i:] + word[:i], word[i::-1] + word[:i:-1])
+    return best
 
 
 def iota_check(
@@ -382,28 +397,28 @@ def iota_check(
     if surfaces is None:
         surfaces = local_surfaces(c, sigma)
     p = c.table.polygons
+    face_corner = p.face_corner
     corner_words: dict[VertexId, list[tuple[int, ...]]] = {v: [] for v in c.vertices}
     total_vertices = 0
     for s in surfaces:
         bases = [p.side_start[p.member_id[m]] for m in s.members]
         for sv in s.vertices:
-            word = tuple(p.face_corner[bases[m] + j] for m, j in sv.corners)
+            word = tuple([face_corner[bases[m] + j] for m, j in sv.corners])
             corner_words[sv.c_vertex].append(word)
             total_vertices += 1
 
     if tracers is None:
         tracers = link_tracers(c)
-    start = p.face_start
     total_cells = 0
     matched = 0
     for v in sorted(c.vertices):
         tracer = tracers[v]
-        corner = [start[le.face] + le.pos for le in tracer.link.edges]
+        corner = tracer.corners(p.face_start)
         cells = tracer.cells(sigma)
         total_cells += len(cells)
         pool: dict[tuple[int, ...], int] = {}
         for orbit in cells:
-            key = _canon_word(tuple(corner[d >> 1] for d in orbit))
+            key = _canon_word(tuple([corner[d >> 1] for d in orbit]))
             pool[key] = pool.get(key, 0) + 1
         for w in corner_words[v]:
             key = _canon_word(w)
@@ -455,7 +470,7 @@ def surface_duality_check(
     for s in dual.surfaces:
         tracer = tracers[s.id]
         succ = successors(tracer.rotators(dual.sigma_c), len(tracer.dart_vertex))
-        b = surface_dual(s.cell_complex())
+        b_succ = surface_dual_successors(s.cell_complex())
         gluing_index = {glue_start[g.edge] + g.seq: k for k, g in enumerate(s.gluings)}
         dart_map = [-1] * len(succ)
         for k, le in enumerate(tracer.link.edges):
@@ -465,7 +480,7 @@ def surface_duality_check(
             g_idx = gluing_index[glue_start[e] + (t - 1) % len(incidences[e])]
             dart_map[2 * k] = 2 * g_idx       # u side <-> positive side
             dart_map[2 * k + 1] = 2 * g_idx + 1
-        verdict = maps_isomorphism(succ, b.succ, dart_map)
+        verdict = maps_isomorphism(succ, b_succ, dart_map)
         if verdict is None:
             raise BijectionFailureError(
                 f"dual link at {s.id} is not the surface dual of its local surface"

@@ -12,9 +12,10 @@ surface, so its Euler characteristic V - E + cells is even and at most
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
-from .complexes import EdgeId, Incidence, PreComplex, VertexId, connected_classes
+from .complexes import EdgeId, FaceId, Incidence, PreComplex, VertexId, connected_classes
 from .errors import NotClosedSurfaceError, NotIncidentError, UnknownVertexError
 from .links import HEAD, TAIL, LinkGraph, LinkVertex, link_graph
 from .rotation import RotationSystem
@@ -148,9 +149,21 @@ def surface_dual(cc: CellComplex) -> CellComplex:
     ``cc``, each listed in tracing order (the Edmonds-Hefter-Ringel
     principle), so its cells are the vertex rotators of ``cc``.
     """
+    return CellComplex.from_rotators(_dual_rotators(cc))
+
+
+def surface_dual_successors(cc: CellComplex) -> list[int]:
+    """The successor permutation of ``surface_dual(cc)``, read straight
+    off the cells of ``cc`` without building the dual."""
+    return successors(_dual_rotators(cc), len(cc.dart_vertex))
+
+
+def _dual_rotators(cc: CellComplex) -> tuple[tuple[int, ...], ...]:
+    """The rotators of the surface dual of ``cc``, its cells, once no
+    vertex of ``cc`` is without darts."""
     if len(set(cc.dart_vertex)) < cc.num_vertices():
         raise NotClosedSurfaceError("isolated vertex; not a closed traced surface")
-    return CellComplex.from_rotators(cc.cells)
+    return cc.cells
 
 
 def maps_isomorphism(
@@ -185,27 +198,54 @@ def maps_isomorphism(
 class LinkTracer:
     """Precomputed dart structure of one link graph, retraceable cheaply
     for different rotator assignments during search: the one reader of
-    a link's rotators, cells and component count."""
+    a link's rotators, cells and component count.  What only some
+    readers need (the component count, link-edge labels, each vertex's
+    sorted incidences, the link edges' corner ids) is built on first use
+    and kept."""
 
     def __init__(self, c: PreComplex, lg: LinkGraph):
         self.link = lg
-        self.vertex_index = {lv: i for i, lv in enumerate(lg.vertices)}
-        self.edge_labels = [le.label() for le in lg.edges]
+        self.vertex_index = index = {lv: i for i, lv in enumerate(lg.vertices)}
+        # each link vertex's edge, and whether it is the edge's tail end
+        self._ends = [(lv.edge, lv.end == TAIL) for lv in lg.vertices]
         self.dart_vertex: list[int] = []
         self.dart_of_incidence: list[dict[Incidence, int]] = [{} for _ in lg.vertices]
+        faces, darts = c.faces, self.dart_of_incidence
         # link edge k at corner (f, pos): dart 2k arrives at u over the
         # incidence (f, pos - 1), dart 2k+1 leaves w over (f, pos)
-        for k, le in enumerate(lg.edges):
-            u, w = self.vertex_index[le.u], self.vertex_index[le.w]
+        for k, (f, pos, lu, lw) in enumerate(lg.edges):
+            u, w = index[lu], index[lw]
             self.dart_vertex += (u, w)
-            arrival = Incidence(le.face, (le.pos - 1) % len(c.faces[le.face].trail))
-            self.dart_of_incidence[u][arrival] = 2 * k
-            self.dart_of_incidence[w][Incidence(le.face, le.pos)] = 2 * k + 1
-        self.incidences_of_vertex = [tuple(sorted(t)) for t in self.dart_of_incidence]
-        # the link's connected components, and the orbit count of a
-        # sphere union, 2 - V + E per component
-        self.component_count = _component_count(len(lg.vertices), self.dart_vertex)
-        self.sphere_cells = 2 * self.component_count - len(lg.vertices) + len(lg.edges)
+            darts[u][Incidence(f, (pos - 1) % len(faces[f].trail))] = 2 * k
+            darts[w][Incidence(f, pos)] = 2 * k + 1
+        self._corners: list[int] | None = None
+
+    @cached_property
+    def component_count(self) -> int:
+        """The link's connected components."""
+        return _component_count(len(self.link.vertices), self.dart_vertex)
+
+    @cached_property
+    def sphere_cells(self) -> int:
+        """The orbit count of a sphere union, 2 - V + E per component."""
+        lg = self.link
+        return 2 * self.component_count - len(lg.vertices) + len(lg.edges)
+
+    @cached_property
+    def edge_labels(self) -> list[str]:
+        return [le.label() for le in self.link.edges]
+
+    @cached_property
+    def incidences_of_vertex(self) -> list[tuple[Incidence, ...]]:
+        return [tuple(sorted(t)) for t in self.dart_of_incidence]
+
+    def corners(self, face_start: Mapping[FaceId, int]) -> list[int]:
+        """Each link edge's corner id, ``face_start[face] + pos``.  Built
+        on the first call and kept, so every call must pass the
+        ``face_start`` of the tracer's own complex."""
+        if self._corners is None:
+            self._corners = [face_start[le.face] + le.pos for le in self.link.edges]
+        return self._corners
 
     def rotator(
         self, i: int, order: Sequence[Incidence], red: bool = False
@@ -221,7 +261,7 @@ class LinkTracer:
         table = self.dart_of_incidence[i]
         if not order:
             order = self.incidences_of_vertex[i]
-        elif self.link.vertices[i].end == TAIL and not red:
+        elif self._ends[i][1] and not red:
             order = order[::-1]
         return [table[inc] for inc in order]
 
@@ -230,9 +270,10 @@ class LinkTracer:
     ) -> list[list[int]]:
         """Resolve sigma to dart rotators, one per link vertex; faceless
         edges (PreComplex searches) need no entry in sigma."""
+        orders = sigma.sigma
         return [
-            self.rotator(i, sigma.sigma.get(lv.edge, ()), lv.edge in red_edges)
-            for i, lv in enumerate(self.link.vertices)
+            self.rotator(i, orders.get(e, ()), e in red_edges)
+            for i, (e, _) in enumerate(self._ends)
         ]
 
     def trace(

@@ -21,7 +21,7 @@ from rotsys.surfaces import (
     polygon_refs,
     surface_duality_check,
 )
-from rotsys.tracing import link_tracer
+from rotsys.tracing import link_tracers
 
 
 def check_chain_condition(c) -> None:
@@ -81,8 +81,8 @@ def check_identities_per_sigma(c, cap: int, null_prime: int | None = None) -> in
     number of systems checked."""
     nv, ne, nf = c.counts()
     z_c = ne - nv + 1
-    incidences = c.edge_incidences()
-    tracers = {v: link_tracer(c, v, incidences) for v in c.vertices}
+    # the tracers kept in c.table, which is_locally_connected(c) built
+    tracers = link_tracers(c)
     checked = 0
     for sigma in enumerate_rotation_systems(c, cap=cap):
         surfaces = local_surfaces(c, sigma)

@@ -96,6 +96,7 @@ def test_criterion_2_euler_identities(complexes):
         assert r.double_counting_holds
 
 
+@pytest.mark.slow
 def test_criterion_3_randomized_suite(corpus):
     with criterion(3, "randomized identity suite"):
         t0 = time.time()

@@ -51,7 +51,7 @@ def brute_force_gprs(c):
         if not any(bin(red & mask).count("1") % 2 for mask in face_masks)
     ]
     tables = [list(enumerate(sigma_candidates(incidences[e]))) for e in edges]
-    tracers = [link_tracer(c, v, incidences) for v in c.vertices]
+    tracers = [link_tracer(c, v) for v in c.vertices]
     best = None
     for combo in itertools.product(*tables):
         sigma = RotationSystem({e: cand for e, (_, cand) in zip(edges, combo)})
@@ -181,9 +181,8 @@ def test_gprs_soundness_reverified(complexes):
     assert result.status == "found"
     # re-check the three conditions independently of the search
     red = frozenset(result.red_edges)
-    incidences = c.edge_incidences()
     for v in c.vertices:
-        assert link_tracer(c, v, incidences).sphere_union(result.sigma, red)
+        assert link_tracer(c, v).sphere_union(result.sigma, red)
     for f, boundary in c.faces.items():
         assert sum(1 for ref in boundary.trail if ref.edge in red) % 2 == 0
 
@@ -485,7 +484,7 @@ def test_compiled_link_writes_agree_with_sphere_union():
         edges = sorted(c.edges)
         candidates = [sigma_candidates(incidences[e]) for e in edges]
         _mirror_cut(candidates)
-        tracers = {v: link_tracer(c, v, incidences) for v in c.vertices}
+        tracers = {v: link_tracer(c, v) for v in c.vertices}
         steps, arrays = _compile_links(tracers, edges, candidates, (False, True))
         for _ in range(20):
             picks = [rng.choice(options) for options in steps]

@@ -1,6 +1,8 @@
 import itertools
 import time
 
+from hypothesis import example, given, strategies as st
+
 from rotsys import (
     DirectedComplex,
     GenParams,
@@ -14,7 +16,13 @@ from rotsys import (
     validate,
 )
 from rotsys.errors import UnsatisfiableError
-from rotsys.rotation import canonical_rotation_system, enumerate_rotation_systems
+from rotsys.rotation import (
+    canonical_cycle,
+    canonical_rotation_system,
+    enumerate_rotation_systems,
+)
+from rotsys.surfaces import _canon_word
+from rotsys.tracing import CellComplex, link_tracer
 
 
 def check_orientability(c, surfaces):
@@ -201,6 +209,63 @@ def test_surface_duality_on_fixtures(complexes):
         sigma = canonical_rotation_system(c)
         out = surface_duality_check(c, sigma)
         assert set(out.values()) <= {"direct", "mirror"}, name
+
+
+def test_duality_check_traces_each_local_surface_once(complexes, monkeypatch):
+    """The duality check builds one ``CellComplex`` per local surface, its
+    trace; the surface dual's successors come straight off its cells."""
+    calls = []
+    from_rotators = CellComplex.from_rotators
+
+    def counted(rotators):
+        calls.append(len(rotators))
+        return from_rotators(rotators)
+
+    monkeypatch.setattr(CellComplex, "from_rotators", staticmethod(counted))
+    for name in ("book3", "rp2-6", "torus-7"):
+        c = complexes[name]
+        sigma = canonical_rotation_system(c)
+        dual = dual_complex(c, sigma)
+        calls.clear()
+        out = surface_duality_check(c, sigma, dual)
+        assert len(out) == len(dual.surfaces), name
+        assert len(calls) == len(dual.surfaces), name
+
+
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=12).map(tuple))
+@example((0, 1, 0, 2))
+@example((0, 1, 0, 1))
+@example((1, 0, 2, 0, 2, 1, 0))
+def test_canon_word_is_least_rotation_of_either_reading(word):
+    """The one-pass key equals the least of both readings' least
+    rotations, also when the least letter occurs more than once, as in
+    a link cell holding both darts of one link edge."""
+    assert _canon_word(word) == min(canonical_cycle(word), canonical_cycle(word[::-1]))
+
+
+def test_iota_check_with_caller_built_tracers(complexes):
+    """``iota_check`` given tracers built one by one with ``link_tracer``,
+    as a benchmark session holds them, reports what it reports with the
+    tracers kept in the complex's table."""
+    corpus = list(complexes.values())
+    seed = 0
+    while len(corpus) < len(complexes) + 40:
+        params = GenParams(seed=seed, n_vertices=4 + seed % 4, target_faces=2 + seed % 9)
+        seed += 1
+        try:
+            corpus.append(generate_random_complex(params))
+        except UnsatisfiableError:
+            pass
+    checked = 0
+    for c in corpus:
+        tracers = {v: link_tracer(c, v) for v in c.vertices}
+        for sigma in itertools.islice(enumerate_rotation_systems(c), 10):
+            surfaces = local_surfaces(c, sigma)
+            report = iota_check(c, sigma, surfaces, tracers)
+            assert report == iota_check(c, sigma, surfaces)
+            assert report.matched == report.surface_vertices == report.link_cells
+            checked += 1
+    assert checked >= 140
 
 
 def test_identities_across_all_book3_systems(complexes):

@@ -4,6 +4,7 @@ import random
 import networkx as nx
 import pytest
 from general_pieces import GENERAL_PIECES, LOOP_PIECES, glued
+from make_fixtures import BUILDERS
 
 from rotsys import (
     CellComplex,
@@ -30,7 +31,13 @@ from rotsys.rotation import (
     sigma_candidates,
 )
 from rotsys.surfaces import local_surfaces
-from rotsys.tracing import _orbits_of, maps_isomorphism
+from rotsys.search import search_generalized_prs, search_planar_rotation_system
+from rotsys.tracing import (
+    _orbits_of,
+    link_tracers,
+    maps_isomorphism,
+    surface_dual_successors,
+)
 
 
 def oracle_trace_cells(vertex_rotators):
@@ -131,7 +138,7 @@ def test_cone_k5_apex_brute_force(complexes):
     from rotsys.rotation import sigma_candidates
     from rotsys.tracing import link_tracer
 
-    tracer = link_tracer(c, "apex", incidences)
+    tracer = link_tracer(c, "apex")
     best = -100
     count = 0
     fixed = {e: tuple(incidences[e]) if len(incidences[e]) >= 2 else () for e in others}
@@ -343,13 +350,19 @@ def outcome(fn, *args):
 
 
 def test_surface_dual_and_sphere_union_against_the_cells(complexes):
-    """``surface_dual`` reads the dual from the cells as the hand-built
-    reference does, and ``is_sphere_union`` (cells against 2 - V + E
-    per component) agrees with the Euler characteristic of every
-    component."""
+    """``surface_dual`` and ``surface_dual_successors`` read the dual from
+    the cells as the hand-built reference does, and ``is_sphere_union``
+    (cells against 2 - V + E per component) agrees with the Euler
+    characteristic of every component."""
     seen = {"complexes": 0, "isolated": 0, "spheres": 0, "other": 0}
     for cc in traced_cell_complexes(complexes):
-        assert outcome(surface_dual, cc) == outcome(reference_surface_dual, cc)
+        expected = outcome(reference_surface_dual, cc)
+        assert outcome(surface_dual, cc) == expected
+        succ = outcome(surface_dual_successors, cc)
+        if isinstance(expected, CellComplex):
+            assert tuple(succ) == expected.succ
+        else:
+            assert succ == expected
         sphere = is_sphere_union(cc)
         assert sphere == all(chi == 2 for chi in cc.chi_by_component())
         seen["complexes"] += 1
@@ -357,3 +370,22 @@ def test_surface_dual_and_sphere_union_against_the_cells(complexes):
         seen["spheres" if sphere else "other"] += 1
     assert seen["complexes"] >= 1000
     assert min(seen.values()) >= 10, seen
+
+
+def test_searches_build_no_polygons_and_no_link_labels():
+    """What only the identity checks and the witness documents read is
+    built on first use: a search and the planarity check leave the
+    polygon table and every tracer's link-edge labels and corner ids
+    unbuilt."""
+    for name, build in BUILDERS.items():
+        c = build()
+        search_planar_rotation_system(c, "count")
+        result = search_generalized_prs(c)
+        sigma = canonical_rotation_system(c)
+        is_planar_rotation_system(c, sigma)
+        assert "polygons" not in vars(c.table), name
+        for t in link_tracers(c).values():
+            assert "edge_labels" not in vars(t) and t._corners is None, name
+        if result.sigma is not None:
+            result.rotator_doc(c)
+            assert all("edge_labels" in vars(t) for t in link_tracers(c).values())
