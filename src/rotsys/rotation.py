@@ -11,6 +11,7 @@ dual complexes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -126,42 +127,33 @@ def canonical_rotation_system(c: PreComplex) -> RotationSystem:
     return RotationSystem(sigma)
 
 
-def sigma_candidates(entries: Sequence[Incidence]) -> list[tuple[Incidence, ...]]:
-    """All cyclic orders of an edge's incidences, least incidence fixed
-    first, remainder in lexicographic permutation order."""
+def sigma_candidates(entries: Sequence[Incidence]) -> Iterator[tuple[Incidence, ...]]:
+    """All cyclic orders of an edge's incidences, generated lazily: least
+    incidence fixed first, remainder in lexicographic permutation order.
+    An edge with d >= 2 incidences has (d - 1)! of them."""
     if len(entries) <= 1:
-        return [()]
-    ordered = sorted(entries)
-    if len(ordered) == 2:
-        return [tuple(ordered)]
-    first, rest = ordered[0], ordered[1:]
-    return [(first, *perm) for perm in itertools.permutations(rest)]
-
-
-def candidate_table(c: PreComplex) -> tuple[list[EdgeId], list[list[tuple[Incidence, ...]]]]:
-    """Edges in bytewise id order with their sigma candidate lists."""
-    incs = c.table.incidences
-    edge_order = sorted(incs)
-    return edge_order, [sigma_candidates(incs[e]) for e in edge_order]
+        return iter([()])
+    first, *rest = sorted(entries)
+    return ((first, *perm) for perm in itertools.permutations(rest))
 
 
 def total_search_space(c: PreComplex) -> int:
-    _, table = candidate_table(c)
-    n = 1
-    for cands in table:
-        n *= len(cands)
-    return n
+    """The number of rotation systems of ``c``, counted without listing
+    the cyclic orders."""
+    return math.prod(
+        math.factorial(max(len(entries) - 1, 0)) for entries in c.table.incidences.values()
+    )
 
 
 def enumerate_rotation_systems(
     c: PreComplex, cap: int | None = None
 ) -> Iterator[RotationSystem]:
     """All rotation systems of ``c`` in lexicographic candidate order,
-    stopping after ``cap`` systems when given."""
-    edge_order, table = candidate_table(c)
-    produced = 0
-    for combo in itertools.product(*table):
-        if cap is not None and produced >= cap:
-            return
+    edges in bytewise id order, stopping after ``cap`` systems when
+    given.  The first ``cap`` systems use only the first ``cap`` cyclic
+    orders of each edge, so no more are generated."""
+    incs = c.table.incidences
+    edge_order = sorted(incs)
+    table = [itertools.islice(sigma_candidates(incs[e]), cap) for e in edge_order]
+    for combo in itertools.islice(itertools.product(*table), cap):
         yield RotationSystem(dict(zip(edge_order, combo)))
-        produced += 1

@@ -33,7 +33,7 @@ once.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -42,7 +42,7 @@ import networkx as nx
 from .complexes import EdgeId, Incidence, PreComplex, VertexId
 from .errors import CapExceededError
 from .links import LinkGraph
-from .rotation import RotationSystem, candidate_table
+from .rotation import RotationSystem, sigma_candidates, total_search_space
 from .tracing import LinkTracer, link_tracers, traces_sphere_union
 
 _BLACK = (False,)
@@ -89,21 +89,33 @@ _Write = tuple[list[int], int, int, list[int]]
 _Step = tuple[tuple[Incidence, ...], bool, tuple[_Write, ...]]
 
 
-def _mirror_cut(candidates: list[list[tuple[Incidence, ...]]]) -> int:
-    """Keep one half of the first edge with two or more cyclic orders.
+def _candidates(
+    c: PreComplex, cap: int | None
+) -> tuple[list[EdgeId], list[list[tuple[Incidence, ...]]], int]:
+    """Edges in bytewise id order, the cyclic orders the search tries at
+    each, and the number of systems each witness reached stands for.
 
-    Reversing every cyclic order maps (generalized) planar systems to
-    themselves, colours and face parity untouched, and fixes none once
-    such an edge exists.  Of each order and its reversal the edge keeps
-    the one whose tail after the fixed least incidence is lex <= the
-    reversed tail, so the lexicographically least witness is kept.
-    Returns the number of systems each witness reached stands for.
+    The mirror cut: reversing every cyclic order maps (generalized)
+    planar systems to themselves, colours and face parity untouched, and
+    fixes none once an edge has three or more incidences.  Of each order
+    and its reversal the first such edge keeps the one whose tail after
+    the least incidence is lex <= the reversed tail, which keeps the
+    least witness, and each witness stands for two systems.  Under a cap
+    at most cap + 1 orders are generated per edge: a search within the
+    cap places none after an edge's cap-th, and the next one exceeds it.
     """
-    for cands in candidates:
-        if len(cands) > 1:
-            cands[:] = [cand for cand in cands if cand[1:] <= cand[:0:-1]]
-            return 2
-    return 1
+    incs = c.table.incidences
+    edge_order = sorted(incs)
+    keep = None if cap is None else cap + 1
+    weight = 1
+    candidates = []
+    for e in edge_order:
+        orders = sigma_candidates(incs[e])
+        if weight == 1 and len(incs[e]) >= 3:
+            orders = (cand for cand in orders if cand[1:] <= cand[:0:-1])
+            weight = 2
+        candidates.append(list(itertools.islice(orders, keep)))
+    return edge_order, candidates, weight
 
 
 def _write(
@@ -191,21 +203,22 @@ def _search(
     """Depth-first search over (cyclic order, colour) per edge.
 
     ``colours`` lists the colours tried per cyclic order, False (black)
-    before True (red).  Returns the least witness (sigma and its sorted
-    red edges) when ``first_only``, else None; the number of systems
-    accounted for by the witnesses reached (the search stops at the
-    first when ``first_only``); the candidates examined, one per placed
-    (cyclic order, colour); and the size of the space of cyclic orders.
+    before True (red).  Returns the least witness (sigma, with the empty
+    order at each faceless edge, and its sorted red edges) when
+    ``first_only``, else None; the number of systems accounted for by
+    the witnesses reached (the search stops at the first when
+    ``first_only``); the candidates examined, one per placed (cyclic
+    order, colour); and the size of the space of cyclic orders.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
+    faceless = dict.fromkeys(sorted(_faceless_edges(c)), ())
     c = _searchable(c)
-    edge_order, candidates = candidate_table(c)
-    total_space = math.prod(len(cands) for cands in candidates)
+    total_space = total_search_space(c)
     tracers = link_tracers(c)
     if link_planarity_precheck(t.link for t in tracers.values()) is not None:
         return None, 0, 0, total_space
-    weight = _mirror_cut(candidates)
+    edge_order, candidates, weight = _candidates(c, cap)
 
     # a vertex's link is decided once the last of its edges is assigned,
     # a face's red parity once the last of its edges is
@@ -227,7 +240,7 @@ def _search(
 
     if not edge_order:
         # nothing to assign: the empty system is planar
-        witness = (RotationSystem({}), ()) if first_only else None
+        witness = (RotationSystem(faceless), ()) if first_only else None
         return witness, 1, 0, total_space
 
     assignment: dict[EdgeId, tuple[Incidence, ...]] = {}
@@ -269,7 +282,8 @@ def _search(
                 break
             found += weight
             if first_only:
-                witness = (RotationSystem(dict(assignment)), tuple(sorted(red_edges)))
+                sigma = RotationSystem({**assignment, **faceless})
+                witness = (sigma, tuple(sorted(red_edges)))
                 return witness, found, examined, total_space
         else:
             stack.pop()
@@ -306,6 +320,10 @@ def search_planar_rotation_system(
     mode="count" counts all of them.  ``cap`` bounds the number of
     sigma placements attempted; exceeding it raises CapExceededError
     with the progress made.
+
+    A faceless edge of a PreComplex never obstructs: the witness gives
+    it the empty order, though ``is_planar_rotation_system`` still reads
+    the isolated link vertex it leaves as no sphere.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")

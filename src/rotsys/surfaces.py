@@ -2,11 +2,13 @@
 
 Each orientation of a face is a polygon; the rotation system glues
 polygon sides in pairs (an orientation traversing an edge forwards to
-the next orientation traversing it backwards), and the equivalence
-classes of that gluing assemble into closed oriented surfaces.  The
-dual complex has one vertex per local surface, one edge per face of the
-primal complex, and one face per primal edge whose boundary follows the
-cyclic order at that edge.
+the next orientation traversing it backwards).  The classes of that
+gluing are closed oriented surfaces, and their vertices are the orbits
+of one permutation of the corners, the corner walk: cross the gluing
+at a corner's outgoing side and go on at the corner after the side
+entered.  The dual complex has one vertex per local surface, one edge
+per face of the primal complex, and one face per primal edge whose
+boundary follows the cyclic order at that edge.
 
 The polygons, their sides and corners, and each incidence's sides are
 sigma-independent: they are read from the complex's table
@@ -45,6 +47,7 @@ from .tracing import (
     LinkTracer,
     link_tracers,
     maps_isomorphism,
+    orbits_of,
     successors,
     surface_dual_successors,
 )
@@ -81,40 +84,23 @@ def polygon_refs(c: PreComplex, member: OrientedFace) -> tuple[SignedEdgeRef, ..
     return p.polygon_refs[p.member_id[member]]
 
 
-def _glue(
-    p: PolygonTable, sigma: RotationSystem
-) -> tuple[list[Gluing], list[tuple[int, int]]]:
-    """The gluings induced by sigma, with the two sides each one joins
-    (positive side first).
+def _glue(p: PolygonTable, sigma: RotationSystem) -> list[tuple[EdgeId, int, int, int]]:
+    """The gluings induced by sigma: the edge, the position in sigma(e)
+    and the two sides joined, positive side first.
 
     For an edge with d >= 2 incidences, consecutive entries of sigma(e)
     are related (d gluings); a single-incidence edge relates the two
     orientations of its one face (one gluing), which is the same rule
     read on its one-entry order.
     """
-    start, members = p.face_start, p.members
-    side_member, side_pos = p.side_member, p.side_pos
-    pos_side, neg_side = p.pos_side, p.neg_side
-    gluings: list[Gluing] = []
-    sides: list[tuple[int, int]] = []
+    start, pos_side, neg_side = p.face_start, p.pos_side, p.neg_side
+    gluings = []
     for e, ids in p.glued_edges:
         if len(ids) > 1:
             ids = [start[inc.face] + inc.pos for inc in sigma.sigma[e]]
         d = len(ids)
-        for t in range(d):
-            a, b = pos_side[ids[t]], neg_side[ids[(t + 1) % d]]
-            gluings.append(
-                Gluing(
-                    e,
-                    t,
-                    members[side_member[a]],
-                    side_pos[a],
-                    members[side_member[b]],
-                    side_pos[b],
-                )
-            )
-            sides.append((a, b))
-    return gluings, sides
+        gluings += [(e, t, pos_side[ids[t]], neg_side[ids[(t + 1) % d]]) for t in range(d)]
+    return gluings
 
 
 @dataclass(frozen=True)
@@ -191,103 +177,93 @@ class LocalSurface:
 
 
 def local_surfaces(c: PreComplex, sigma: RotationSystem) -> list[LocalSurface]:
-    """The local surfaces of ``(c, sigma)``, ordered by least member."""
+    """The local surfaces of ``(c, sigma)``, ordered by least member.
+
+    Each surface in turn is checked for a side glued twice, an unglued
+    side, a corner walk that leaves its primal vertex and an impossible
+    Euler characteristic; the first failure of the first surface that
+    fails raises NotClosedSurfaceError.
+    """
     p = c.table.polygons
-    gluings, sides = _glue(p, sigma)
-    member = p.side_member
+    gluings = _glue(p, sigma)
+    member, side_pos = p.side_member, p.side_pos
     classes = connected_classes(
-        len(p.members), ((member[a], member[b]) for a, b in sides)
+        len(p.members), ((member[a], member[b]) for _, _, a, b in gluings)
     )
     surface_of = [0] * len(p.members)
+    local = [0] * len(p.members)  # index among the members of its surface
     for si, members in enumerate(classes):
-        for m in members:
+        for i, m in enumerate(members):
             surface_of[m] = si
-    own: list[list[int]] = [[] for _ in classes]
-    for k, (a, _) in enumerate(sides):
-        own[surface_of[member[a]]].append(k)
-    return [
-        _assemble(
-            p, f"s{si}", members, [gluings[k] for k in ks], [sides[k] for k in ks]
-        )
-        for si, (members, ks) in enumerate(zip(classes, own))
+            local[m] = i
+
+    # per side, the side glued to it and that side's dart: 2k and 2k + 1
+    # for the k-th gluing of its surface; per surface, its gluings and
+    # the first check it fails
+    glued = [-1] * len(member)
+    dart = [0] * len(member)
+    own: list[list[Gluing]] = [[] for _ in classes]
+    failure: list[str | None] = [None] * len(classes)
+    for e, t, a, b in gluings:
+        si = surface_of[member[a]]
+        k = len(own[si])
+        pos, neg = p.members[member[a]], p.members[member[b]]
+        own[si].append(Gluing(e, t, pos, side_pos[a], neg, side_pos[b]))
+        for side, d, other in ((a, 2 * k, b), (b, 2 * k + 1, a)):
+            if glued[side] >= 0 and not failure[si]:
+                named = (local[member[side]], side_pos[side])
+                failure[si] = f"side {named} glued twice in s{si}"
+            glued[side], dart[side] = other, d
+    for side, other in enumerate(glued):
+        si = surface_of[member[side]]
+        if other < 0 and not failure[si]:
+            failure[si] = f"unglued polygon side in s{si}"
+
+    # the surface vertices are the orbits of the corner walk, which come
+    # by least corner, so a primal vertex's orbits in a surface are
+    # labeled in that order; the sides of a failed surface stay put, so
+    # the walk is a permutation
+    next_corner, corner_vertex = p.next_corner, p.corner_vertex
+    walk = [
+        side if failure[surface_of[member[side]]] else next_corner[other]
+        for side, other in enumerate(glued)
     ]
+    vertices: list[list[SurfaceVertex]] = [[] for _ in classes]
+    orbits_at: dict[tuple[int, VertexId], int] = {}
+    for orbit in orbits_of(walk):
+        start = orbit[0]
+        si = surface_of[member[start]]
+        if failure[si]:
+            continue
+        home = corner_vertex[start]
+        if any(corner_vertex[x] != home for x in orbit):
+            failure[si] = f"corner walk left vertex {home!r} in s{si}"
+            continue
+        n = orbits_at.get((si, home), 0)
+        orbits_at[si, home] = n + 1
+        corners = tuple([(local[member[x]], side_pos[x]) for x in orbit])
+        rotator = tuple([dart[glued[x]] for x in orbit])
+        vertices[si].append(SurfaceVertex(f"{home}.{n}", home, corners, rotator))
 
-
-def _assemble(
-    p: PolygonTable,
-    sid: str,
-    members: list[int],
-    gluings: list[Gluing],
-    sides: list[tuple[int, int]],
-) -> LocalSurface:
-    """The surface of one class: ``members`` ascending, ``gluings`` those
-    whose positive side lies in the class, with their sides."""
-    local = {m: i for i, m in enumerate(members)}
-    side_member, side_pos = p.side_member, p.side_pos
-    lengths = tuple(len(p.polygon_refs[m]) for m in members)
-
-    # each polygon side lies in exactly one gluing
-    side_to: dict[int, int] = {}
-    dart_of_side: dict[int, int] = {}
-    for k, (a, b) in enumerate(sides):
-        if side_member[b] not in local:
-            raise NotClosedSurfaceError("gluing leaves its equivalence class")
-        for side, dart, other in ((a, 2 * k, b), (b, 2 * k + 1, a)):
-            if side in side_to:
-                named = (local[side_member[side]], side_pos[side])
-                raise NotClosedSurfaceError(f"side {named} glued twice in {sid}")
-            side_to[side] = other
-            dart_of_side[side] = dart
-    if len(side_to) != sum(lengths):
-        raise NotClosedSurfaceError(f"unglued polygon side in {sid}")
-
-    # walk corners around each surface vertex; crossing the gluing at
-    # the outgoing side enters the matched side of the neighbour polygon
-    # and continues at the corner after it.  Each walk starts at the
-    # least corner not yet walked, which is the least of its orbit, so
-    # a primal vertex's orbits come in the order of their least corners
-    # and are labeled by it
-    corner_vertex, next_corner = p.corner_vertex, p.next_corner
-    seen: set[int] = set()
-    orbits_at: dict[VertexId, int] = {}
-    vertices: list[SurfaceVertex] = []
-    for m in members:
-        first = p.side_start[m]
-        for start in range(first, first + len(p.polygon_refs[m])):
-            if start in seen:
-                continue
-            orbit: list[int] = []
-            rotator: list[int] = []
-            cur = start
-            while True:
-                orbit.append(cur)
-                seen.add(cur)
-                entered = side_to[cur]
-                rotator.append(dart_of_side[entered])
-                cur = next_corner[entered]
-                if cur == start:
-                    break
-            home = corner_vertex[start]
-            if any(corner_vertex[x] != home for x in orbit):
-                raise NotClosedSurfaceError(f"corner walk left vertex {home!r} in {sid}")
-            n = orbits_at.get(home, 0)
-            orbits_at[home] = n + 1
-            corners = tuple((local[side_member[x]], side_pos[x]) for x in orbit)
-            vertices.append(SurfaceVertex(f"{home}.{n}", home, corners, tuple(rotator)))
-    vertices.sort(key=lambda sv: sv.label)
-
-    chi = len(vertices) - len(gluings) + len(members)
-    if chi % 2 != 0 or chi > 2:
-        raise NotClosedSurfaceError(f"impossible Euler characteristic {chi} in {sid}")
-    return LocalSurface(
-        sid,
-        tuple(p.members[m] for m in members),
-        tuple(gluings),
-        tuple(vertices),
-        chi,
-        (2 - chi) // 2,
-        lengths,
-    )
+    surfaces = []
+    for si, members in enumerate(classes):
+        chi = len(vertices[si]) - len(own[si]) + len(members)
+        if not failure[si] and (chi % 2 != 0 or chi > 2):
+            failure[si] = f"impossible Euler characteristic {chi} in s{si}"
+        if failure[si]:
+            raise NotClosedSurfaceError(failure[si])
+        surfaces.append(
+            LocalSurface(
+                f"s{si}",
+                tuple(p.members[m] for m in members),
+                tuple(own[si]),
+                tuple(sorted(vertices[si], key=lambda sv: sv.label)),
+                chi,
+                (2 - chi) // 2,
+                tuple(len(p.polygon_refs[m]) for m in members),
+            )
+        )
+    return surfaces
 
 
 @dataclass(frozen=True)

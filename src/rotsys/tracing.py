@@ -21,7 +21,7 @@ from .links import HEAD, TAIL, LinkGraph, LinkVertex, link_graph
 from .rotation import RotationSystem
 
 
-def _orbits_of(trace: Sequence[int]) -> list[tuple[int, ...]]:
+def orbits_of(trace: Sequence[int]) -> list[tuple[int, ...]]:
     """Cycles of a permutation, each starting at its least element,
     enumerated from the least unused dart."""
     seen = [False] * len(trace)
@@ -105,7 +105,7 @@ class CellComplex:
                 dart_vertex[d] = vi
         succ = successors(rotators, n)
         trace = [s ^ 1 for s in succ]
-        return CellComplex(len(rotators), tuple(dart_vertex), tuple(succ), tuple(_orbits_of(trace)))
+        return CellComplex(len(rotators), tuple(dart_vertex), tuple(succ), tuple(orbits_of(trace)))
 
     # -- structure ----------------------------------------------------------
 
@@ -294,7 +294,7 @@ class LinkTracer:
     def cells(self, sigma: RotationSystem) -> list[tuple[int, ...]]:
         """The cells traced under sigma as dart orbits, those of
         ``cell_complex(sigma)``, without materializing it."""
-        return _orbits_of(self.trace(sigma))
+        return orbits_of(self.trace(sigma))
 
     def cell_complex(self, sigma: RotationSystem) -> CellComplex:
         return CellComplex.from_rotators(self.rotators(sigma))

@@ -324,7 +324,7 @@ def test_euler_report_link_counts_match_the_traced_links(complexes):
         except UnsatisfiableError:
             continue
         incidences = c.edge_incidences()
-        sigma = RotationSystem({e: rng.choice(sigma_candidates(incidences[e])) for e in c.edges})
+        sigma = RotationSystem({e: rng.choice(list(sigma_candidates(incidences[e]))) for e in c.edges})
         cases.append((c, sigma))
     seen = {True: 0, False: 0}
     for c, sigma in cases:

@@ -40,15 +40,15 @@ def incs(*faces):
 
 
 def test_sigma_candidates_counts():
-    assert sigma_candidates(incs()) == [()]
-    assert sigma_candidates(incs("f1")) == [()]
-    assert len(sigma_candidates(incs("f1", "f2"))) == 1
-    assert len(sigma_candidates(incs("f1", "f2", "f3"))) == 2
-    assert len(sigma_candidates(incs("f1", "f2", "f3", "f4"))) == 6
+    assert list(sigma_candidates(incs())) == [()]
+    assert list(sigma_candidates(incs("f1"))) == [()]
+    assert len(list(sigma_candidates(incs("f1", "f2")))) == 1
+    assert len(list(sigma_candidates(incs("f1", "f2", "f3")))) == 2
+    assert len(list(sigma_candidates(incs("f1", "f2", "f3", "f4")))) == 6
 
 
 def test_sigma_candidates_fix_least_first():
-    cands = sigma_candidates(incs("f2", "f3", "f1"))
+    cands = list(sigma_candidates(incs("f2", "f3", "f1")))
     assert all(cand[0] == Incidence("f1", 0) for cand in cands)
     # lexicographic order over the permuted remainder
     assert cands == sorted(cands)

@@ -1,7 +1,9 @@
 import itertools
 import json
+import math
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -19,11 +21,16 @@ from rotsys import (
 )
 from rotsys import links, search
 from rotsys.cli import main
-from rotsys.documents import sigma_to_doc
+from rotsys.documents import dump_canonical, sigma_to_doc
 from rotsys.errors import CapExceededError, NotConnectedError, NotLocallyConnectedError
 from rotsys.homology import euler_identity_report
-from rotsys.rotation import canonical_rotation_system, sigma_candidates, total_search_space
-from rotsys.search import _compile_links, _mirror_cut, link_planarity_precheck
+from rotsys.rotation import (
+    canonical_rotation_system,
+    check_rotation_system,
+    sigma_candidates,
+    total_search_space,
+)
+from rotsys.search import _candidates, _compile_links, link_planarity_precheck
 from rotsys.tracing import induced_rotator, link_tracer, traces_sphere_union
 
 from general_pieces import GENERAL_PIECES, glued
@@ -159,6 +166,11 @@ def test_faceless_edges_do_not_obstruct():
     )
     result = search_planar_rotation_system(pre, "first")
     assert result.status == "found"
+    check_rotation_system(pre, result.sigma)
+    assert result.sigma.sigma["az"] == ()
+    result = search_generalized_prs(pre)
+    assert result.status == "found"
+    check_rotation_system(pre, result.sigma)
 
 
 def test_gprs_planar_complexes_all_black(complexes):
@@ -271,6 +283,37 @@ def test_count_cap_accounts_for_both_mirror_halves():
     steps = {b - a for a, b in zip([0] + partial, partial)}
     assert steps == {0, 2}
     assert partial[-1] == full.count
+
+
+def test_capped_searches_keep_few_cyclic_orders(tmp_path, capsys):
+    """A capped search keeps at most cap + 1 cyclic orders per edge.  The
+    spine of the 10-page book has 9! of them; its capped count and find
+    each take under a second of CPU and print what a search listing
+    every order prints."""
+    import make_fixtures
+
+    k = 10
+    names = [f"p{i}" for i in range(k)] + ["v", "w"]
+    c = make_fixtures._triangle_complex(k + 2, [(k, k + 1, i) for i in range(k)], names)
+    assert total_search_space(c) == math.factorial(k - 1)
+    path = tmp_path / "book.json"
+    path.write_text(emit_complex(c))
+    witness = canonical_rotation_system(c)  # 20 forced page edges, then the spine
+    found = search.GprsSearchResult("found", witness, (), 21).to_doc(c)
+    found["sigma"] = sigma_to_doc(witness)["sigma"]
+    for argv, expected in (
+        (["prs", "count"], (1, "", "error: candidate cap 1000 exceeded\n")),
+        (["gprs", "find"], (0, dump_canonical(found), "")),
+    ):
+        start = time.process_time()
+        code = main([*argv, str(path), "--cap", "1000"])
+        cpu = time.process_time() - start
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == expected, argv
+        assert cpu < 1, argv
+    with pytest.raises(CapExceededError) as exc:
+        search_planar_rotation_system(c, "count", 1000)
+    assert (exc.value.candidates_examined, exc.value.partial_count) == (1000, 1960)
 
 
 def test_roadmap_instance_count_and_first_witness():
@@ -429,12 +472,13 @@ def test_rotator_doc_matches_the_tracer_reading(complexes):
     for c in corpus:
         incidences = c.edge_incidences()
         sigma = RotationSystem(
-            {e: rng.choice(sigma_candidates(incs)) for e, incs in incidences.items()}
+            {e: rng.choice(list(sigma_candidates(incs))) for e, incs in incidences.items()}
         )
         red = tuple(sorted(e for e in c.edges if rng.random() < 0.5))
         results = [search.GprsSearchResult("found", sigma, red, 0)]
         witness = search_generalized_prs(c)
         if witness.status == "found":
+            check_rotation_system(c, witness.sigma)
             results.append(witness)
             seen["red witness"] += bool(witness.red_edges)
         seen["red loop"] += any(c.edges[e][0] == c.edges[e][1] for e in red)
@@ -460,7 +504,7 @@ def test_induced_rotator_matches_the_tracer_reading(complexes):
     for c in corpus:
         incidences = c.edge_incidences()
         sigma = RotationSystem(
-            {e: rng.choice(sigma_candidates(incs)) for e, incs in incidences.items()}
+            {e: rng.choice(list(sigma_candidates(incs))) for e, incs in incidences.items()}
         )
         for e, (tail, head) in c.edges.items():
             for v in {tail, head}:
@@ -480,10 +524,7 @@ def test_compiled_link_writes_agree_with_sphere_union():
     for seed in range(40):
         params = GenParams(seed=seed, n_vertices=5 + seed % 3, target_faces=4 + seed % 8)
         c = generate_random_complex(params)
-        incidences = c.edge_incidences()
-        edges = sorted(c.edges)
-        candidates = [sigma_candidates(incidences[e]) for e in edges]
-        _mirror_cut(candidates)
+        edges, candidates, _ = _candidates(c, None)
         tracers = {v: link_tracer(c, v) for v in c.vertices}
         steps, arrays = _compile_links(tracers, edges, candidates, (False, True))
         for _ in range(20):

@@ -6,7 +6,10 @@ system.  On every rotation system of randgen complexes and of glued
 general complexes (loops, faces with one incidence at an edge, faces
 that pass a vertex twice, bare loops that stay faceless), the library
 must give equal local surfaces, the same dual documents and dual sigma,
-and the same iota reports and duality maps, or fail the same way.
+and the same iota reports and duality maps, or fail the same way.  On
+rotation systems with corrupted cyclic orders, local surfaces must come
+out equal or fail with the same message, naming the same surface and
+check.
 """
 
 import random
@@ -17,8 +20,13 @@ from general_pieces import GENERAL_PIECES, glued
 
 from rotsys import GenParams, generate_random_complex, surfaces
 from rotsys.documents import complex_to_doc, sigma_to_doc
-from rotsys.errors import RotsysError, UnsatisfiableError
-from rotsys.rotation import enumerate_rotation_systems, total_search_space
+from rotsys.errors import NotClosedSurfaceError, RotsysError, UnsatisfiableError
+from rotsys.rotation import (
+    RotationSystem,
+    canonical_rotation_system,
+    enumerate_rotation_systems,
+    total_search_space,
+)
 
 MAX_SYSTEMS = 200  # rotation systems per complex, all of them checked
 
@@ -134,3 +142,64 @@ def test_surfaces_match_the_reference_on_glued_general_complexes():
         )
         seen["choice"] += check_every_system(c, Counter()) > 1
     assert min(seen.values()) >= 10, seen
+
+
+# the failures of local-surface assembly, in the order each surface is checked
+CHECKS = ("glued twice", "unglued polygon side", "corner walk left", "Euler characteristic")
+KINDS = ("repeat", "drop", "foreign", "move")
+
+
+def corrupted(c, sigma, e, kind, rng):
+    """``sigma`` with the cyclic order at ``e`` corrupted: one incidence
+    repeated or dropped, or another edge's incidence put first, staying
+    at its own edge or moved from it."""
+    order = sigma[e]
+    i = rng.randrange(len(order))
+    if kind == "repeat":
+        return {**sigma, e: order[: i + 1] + order[i:]}
+    if kind == "drop":
+        return {**sigma, e: order[:i] + order[i + 1 :]}
+    incidences = c.table.incidences
+    other = rng.choice([f for f in sorted(incidences) if f != e and incidences[f]])
+    inc = rng.choice(incidences[other])
+    out = {**sigma, e: (inc, *order)}
+    if kind == "move" and sigma[other]:
+        out[other] = tuple(x for x in sigma[other] if x != inc)
+    return out
+
+
+def corrupted_systems(c, rng):
+    """The canonical system of ``c`` with one cyclic order corrupted in
+    each way, and three times as many systems with two corruptions."""
+    sigma = canonical_rotation_system(c).sigma
+    single = [(e, kind) for e in sorted(sigma) if sigma[e] for kind in KINDS]
+    picks = [[s] for s in single]
+    if len(single) >= 2:
+        picks += [rng.sample(single, 2) for _ in range(3 * len(single))]
+    for pick in picks:
+        out = sigma
+        for e, kind in pick:
+            out = corrupted(c, out, e, kind, rng)
+        yield RotationSystem(out)
+
+
+def test_invalid_systems_fail_like_the_reference(complexes):
+    """Local surfaces of corrupted rotation systems fail with the
+    reference's message, naming the same surface and the same check.
+    A gluing that passes the other checks glues oriented polygons into
+    closed orientable surfaces, so no system fails the Euler check."""
+    rng = random.Random(5)
+    corpus = list(complexes.values()) + randgen_corpus(40) + glued_corpus(40)
+    seen = Counter()
+    for c in corpus:
+        for sigma in corrupted_systems(c, rng):
+            mine = outcome(surfaces.local_surfaces, c, sigma)
+            assert mine == outcome(ref.local_surfaces, c, sigma)
+            if isinstance(mine, list):
+                seen["closed"] += 1
+            else:
+                assert mine[0] is NotClosedSurfaceError
+                seen[next(check for check in CHECKS if check in mine[1])] += 1
+                seen["after s0"] += not mine[1].endswith(" s0")
+    assert sum(seen[k] for k in ("closed", *CHECKS)) >= 4000, seen
+    assert min(seen[k] for k in ("closed", "after s0", *CHECKS[:3])) >= 20, seen

@@ -33,7 +33,7 @@ from rotsys.rotation import (
 from rotsys.surfaces import local_surfaces
 from rotsys.search import search_generalized_prs, search_planar_rotation_system
 from rotsys.tracing import (
-    _orbits_of,
+    orbits_of,
     link_tracers,
     maps_isomorphism,
     surface_dual_successors,
@@ -300,7 +300,7 @@ def reference_surface_dual(cc):
     dual_succ = tuple(cc.succ[d] ^ 1 for d in range(n))
     trace = tuple(dual_succ[d] ^ 1 for d in range(n))
     return CellComplex(
-        len(cc.cells), tuple(dual_vertex_of_dart), dual_succ, tuple(_orbits_of(trace))
+        len(cc.cells), tuple(dual_vertex_of_dart), dual_succ, tuple(orbits_of(trace))
     )
 
 
@@ -313,7 +313,7 @@ def traced_corpus(complexes):
 
     def random_sigma(c):
         return RotationSystem(
-            {e: rng.choice(sigma_candidates(incs)) for e, incs in c.edge_incidences().items()}
+            {e: rng.choice(list(sigma_candidates(incs))) for e, incs in c.edge_incidences().items()}
         )
 
     out = [(c, canonical_rotation_system(c)) for c in complexes.values()]
