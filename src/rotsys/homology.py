@@ -16,8 +16,7 @@ unimodular, so its rank is |V| - k over F_p and over Z alike (k the
 number of skeleton components), and the cycle space has dimension
 |E| - |V| + k.  H_0 is free, so H_1(C; F_p) = H_1(C; Z) (x) F_p: the
 rank of d2 mod p is its integral rank less the torsion coefficients p
-divides.  The dense `fp_rank` and `snf_diagonal` stay as the references
-the tests compare against.
+divides.  The dense `fp_rank` is only a reference for the tests.
 """
 
 from __future__ import annotations

@@ -19,23 +19,24 @@ reversing every cyclic order maps (generalized) planar systems to
 themselves, so the first edge with two or more cyclic orders offers only
 the half whose orders are lex <= their reversal, and each witness
 reached counts twice; the least witness always lies in that half.
-Precompiled successor writes: built once per search, each (edge,
-option) carries the blocks of successor entries (stored as the tracing
-map, successor then mate) it fixes in the links at the edge's ends, and
-a decided link's orbits are counted on its array by the same code as
+Compiled successor writes: each (edge, option) carries the blocks of
+successor entries (stored as the tracing map, successor then mate) it
+fixes in the links at the edge's ends, compiled when the backtracker
+first places it and kept for later passes, so an edge's cyclic orders
+are generated only as far as the search reaches; a decided link's
+orbits are counted on its array by the same code as
 ``LinkTracer.sphere_union``; a link whose edges offer no choice of
-rotator is checked once, before the search.  The backtracker keeps its
-own stack, so the size of a complex is not bounded by Python's
+rotator is checked once, before the search.  A faceless edge of a
+``PreComplex`` offers no choice and is skipped.  The backtracker keeps
+its own stack, so the size of a complex is not bounded by Python's
 recursion limit.  The rotators of a generalized witness are read from
-the same link tracers, so a ``gprs find`` request builds each link
-once.
+the same link tracers, so a ``gprs find`` request builds each link once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import networkx as nx
 
@@ -47,22 +48,6 @@ from .tracing import LinkTracer, link_tracers, traces_sphere_union
 
 _BLACK = (False,)
 _BLACK_OR_RED = (False, True)
-
-
-def _faceless_edges(c: PreComplex) -> set[EdgeId]:
-    return {e for e, incs in c.table.incidences.items() if not incs}
-
-
-def _searchable(c: PreComplex) -> PreComplex:
-    """Drop faceless edges and then-isolated vertices: they carry no
-    rotation choice and never obstruct an embedding."""
-    faceless = _faceless_edges(c)
-    if not faceless:
-        return c
-    edges = {e: ends for e, ends in c.edges.items() if e not in faceless}
-    used_v = {v for ends in edges.values() for v in ends}
-    vertices = tuple(v for v in c.vertices if v in used_v)
-    return PreComplex(c.kind, vertices, edges, dict(c.faces))
 
 
 def link_planarity_precheck(links: Iterable[LinkGraph]) -> VertexId | None:
@@ -84,29 +69,29 @@ def link_planarity_precheck(links: Iterable[LinkGraph]) -> VertexId | None:
 
 
 _Witness = tuple[RotationSystem, tuple[EdgeId, ...]]
-# one precompiled write: a tracing array, a block of it, the new values
+# one compiled write: a tracing array, a block of it, the new values
 _Write = tuple[list[int], int, int, list[int]]
 _Step = tuple[tuple[Incidence, ...], bool, tuple[_Write, ...]]
+# an edge's open end: tracer, link vertex, tracing array, slots, block start
+_End = tuple[LinkTracer, int, list[int], list[int], int]
 
 
 def _candidates(
-    c: PreComplex, cap: int | None
-) -> tuple[list[EdgeId], list[list[tuple[Incidence, ...]]], int]:
-    """Edges in bytewise id order, the cyclic orders the search tries at
-    each, and the number of systems each witness reached stands for.
+    c: PreComplex,
+) -> tuple[list[EdgeId], list[Iterator[tuple[Incidence, ...]]], int]:
+    """Edges with incidences in bytewise id order, the cyclic orders the
+    search tries at each, generated lazily, and the number of systems
+    each witness reached stands for.
 
     The mirror cut: reversing every cyclic order maps (generalized)
     planar systems to themselves, colours and face parity untouched, and
     fixes none once an edge has three or more incidences.  Of each order
     and its reversal the first such edge keeps the one whose tail after
     the least incidence is lex <= the reversed tail, which keeps the
-    least witness, and each witness stands for two systems.  Under a cap
-    at most cap + 1 orders are generated per edge: a search within the
-    cap places none after an edge's cap-th, and the next one exceeds it.
+    least witness, and each witness stands for two systems.
     """
     incs = c.table.incidences
-    edge_order = sorted(incs)
-    keep = None if cap is None else cap + 1
+    edge_order = [e for e in sorted(incs) if incs[e]]
     weight = 1
     candidates = []
     for e in edge_order:
@@ -114,7 +99,7 @@ def _candidates(
         if weight == 1 and len(incs[e]) >= 3:
             orders = (cand for cand in orders if cand[1:] <= cand[:0:-1])
             weight = 2
-        candidates.append(list(itertools.islice(orders, keep)))
+        candidates.append(orders)
     return edge_order, candidates, weight
 
 
@@ -137,36 +122,47 @@ def _write(
     return trace, start, start + len(rot), values
 
 
+def _options(
+    ends: list[_End],
+    orders: Iterable[tuple[Incidence, ...]],
+    colours: tuple[bool, ...],
+    compiled: list[_Step],
+) -> Iterator[_Step]:
+    """One edge's options in search order, each compiled with its writes
+    at ``ends`` when reached and appended to ``compiled``; a function,
+    not a generator expression, so each edge's pass binds its own."""
+    for cand in orders:
+        for red in colours:
+            step = (cand, red, tuple(_write(*end, cand, red) for end in ends))
+            compiled.append(step)
+            yield step
+
+
 def _compile_links(
     tracers: dict[VertexId, LinkTracer],
     edge_order: list[EdgeId],
-    candidates: list[list[tuple[Incidence, ...]]],
+    candidates: list[Iterator[tuple[Incidence, ...]]],
     colours: tuple[bool, ...],
-) -> tuple[list[list[_Step]], dict[VertexId, tuple[list[int], int]]]:
-    """Per edge, its options (cyclic order, colour) each with the writes
-    it makes to the tracing arrays of the links at the edge's ends; per
+) -> tuple[list[list[_Step]], list[Iterator[_Step]], dict[VertexId, tuple[list[int], int]]]:
+    """Per edge, its options (cyclic order, colour) compiled so far, each
+    with the writes it makes to the tracing arrays of the links at the
+    edge's ends, and the first pass over them, which compiles them; per
     vertex whose link must be checked, its tracing array and the orbit
     count of a sphere union.
 
-    An edge is fixed when all its options induce the same rotators: one
-    cyclic order, and one colour or at most two incidences.  A link
-    whose edges are all fixed and which is a sphere union needs no
-    check.  Each other link's darts are renumbered so that the darts
-    arriving at one link vertex fill one block of its array, in
-    ascending dart order; the blocks of fixed edges are written once,
-    and every option of another edge rewrites the blocks of its ends, so
-    a link whose edges are all assigned holds the tracing map of the
-    current assignment.
+    An edge in at most two faces is fixed: all its options induce the
+    rotator its empty order does.  A link whose edges are all fixed and
+    which is a sphere union needs no check.  Each other link's darts are
+    renumbered so that the darts arriving at one link vertex fill one
+    block of its array, in ascending dart order; the blocks of fixed
+    edges are written once, and every option of another edge rewrites
+    the blocks of its ends, so a link whose edges are all assigned holds
+    the tracing map of the current assignment.  A link vertex without
+    darts (an end of a faceless edge) traces no cell and lowers the
+    orbit count by one, so its link is checked as if that edge were not
+    there.
     """
-    fixed = {
-        e
-        for e, cands in zip(edge_order, candidates)
-        if len(cands) == 1 and (len(colours) == 1 or len(cands[0]) <= 2)
-    }
-    first = {e: cands[0] for e, cands in zip(edge_order, candidates)}
-    ends: dict[EdgeId, list[tuple[LinkTracer, int, list[int], list[int], int]]] = {
-        e: [] for e in edge_order
-    }
+    ends: dict[EdgeId, list[_End]] = {e: [] for e in edge_order}
     arrays: dict[VertexId, tuple[list[int], int]] = {}
     for v, t in tracers.items():
         n = len(t.dart_vertex)
@@ -175,26 +171,27 @@ def _compile_links(
             slot[d] = k
         trace = [0] * n
         start = 0
+        cells = t.sphere_cells
         open_ends = False
         for i, lv in enumerate(t.link.vertices):
-            if lv.edge in fixed:
-                _, lo, hi, values = _write(t, i, trace, slot, start, first[lv.edge], False)
+            darts = len(t.incidences_of_vertex[i])
+            if not darts:
+                cells -= 1
+            elif darts <= 2:
+                _, lo, hi, values = _write(t, i, trace, slot, start, (), False)
                 trace[lo:hi] = values
             else:
                 ends[lv.edge].append((t, i, trace, slot, start))
                 open_ends = True
-            start += len(t.incidences_of_vertex[i])
-        if open_ends or not traces_sphere_union(trace, t.sphere_cells):
-            arrays[v] = (trace, t.sphere_cells)
-    steps = [
-        [
-            (cand, red, tuple(_write(*end, cand, red) for end in ends[e]))
-            for cand in cands
-            for red in colours
-        ]
-        for e, cands in zip(edge_order, candidates)
+            start += darts
+        if open_ends or not traces_sphere_union(trace, cells):
+            arrays[v] = (trace, cells)
+    steps: list[list[_Step]] = [[] for _ in edge_order]
+    passes = [
+        _options(ends[e], orders, colours, compiled)
+        for e, orders, compiled in zip(edge_order, candidates, steps)
     ]
-    return steps, arrays
+    return steps, passes, arrays
 
 
 def _search(
@@ -212,21 +209,16 @@ def _search(
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
-    faceless = dict.fromkeys(sorted(_faceless_edges(c)), ())
-    c = _searchable(c)
     total_space = total_search_space(c)
     tracers = link_tracers(c)
     if link_planarity_precheck(t.link for t in tracers.values()) is not None:
         return None, 0, 0, total_space
-    edge_order, candidates, weight = _candidates(c, cap)
+    edge_order, candidates, weight = _candidates(c)
 
     # a vertex's link is decided once the last of its edges is assigned,
     # a face's red parity once the last of its edges is
-    last_edge_index: dict[VertexId, int] = {}
-    for i, e in enumerate(edge_order):
-        for v in c.edges[e]:
-            last_edge_index[v] = i
-    steps, arrays = _compile_links(tracers, edge_order, candidates, colours)
+    last_edge_index = {v: i for i, e in enumerate(edge_order) for v in c.edges[e]}
+    steps, passes, arrays = _compile_links(tracers, edge_order, candidates, colours)
     decided_at: list[list[tuple[list[int], int]]] = [[] for _ in edge_order]
     for v, i in last_edge_index.items():
         if v in arrays:
@@ -240,14 +232,14 @@ def _search(
 
     if not edge_order:
         # nothing to assign: the empty system is planar
-        witness = (RotationSystem(faceless), ()) if first_only else None
+        witness = (RotationSystem(dict.fromkeys(c.edges, ())), ()) if first_only else None
         return witness, 1, 0, total_space
 
     assignment: dict[EdgeId, tuple[Incidence, ...]] = {}
     red_edges: set[EdgeId] = set()
     examined = found = 0
     last = len(edge_order) - 1
-    stack = [iter(steps[0])]  # per assigned edge, its untried options
+    stack = [passes[0]]  # per assigned edge, its untried options
     while stack:
         i = len(stack) - 1
         e = edge_order[i]
@@ -278,11 +270,13 @@ def _search(
             if not ok:
                 continue
             if i < last:
-                stack.append(iter(steps[i + 1]))
+                # an edge's first pass is dropped only once exhausted, or
+                # when the search returns, so a filled list is complete
+                stack.append(iter(steps[i + 1]) if steps[i + 1] else passes[i + 1])
                 break
             found += weight
             if first_only:
-                sigma = RotationSystem({**assignment, **faceless})
+                sigma = RotationSystem({e: assignment.get(e, ()) for e in c.edges})
                 witness = (sigma, tuple(sorted(red_edges)))
                 return witness, found, examined, total_space
         else:

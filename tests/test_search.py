@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -9,8 +10,11 @@ from collections import Counter
 import pytest
 
 from rotsys import (
+    FaceBoundary,
     GenParams,
+    PreComplex,
     RotationSystem,
+    SignedEdgeRef,
     emit_complex,
     generate_random_complex,
     is_planar_rotation_system,
@@ -141,10 +145,8 @@ def test_cap_exceeded_reports_progress(complexes):
     assert err.value.partial_count == 0
 
 
-def test_faceless_edges_do_not_obstruct():
-    from rotsys import PreComplex, FaceBoundary, SignedEdgeRef
-
-    pre = PreComplex(
+def triangle_with_faceless_edge():
+    return PreComplex(
         "general",
         ("a", "b", "c", "z"),
         {
@@ -164,6 +166,20 @@ def test_faceless_edges_do_not_obstruct():
             )
         },
     )
+
+
+def without_faceless_edges(c):
+    """Reference for the searches on a complex with faceless edges: the
+    complex with those edges and the vertices only they touch removed."""
+    faceless = {e for e, incs in c.table.incidences.items() if not incs}
+    edges = {e: ends for e, ends in c.edges.items() if e not in faceless}
+    used_v = {v for ends in edges.values() for v in ends}
+    vertices = tuple(v for v in c.vertices if v in used_v)
+    return PreComplex(c.kind, vertices, edges, dict(c.faces))
+
+
+def test_faceless_edges_do_not_obstruct():
+    pre = triangle_with_faceless_edge()
     result = search_planar_rotation_system(pre, "first")
     assert result.status == "found"
     check_rotation_system(pre, result.sigma)
@@ -171,6 +187,49 @@ def test_faceless_edges_do_not_obstruct():
     result = search_generalized_prs(pre)
     assert result.status == "found"
     check_rotation_system(pre, result.sigma)
+
+
+def test_faceless_edges_search_as_if_removed(monkeypatch):
+    """On a complex with faceless edges every search reports what it
+    reports on the complex without them, the witness giving each faceless
+    edge the empty order, and reads the link tracers kept in the
+    complex's own table."""
+    rng = random.Random(41)
+    corpus = [triangle_with_faceless_edge()] + [
+        glued(rng, rng.choices(GENERAL_PIECES, k=rng.randint(1, 5)), 0.1)
+        for _ in range(120)
+    ]
+    compiled_from = []
+    original = search._compile_links
+
+    def recorded_compile_links(tracers, *rest):
+        compiled_from.append(tracers)
+        return original(tracers, *rest)
+
+    monkeypatch.setattr(search, "_compile_links", recorded_compile_links)
+    searches = (
+        lambda c: search_planar_rotation_system(c, "first"),
+        lambda c: search_planar_rotation_system(c, "count"),
+        search_generalized_prs,
+    )
+    checked = reached = 0
+    for c in corpus:
+        reference = without_faceless_edges(c)
+        if reference.edges == c.edges:
+            continue
+        empty = {e: () for e in c.edges if e not in reference.edges}
+        for run in searches:
+            compiled_from.clear()
+            got = run(c)
+            assert all(tracers is c.table.tracers for tracers in compiled_from)
+            reached += bool(compiled_from)
+            expected = run(reference)
+            if expected.sigma is not None:
+                sigma = RotationSystem({**expected.sigma.sigma, **empty})
+                expected = dataclasses.replace(expected, sigma=sigma)
+            assert got == expected
+        checked += 1
+    assert checked >= 50 and reached >= 2 * checked, (checked, reached)
 
 
 def test_gprs_planar_complexes_all_black(complexes):
@@ -286,10 +345,11 @@ def test_count_cap_accounts_for_both_mirror_halves():
 
 
 def test_capped_searches_keep_few_cyclic_orders(tmp_path, capsys):
-    """A capped search keeps at most cap + 1 cyclic orders per edge.  The
-    spine of the 10-page book has 9! of them; its capped count and find
-    each take under a second of CPU and print what a search listing
-    every order prints."""
+    """A search generates an edge's cyclic orders, and compiles their
+    writes, only as far as it places them.  The spine of the 10-page book
+    has 9! of them; its capped count and find, and its uncapped verdict
+    (witness at candidate 21), each take under a second of CPU and print
+    what a search listing every order prints."""
     import make_fixtures
 
     k = 10
@@ -301,12 +361,18 @@ def test_capped_searches_keep_few_cyclic_orders(tmp_path, capsys):
     witness = canonical_rotation_system(c)  # 20 forced page edges, then the spine
     found = search.GprsSearchResult("found", witness, (), 21).to_doc(c)
     found["sigma"] = sigma_to_doc(witness)["sigma"]
+    decided = verdict(c, [2]).to_doc()
+    assert decided["blocks"][0]["sigma"] == found["sigma"]
     for argv, expected in (
-        (["prs", "count"], (1, "", "error: candidate cap 1000 exceeded\n")),
-        (["gprs", "find"], (0, dump_canonical(found), "")),
+        (
+            ["prs", "count", str(path), "--cap", "1000"],
+            (1, "", "error: candidate cap 1000 exceeded\n"),
+        ),
+        (["gprs", "find", str(path), "--cap", "1000"], (0, dump_canonical(found), "")),
+        (["verdict", str(path), "--primes", "2"], (0, dump_canonical(decided), "")),
     ):
         start = time.process_time()
-        code = main([*argv, str(path), "--cap", "1000"])
+        code = main(argv)
         cpu = time.process_time() - start
         out = capsys.readouterr()
         assert (code, out.out, out.err) == expected, argv
@@ -314,6 +380,35 @@ def test_capped_searches_keep_few_cyclic_orders(tmp_path, capsys):
     with pytest.raises(CapExceededError) as exc:
         search_planar_rotation_system(c, "count", 1000)
     assert (exc.value.candidates_examined, exc.value.partial_count) == (1000, 1960)
+
+
+def test_each_option_is_compiled_at_most_once_per_search(monkeypatch):
+    """A search passes over an edge's options once per accepted placement
+    of the edge before it, but compiles the writes of each option at
+    each open end on the first pass only."""
+    compiled = Counter()
+    original = search._write
+
+    def counted_write(t, i, trace, slot, start, cand, red):
+        compiled[t.link.center, i, cand, red] += 1
+        return original(t, i, trace, slot, start, cand, red)
+
+    monkeypatch.setattr(search, "_write", counted_write)
+    corpus = [generate_random_complex(params) for params, _ in EXHAUSTED] + [
+        generate_random_complex(GenParams(seed=seed, n_vertices=6, target_faces=9))
+        for seed in range(20)
+    ]
+    examined = options = 0
+    for c in corpus:
+        for run in (
+            lambda c: search_planar_rotation_system(c, "count"),
+            search_generalized_prs,
+        ):
+            compiled.clear()
+            examined += run(c).candidates_examined
+            assert max(compiled.values(), default=1) == 1
+            options += len(compiled)
+    assert examined > 2 * options, (examined, options)
 
 
 def test_roadmap_instance_count_and_first_witness():
@@ -485,7 +580,7 @@ def test_rotator_doc_matches_the_tracer_reading(complexes):
         for result in results:
             doc = result.rotator_doc(c)
             assert doc == walked_rotator_doc(result, c)
-            for e in search._faceless_edges(c):
+            for e in (e for e, incs in c.table.incidences.items() if not incs):
                 tail, head = c.edges[e]
                 keys = [f"{e}:h", f"{e}:t"] if tail == head else [e]
                 assert all(doc[v][k] == [] for v in (tail, head) for k in keys)
@@ -515,18 +610,19 @@ def test_induced_rotator_matches_the_tracer_reading(complexes):
 
 
 def test_compiled_link_writes_agree_with_sphere_union():
-    """The search's precompiled tracing arrays, after the writes of any
-    complete choice of options, give LinkTracer.sphere_union's verdict
-    on every link; a link left without an array is a sphere union under
-    every choice."""
+    """The search's tracing arrays, after the writes of any complete
+    choice of options (each edge's first pass compiles them into its
+    list), give LinkTracer.sphere_union's verdict on every link; a link
+    left without an array is a sphere union under every choice."""
     rng = random.Random(5)
     checked = 0
     for seed in range(40):
         params = GenParams(seed=seed, n_vertices=5 + seed % 3, target_faces=4 + seed % 8)
         c = generate_random_complex(params)
-        edges, candidates, _ = _candidates(c, None)
+        edges, candidates, _ = _candidates(c)
         tracers = {v: link_tracer(c, v) for v in c.vertices}
-        steps, arrays = _compile_links(tracers, edges, candidates, (False, True))
+        steps, passes, arrays = _compile_links(tracers, edges, candidates, (False, True))
+        assert [list(first_pass) for first_pass in passes] == steps
         for _ in range(20):
             picks = [rng.choice(options) for options in steps]
             for _, _, writes in picks:
