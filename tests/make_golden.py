@@ -1,11 +1,12 @@
 """Record the canonical CLI outputs on the fixtures as golden files.
 
 Run as a script to (re)write tests/golden/: one file per fixture and
-command, and one per fixture-free command (``words``, ``gen``), holding
-its stdout byte for byte, and ``exit_codes.json`` with each command's
-exit code.  ``test_golden_outputs.py`` replays the same commands and
-compares.  Rewrite the files only for a deliberate change of the output
-contract.
+command, the same for the two general inputs of ``GENERAL_INPUTS``
+(written to tests/golden/inputs/), and one per fixture-free command
+(``words``, ``gen``), holding its stdout byte for byte, and
+``exit_codes.json`` with each command's exit code.
+``test_golden_outputs.py`` replays the same commands and compares.
+Rewrite the files only for a deliberate change of the output contract.
 """
 
 from __future__ import annotations
@@ -13,14 +14,18 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
+from general_pieces import GENERAL_PIECES, glued
 from make_fixtures import BUILDERS, FIXTURE_DIR, write_all
 
+from rotsys import emit_complex
 from rotsys.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+INPUT_DIR = GOLDEN_DIR / "inputs"
 
 # stands for the fixture's least vertex label in an argument list
 LEAST_VERTEX = object()
@@ -47,9 +52,13 @@ COMMANDS = {
 # commands whose output is DOT, not JSON
 DOT_OUTPUTS = {"dot", "links-dot"}
 
-# fixtures a command is not recorded on: the identities need a connected,
-# locally connected complex, and the link of bowtie at v is disconnected
-SKIPPED = {"identities-p2": {"bowtie"}, "identities-p3": {"bowtie"}}
+# inputs a command is not recorded on: the identities need a connected,
+# locally connected complex, and the links of bowtie at v and of
+# glued-general at 0.z are disconnected
+SKIPPED = {
+    "identities-p2": {"bowtie", "glued-general"},
+    "identities-p3": {"bowtie", "glued-general"},
+}
 
 # golden file name -> argv of the commands that read no fixture
 FIXTURE_FREE = {
@@ -61,18 +70,43 @@ FIXTURE_FREE = {
 }
 
 
+def torus7_dual() -> str:
+    """The dual of torus-7 as ``rotsys dual`` prints it: a general complex
+    whose 14 edges each lie in three faces, carrying its sigma."""
+    return run_cli(["dual", str(FIXTURE_DIR / "torus-7.json")])[1]
+
+
+def glued_general() -> str:
+    """Three pieces of ``general_pieces`` glued at vertices: a loop that
+    bounds a one-vertex face, a bigon, whose edges each lie in one face,
+    and a face that passes one vertex twice."""
+    pieces = [GENERAL_PIECES[i] for i in (0, 2, 3)]
+    return emit_complex(glued(random.Random(0), pieces))
+
+
+# general inputs beside the fixtures: name -> the builder of its document
+GENERAL_INPUTS = {"torus-7-dual": torus7_dual, "glued-general": glued_general}
+
+
+def inputs() -> list[tuple[str, Path]]:
+    """(name, document path) of the fixtures, then of the general inputs."""
+    return [(name, FIXTURE_DIR / f"{name}.json") for name in BUILDERS] + [
+        (name, INPUT_DIR / f"{name}.json") for name in GENERAL_INPUTS
+    ]
+
+
 def cases() -> list[tuple[str, list[str]]]:
-    """(golden file name, full argv) per fixture and command, then the
+    """(golden file name, full argv) per input and command, then the
     fixture-free commands."""
     out = []
-    for name, build in BUILDERS.items():
-        path, least = str(FIXTURE_DIR / f"{name}.json"), min(build().vertices)
+    for name, path in inputs():
+        least = min(json.loads(path.read_text())["vertices"])
         for suffix, (before, after) in COMMANDS.items():
             if name in SKIPPED.get(suffix, ()):
                 continue
             ext = "dot" if suffix in DOT_OUTPUTS else "json"
             after = [least if a is LEAST_VERTEX else a for a in after]
-            out.append((f"{name}.{suffix}.{ext}", [*before, path, *after]))
+            out.append((f"{name}.{suffix}.{ext}", [*before, str(path), *after]))
     return out + list(FIXTURE_FREE.items())
 
 
@@ -86,7 +120,9 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
 
 def write_golden() -> None:
     write_all()
-    GOLDEN_DIR.mkdir(exist_ok=True)
+    INPUT_DIR.mkdir(parents=True, exist_ok=True)
+    for name, build in GENERAL_INPUTS.items():
+        (INPUT_DIR / f"{name}.json").write_text(build())
     codes = {}
     for filename, argv in cases():
         code, out, err = run_cli(argv)

@@ -5,7 +5,9 @@ included), ``verdict --primes 2,3``, ``surfaces``, ``dual``,
 ``identities --prime 2`` and ``--prime 3`` (on the fixtures where they
 apply), ``links``, ``validate``, ``homology --prime 2``, ``--prime 3``
 and ``--integral``, ``dot`` and ``links --vertex <least vertex> --dot``.
-Without a fixture: ``words`` and ``gen``.  Each against tests/golden/,
+The same commands on two general inputs: the dual of torus-7 and a
+glued complex with a loop, a face that passes a vertex twice and edges
+in one face.  Without a fixture: ``words`` and ``gen``.  Each against tests/golden/,
 written by ``make_golden.py``: stdout, exit code and an empty stderr.
 """
 
