@@ -9,7 +9,6 @@ into an embeddability verdict.
 from .complexes import (
     DirectedComplex,
     FaceBoundary,
-    Incidence,
     PreComplex,
     SignedEdgeRef,
     Violation,

@@ -7,8 +7,8 @@ that pieces obtained by splitting at cut vertices remain representable;
 ``DirectedComplex`` enforces them.
 
 What does not depend on a rotation system is compiled once per complex,
-on first use, into its ``table``: each edge's incidences, the polygons
-of the oriented faces over integer ids, and the link tracers.  The
+on first use, into its ``table``: each edge's faces, the polygons of
+the oriented faces over integer ids, and the link tracers.  The
 table is a memo of the complex's fields, which is why complexes are
 never changed after construction.
 """
@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import (
     EmptyKindError,
+    InvalidRotationSystemError,
     NonClosedTrailError,
     SimplicialViolationError,
     UnknownReferenceError,
@@ -63,14 +64,6 @@ class FaceBoundary:
 
     face: FaceId
     trail: tuple[SignedEdgeRef, ...]
-
-
-class Incidence(NamedTuple):
-    """One traversal of an edge by a face: the face id and the position
-    of the traversal in the face's stored trail."""
-
-    face: FaceId
-    pos: int
 
 
 class OrientedFace(NamedTuple):
@@ -204,12 +197,11 @@ class PreComplex:
         use and kept; it is not a field, so ``==`` ignores it."""
         return ComplexTable(self)
 
-    def edge_incidences(self) -> dict[EdgeId, list[Incidence]]:
-        """Face incidences per edge, in canonical (face id, position) order.
+    def edge_incidences(self) -> dict[EdgeId, list[FaceId]]:
+        """The faces at each edge, in id order.
 
-        Faces are trails, so each face is incident with each edge at most
-        once; still, incidences carry the traversal position so that the
-        same machinery serves dual complexes.  The lists are a copy of
+        Faces are trails, so a face traverses an edge at most once and
+        its id names that traversal.  The lists are a copy of
         ``table.incidences`` that the caller may change.
         """
         return {e: list(incs) for e, incs in self.table.incidences.items()}
@@ -280,8 +272,9 @@ class DirectedComplex(PreComplex):
 class ComplexTable:
     """What a complex's rotation systems share, compiled once per complex.
 
-    Each part is built on first use: ``incidences`` for the searches and
-    rotation systems, ``polygons`` for the local surfaces and the dual,
+    Each part is built on first use: ``incidences``, each edge's faces,
+    for the searches and rotation systems, ``polygons`` for the local
+    surfaces and the dual,
     and ``tracers``, the link tracers, which ``tracing.link_tracers``
     fills in.  Every part is read-only once built.
     """
@@ -292,27 +285,29 @@ class ComplexTable:
         self.tracers: dict[VertexId, LinkTracer] | None = None
 
     @cached_property
-    def incidences(self) -> dict[EdgeId, tuple[Incidence, ...]]:
-        """Face incidences per edge, in canonical (face id, position)
-        order, edges in the complex's order."""
-        out: dict[EdgeId, list[Incidence]] = {e: [] for e in self._edges}
+    def incidences(self) -> dict[EdgeId, tuple[FaceId, ...]]:
+        """The faces at each edge in id order, edges in the complex's
+        order."""
+        out: dict[EdgeId, list[FaceId]] = {e: [] for e in self._edges}
         for f in sorted(self._faces):
-            for i, ref in enumerate(self._faces[f].trail):
-                out[ref.edge].append(Incidence(f, i))
-        return {e: tuple(incs) for e, incs in out.items()}
+            for ref in self._faces[f].trail:
+                out[ref.edge].append(f)
+        return {e: tuple(faces) for e, faces in out.items()}
 
     @cached_property
     def polygons(self) -> "PolygonTable":
-        return PolygonTable(self._edges, self._faces, self.incidences)
+        return PolygonTable(self._edges, self._faces)
 
 
 class PolygonTable:
     """The polygons of a complex's oriented faces, over integer ids.
 
-    Incidence ``i`` is traversal ``pos`` of a face, numbered face by face
-    in face id order from ``face_start[face]``, so the ids follow the
-    canonical (face id, position) order; corner ``pos`` of the face,
-    where its refs ``pos - 1`` and ``pos`` meet, shares the id.
+    An incidence is a face's traversal of an edge, trail ref ``pos`` of
+    the face; incidence ids run face by face in face id order from
+    ``face_start[face]``, and corner ``pos`` of the face, where its refs
+    ``pos - 1`` and ``pos`` meet, shares the id.  ``incidence_id[e][f]``
+    is the id of face ``f``'s traversal of edge ``e``, and ``order_ids``
+    reads an order of faces at an edge through it.
     Oriented face ``m`` is ``members[m]``: the ``m >> 1``-th face, as
     stored for even ``m`` and reversed for odd ``m``, the order of
     ``OrientedFace.sort_key``.  The sides of polygon ``m`` are numbered
@@ -324,19 +319,17 @@ class PolygonTable:
         self,
         edges: dict[EdgeId, tuple[VertexId, VertexId]],
         faces: dict[FaceId, FaceBoundary],
-        incidences: dict[EdgeId, tuple[Incidence, ...]],
     ):
         order = sorted(faces)
         # face ids in the complex's order, each to its rank in id order
         rank = {f: i for i, f in enumerate(order)}
         self.face_rank = {f: rank[f] for f in faces}
         self.face_start: dict[FaceId, int] = {}
-        # per incidence: the dual face step over it, the incidences of
-        # the dual's edge (Incidence(e, t) for the t-th entry of a dual
-        # face e), and the sides over it of the orientation that runs
-        # along its edge and of the other one
+        # per edge with faces, each face's incidence id, faces in id order
+        self.incidence_id: dict[EdgeId, dict[FaceId, int]] = {}
+        # per incidence: the dual face step over it, and the sides over
+        # it of the orientation that runs along its edge and of the other
         self.dual_ref: list[SignedEdgeRef] = []
-        self.dual_incidences: list[tuple[Incidence, ...]] = []
         self.pos_side: list[int] = []
         self.neg_side: list[int] = []
         # per oriented face
@@ -350,10 +343,6 @@ class PolygonTable:
         self.corner_vertex: list[VertexId] = []
         self.next_corner: list[int] = []
         self.face_corner: list[int] = []
-        dual_incidences = {
-            e: tuple(Incidence(e, t) for t in range(len(incs)))
-            for e, incs in incidences.items()
-        }
         for f in order:
             trail = faces[f].trail
             k = len(trail)
@@ -375,8 +364,8 @@ class PolygonTable:
                     self.next_corner.append(base + (j + 1) % k)
                     self.face_corner.append(start + (j if sense == 1 else (k - j) % k))
             for pos, ref in enumerate(trail):
+                self.incidence_id.setdefault(ref.edge, {})[f] = start + pos
                 self.dual_ref.append(SignedEdgeRef(f, ref.sign))
-                self.dual_incidences.append(dual_incidences[ref.edge])
                 ahead, back = forward + pos, backward + k - 1 - pos
                 self.pos_side.append(ahead if ref.sign == 1 else back)
                 self.neg_side.append(back if ref.sign == 1 else ahead)
@@ -384,15 +373,25 @@ class PolygonTable:
         # an edge with d incidences makes d gluings, numbered from
         # glue_start[e] in this order
         self.glued_edges = [
-            (e, tuple(self.face_start[inc.face] + inc.pos for inc in incidences[e]))
-            for e in sorted(incidences)
-            if incidences[e]
+            (e, tuple(ids.values())) for e, ids in sorted(self.incidence_id.items())
         ]
         self.glue_start: dict[EdgeId, int] = {}
         glued = 0
         for e, ids in self.glued_edges:
             self.glue_start[e] = glued
             glued += len(ids)
+
+    def order_ids(self, e: EdgeId, order: Iterable[FaceId]) -> list[int]:
+        """The incidence ids of the faces ``order`` lists at edge ``e``.
+        Raises InvalidRotationSystemError, naming the edge and the face,
+        when a listed face does not meet ``e``."""
+        ids = self.incidence_id[e]
+        try:
+            return [ids[f] for f in order]
+        except KeyError as exc:
+            raise InvalidRotationSystemError(
+                f"edge {e!r}: sigma lists face {exc.args[0]!r}, which does not meet it"
+            ) from None
 
 
 def validate(c: PreComplex) -> list[Violation]:

@@ -137,8 +137,8 @@ def emit_complex(c: PreComplex, extra: dict[str, Any] | None = None) -> str:
 def parse_sigma(text: str, c: PreComplex) -> RotationSystem:
     """Parse a rotation-system document against complex ``c``.
 
-    Edges with at most two face incidences may be omitted (their cyclic
-    order is forced); any edge with three or more must be listed.
+    Edges in at most two faces may be omitted (their cyclic order is
+    forced); any edge in three or more must be listed.
     """
     doc = _load(text)
     if "sigma" not in doc or not isinstance(doc["sigma"], dict):
@@ -152,8 +152,4 @@ def parse_sigma(text: str, c: PreComplex) -> RotationSystem:
 
 
 def sigma_to_doc(sigma: RotationSystem) -> dict[str, Any]:
-    return {
-        "sigma": {
-            e: [inc.face for inc in sigma.canonical(e)] for e in sorted(sigma.sigma)
-        }
-    }
+    return {"sigma": {e: list(sigma.canonical(e)) for e in sorted(sigma.sigma)}}

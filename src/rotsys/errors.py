@@ -41,8 +41,8 @@ class NotIncidentError(RotsysError):
 
 
 class InvalidRotationSystemError(RotsysError):
-    """A rotation system does not list the face incidences of some edge
-    exactly once."""
+    """A rotation system does not list the faces of some edge exactly
+    once, or lists a face that does not meet the edge."""
 
 
 class NotPrimeError(RotsysError):

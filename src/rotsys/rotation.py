@@ -1,11 +1,11 @@
-"""Rotation systems: a cyclic order of the face incidences at each edge.
+"""Rotation systems: a cyclic order of the faces at each edge.
 
 An edge with a single incident face gets the empty cyclic order, and an
 edge with exactly two has only one, so genuine choice exists only at
-edges of degree three or more.  Cyclic orders are stored over
-incidences (face id, traversal position), which makes the same code
-serve general complexes whose faces may revisit a vertex, in particular
-dual complexes.
+edges of degree three or more.  Every face is a trail, so it traverses
+an edge at most once and its id names that traversal: cyclic orders
+list face ids, in general complexes whose faces may revisit a vertex,
+dual complexes among them, as in simplicial ones.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .complexes import EdgeId, FaceId, Incidence, PreComplex
+from .complexes import EdgeId, FaceId, PreComplex
 from .errors import InvalidRotationSystemError
 
 
@@ -32,16 +32,16 @@ def canonical_cycle(seq: Sequence) -> tuple:
 
 @dataclass(frozen=True)
 class RotationSystem:
-    """Per edge, the cyclic order of its face incidences.
+    """Per edge, the cyclic order of its faces.
 
-    ``sigma[e]`` is empty when the edge has exactly one incidence (the
-    single-face convention) and holds each incidence exactly once
+    ``sigma[e]`` is empty when the edge lies in exactly one face (the
+    single-face convention) and lists each of its faces exactly once
     otherwise.
     """
 
-    sigma: dict[EdgeId, tuple[Incidence, ...]]
+    sigma: dict[EdgeId, tuple[FaceId, ...]]
 
-    def canonical(self, e: EdgeId) -> tuple[Incidence, ...]:
+    def canonical(self, e: EdgeId) -> tuple[FaceId, ...]:
         return canonical_cycle(self.sigma[e])
 
     def canonical_key(self) -> tuple:
@@ -68,7 +68,7 @@ def check_rotation_system(c: PreComplex, sigma: RotationSystem) -> None:
             continue
         if sorted(got) != sorted(expected):
             raise InvalidRotationSystemError(
-                f"edge {e!r}: sigma does not list each incidence exactly once"
+                f"edge {e!r}: sigma does not list each of its faces exactly once"
             )
 
 
@@ -77,16 +77,13 @@ def rotation_system_from_face_lists(
 ) -> RotationSystem:
     """Build a rotation system from per-edge face-id lists.
 
-    Faces are trails, so a face id identifies its unique incidence at an
-    edge.  Edges of degree <= 2 may be omitted; their order is forced.
-    Every edge is checked here, so the result is a rotation system of
-    ``c`` without a `check_rotation_system` pass.
+    Edges of degree <= 2 may be omitted; their order is forced.  Every
+    edge is checked here, so the result is a rotation system of ``c``
+    without a `check_rotation_system` pass.
     """
     incs = c.table.incidences
-    sigma: dict[EdgeId, tuple[Incidence, ...]] = {}
-    for e in incs:
-        entries = incs[e]
-        by_face = {inc.face: inc for inc in entries}
+    sigma: dict[EdgeId, tuple[FaceId, ...]] = {}
+    for e, entries in incs.items():
         if e in face_lists:
             listed = face_lists[e]
             if len(entries) <= 1:
@@ -97,12 +94,12 @@ def rotation_system_from_face_lists(
                     )
                 sigma[e] = ()
                 continue
-            if sorted(listed) != sorted(by_face):
+            if sorted(listed) != list(entries):
                 raise InvalidRotationSystemError(
                     f"edge {e!r}: sigma lists {listed}, expected a cyclic order "
-                    f"of {sorted(by_face)}"
+                    f"of {list(entries)}"
                 )
-            sigma[e] = tuple(by_face[f] for f in listed)
+            sigma[e] = tuple(listed)
         else:
             if len(entries) > 2:
                 raise InvalidRotationSystemError(
@@ -118,7 +115,7 @@ def rotation_system_from_face_lists(
 
 def canonical_rotation_system(c: PreComplex) -> RotationSystem:
     """The lexicographically least rotation system of ``c``: every
-    sigma(e) in canonical incidence order."""
+    sigma(e) in face id order."""
     incs = c.table.incidences
     sigma = {
         e: (() if len(entries) <= 1 else tuple(entries))
@@ -127,10 +124,10 @@ def canonical_rotation_system(c: PreComplex) -> RotationSystem:
     return RotationSystem(sigma)
 
 
-def sigma_candidates(entries: Sequence[Incidence]) -> Iterator[tuple[Incidence, ...]]:
-    """All cyclic orders of an edge's incidences, generated lazily: least
-    incidence fixed first, remainder in lexicographic permutation order.
-    An edge with d >= 2 incidences has (d - 1)! of them."""
+def sigma_candidates(entries: Sequence[FaceId]) -> Iterator[tuple[FaceId, ...]]:
+    """All cyclic orders of an edge's faces, generated lazily: least face
+    fixed first, remainder in lexicographic permutation order.  An edge
+    in d >= 2 faces has (d - 1)! of them."""
     if len(entries) <= 1:
         return iter([()])
     first, *rest = sorted(entries)

@@ -1,8 +1,8 @@
 """Backtracking searches for (generalized) planar rotation systems.
 
 One iterative backtracker serves both searches.  Edges are assigned in
-bytewise id order; per edge it tries each cyclic order (fixing the
-least incidence first and permuting the rest) and, within a cyclic
+bytewise id order; per edge it tries each cyclic order of its faces
+(fixing the least face first and permuting the rest) and, within a cyclic
 order, each colour: black gives the two ends mutually reverse rotators,
 red gives both ends the same one.  A planar rotation system is the
 all-black case of a generalized one, so the planar search offers black
@@ -40,7 +40,7 @@ from typing import Iterable, Iterator
 
 import networkx as nx
 
-from .complexes import EdgeId, Incidence, PreComplex, VertexId
+from .complexes import EdgeId, FaceId, PreComplex, VertexId
 from .errors import CapExceededError
 from .links import LinkGraph
 from .rotation import RotationSystem, sigma_candidates, total_search_space
@@ -71,23 +71,23 @@ def link_planarity_precheck(links: Iterable[LinkGraph]) -> VertexId | None:
 _Witness = tuple[RotationSystem, tuple[EdgeId, ...]]
 # one compiled write: a tracing array, a block of it, the new values
 _Write = tuple[list[int], int, int, list[int]]
-_Step = tuple[tuple[Incidence, ...], bool, tuple[_Write, ...]]
+_Step = tuple[tuple[FaceId, ...], bool, tuple[_Write, ...]]
 # an edge's open end: tracer, link vertex, tracing array, slots, block start
 _End = tuple[LinkTracer, int, list[int], list[int], int]
 
 
 def _candidates(
     c: PreComplex,
-) -> tuple[list[EdgeId], list[Iterator[tuple[Incidence, ...]]], int]:
-    """Edges with incidences in bytewise id order, the cyclic orders the
+) -> tuple[list[EdgeId], list[Iterator[tuple[FaceId, ...]]], int]:
+    """Edges with faces in bytewise id order, the cyclic orders the
     search tries at each, generated lazily, and the number of systems
     each witness reached stands for.
 
     The mirror cut: reversing every cyclic order maps (generalized)
     planar systems to themselves, colours and face parity untouched, and
-    fixes none once an edge has three or more incidences.  Of each order
-    and its reversal the first such edge keeps the one whose tail after
-    the least incidence is lex <= the reversed tail, which keeps the
+    fixes none once an edge has three or more faces.  Of each order and
+    its reversal the first such edge keeps the one whose tail after the
+    least face is lex <= the reversed tail, which keeps the
     least witness, and each witness stands for two systems.
     """
     incs = c.table.incidences
@@ -109,7 +109,7 @@ def _write(
     trace: list[int],
     slot: list[int],
     start: int,
-    cand: tuple[Incidence, ...],
+    cand: tuple[FaceId, ...],
     red: bool,
 ) -> _Write:
     """The write to ``trace`` that fixes the block of link vertex ``i``
@@ -124,7 +124,7 @@ def _write(
 
 def _options(
     ends: list[_End],
-    orders: Iterable[tuple[Incidence, ...]],
+    orders: Iterable[tuple[FaceId, ...]],
     colours: tuple[bool, ...],
     compiled: list[_Step],
 ) -> Iterator[_Step]:
@@ -141,7 +141,7 @@ def _options(
 def _compile_links(
     tracers: dict[VertexId, LinkTracer],
     edge_order: list[EdgeId],
-    candidates: list[Iterator[tuple[Incidence, ...]]],
+    candidates: list[Iterator[tuple[FaceId, ...]]],
     colours: tuple[bool, ...],
 ) -> tuple[list[list[_Step]], list[Iterator[_Step]], dict[VertexId, tuple[list[int], int]]]:
     """Per edge, its options (cyclic order, colour) compiled so far, each
@@ -158,9 +158,9 @@ def _compile_links(
     edges are written once, and every option of another edge rewrites
     the blocks of its ends, so a link whose edges are all assigned holds
     the tracing map of the current assignment.  A link vertex without
-    darts (an end of a faceless edge) traces no cell and lowers the
-    orbit count by one, so its link is checked as if that edge were not
-    there.
+    darts, an end of a faceless edge, has an empty block, and the
+    tracer's ``sphere_cells`` already reads its link as if that edge
+    were not there.
     """
     ends: dict[EdgeId, list[_End]] = {e: [] for e in edge_order}
     arrays: dict[VertexId, tuple[list[int], int]] = {}
@@ -171,21 +171,18 @@ def _compile_links(
             slot[d] = k
         trace = [0] * n
         start = 0
-        cells = t.sphere_cells
         open_ends = False
         for i, lv in enumerate(t.link.vertices):
-            darts = len(t.incidences_of_vertex[i])
-            if not darts:
-                cells -= 1
-            elif darts <= 2:
+            darts = len(t.faces_of_vertex[i])
+            if darts <= 2:
                 _, lo, hi, values = _write(t, i, trace, slot, start, (), False)
                 trace[lo:hi] = values
             else:
                 ends[lv.edge].append((t, i, trace, slot, start))
                 open_ends = True
             start += darts
-        if open_ends or not traces_sphere_union(trace, cells):
-            arrays[v] = (trace, cells)
+        if open_ends or not traces_sphere_union(trace, t.sphere_cells):
+            arrays[v] = (trace, t.sphere_cells)
     steps: list[list[_Step]] = [[] for _ in edge_order]
     passes = [
         _options(ends[e], orders, colours, compiled)
@@ -235,7 +232,7 @@ def _search(
         witness = (RotationSystem(dict.fromkeys(c.edges, ())), ()) if first_only else None
         return witness, 1, 0, total_space
 
-    assignment: dict[EdgeId, tuple[Incidence, ...]] = {}
+    assignment: dict[EdgeId, tuple[FaceId, ...]] = {}
     red_edges: set[EdgeId] = set()
     examined = found = 0
     last = len(edge_order) - 1
@@ -313,11 +310,8 @@ def search_planar_rotation_system(
     mode="first" returns the lexicographically least planar system;
     mode="count" counts all of them.  ``cap`` bounds the number of
     sigma placements attempted; exceeding it raises CapExceededError
-    with the progress made.
-
-    A faceless edge of a PreComplex never obstructs: the witness gives
-    it the empty order, though ``is_planar_rotation_system`` still reads
-    the isolated link vertex it leaves as no sphere.
+    with the progress made.  A faceless edge of a PreComplex never
+    obstructs, and the witness gives it the empty order.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"unknown mode {mode!r}")

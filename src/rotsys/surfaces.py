@@ -8,17 +8,20 @@ of one permutation of the corners, the corner walk: cross the gluing
 at a corner's outgoing side and go on at the corner after the side
 entered.  The dual complex has one vertex per local surface, one edge
 per face of the primal complex, and one face per primal edge whose
-boundary follows the cyclic order at that edge.
+boundary follows the cyclic order at that edge.  Dual edge f lies in
+the dual faces of the edges of f's trail, once each, in trail order,
+so f's trail is the dual's cyclic order at f.
 
-The polygons, their sides and corners, and each incidence's sides are
-sigma-independent: they are read from the complex's table
-(``PolygonTable``, compiled once per complex), so the work per rotation
-system runs on integer ids and builds only the values it returns.  The
-identity checks build once what does not depend on sigma either: the
-bijection check reads each link edge's corner id from its link tracer,
-which computes them on first use, and the duality check traces each
-local surface once, reading its surface dual's successors straight off
-the traced cells.
+The polygons, their sides and corners, and the sides over each face's
+traversal of an edge (an incidence) are sigma-independent: they are
+read from the complex's table (``PolygonTable``, compiled once per
+complex), which maps each cyclic order of faces to incidence ids, so
+the work per rotation system runs on integer ids and builds only the
+values it returns.  The identity checks build once what does not
+depend on sigma either: the bijection check reads each link edge's
+corner id from its link tracer, which computes them on first use, and
+the duality check traces each local surface once, reading its surface
+dual's successors straight off the traced cells.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .complexes import (
     FaceBoundary,
     FaceId,
     GENERAL,
-    Incidence,
     OrientedFace,
     PolygonTable,
     PreComplex,
@@ -88,16 +90,16 @@ def _glue(p: PolygonTable, sigma: RotationSystem) -> list[tuple[EdgeId, int, int
     """The gluings induced by sigma: the edge, the position in sigma(e)
     and the two sides joined, positive side first.
 
-    For an edge with d >= 2 incidences, consecutive entries of sigma(e)
-    are related (d gluings); a single-incidence edge relates the two
-    orientations of its one face (one gluing), which is the same rule
-    read on its one-entry order.
+    For an edge in d >= 2 faces, consecutive entries of sigma(e) are
+    related (d gluings); an edge in one face relates the two
+    orientations of that face (one gluing), which is the same rule read
+    on its one-entry order.
     """
-    start, pos_side, neg_side = p.face_start, p.pos_side, p.neg_side
+    pos_side, neg_side = p.pos_side, p.neg_side
     gluings = []
     for e, ids in p.glued_edges:
         if len(ids) > 1:
-            ids = [start[inc.face] + inc.pos for inc in sigma.sigma[e]]
+            ids = p.order_ids(e, sigma.sigma[e])
         d = len(ids)
         gluings += [(e, t, pos_side[ids[t]], neg_side[ids[(t + 1) % d]]) for t in range(d)]
     return gluings
@@ -179,10 +181,14 @@ class LocalSurface:
 def local_surfaces(c: PreComplex, sigma: RotationSystem) -> list[LocalSurface]:
     """The local surfaces of ``(c, sigma)``, ordered by least member.
 
-    Each surface in turn is checked for a side glued twice, an unglued
-    side, a corner walk that leaves its primal vertex and an impossible
-    Euler characteristic; the first failure of the first surface that
-    fails raises NotClosedSurfaceError.
+    A cyclic order that lists a face not meeting its edge raises
+    InvalidRotationSystemError.  Then each surface in turn is checked for
+    a side glued twice, an unglued side, a corner walk that leaves its
+    primal vertex and an impossible Euler characteristic; the first
+    failure of the first surface that fails raises NotClosedSurfaceError.
+    Every gluing joins two sides over one edge, so a walk returns to the
+    vertex it left, and a gluing that passes the other checks makes
+    closed surfaces: the last two checks guard the construction.
     """
     p = c.table.polygons
     gluings = _glue(p, sigma)
@@ -284,7 +290,8 @@ def dual_complex(
     """Vertices: local surfaces.  Edges: faces of ``c``, directed toward
     the class holding the stored orientation.  Faces: edges of ``c``,
     their boundary following sigma; the traversal of dual edge f is
-    forward exactly when the stored orientation of f runs along e.
+    forward exactly when the stored orientation of f runs along e.  The
+    dual's cyclic order at f is the trail of f.
     """
     if surfaces is None:
         surfaces = local_surfaces(c, sigma)
@@ -300,31 +307,18 @@ def dual_complex(
         f: (class_of[members[2 * r + 1]], class_of[members[2 * r]])
         for f, r in p.face_rank.items()
     }
-    start, dual_ref = p.face_start, p.dual_ref
-    # per incidence, its position in the dual face of its edge
-    position = [0] * len(dual_ref)
+    dual_ref = p.dual_ref
     faces: dict[str, FaceBoundary] = {}
     for e, entries in c.table.incidences.items():
         if not entries:
             continue  # faceless edges of a PreComplex have no dual face
         order = sigma.sigma[e] if len(entries) >= 2 else entries
-        ids = [start[inc.face] + inc.pos for inc in order]
-        for t, i in enumerate(ids):
-            position[i] = t
-        faces[e] = FaceBoundary(e, tuple(dual_ref[i] for i in ids))
+        faces[e] = FaceBoundary(e, tuple(dual_ref[i] for i in p.order_ids(e, order)))
     dual = DirectedComplex.valid_by_construction(GENERAL, vertices, edges, faces)
-
-    # sigma of the dual: the boundary trail of each primal face, as
-    # incidences into the dual faces it traverses
-    dual_incidences = p.dual_incidences
-    sigma_map: dict[FaceId, tuple[Incidence, ...]] = {}
-    for f, boundary in c.faces.items():
-        first = start[f]
-        seq = tuple(
-            dual_incidences[i][position[i]]
-            for i in range(first, first + len(boundary.trail))
-        )
-        sigma_map[f] = seq if len(seq) >= 2 else ()
+    sigma_map: dict[FaceId, tuple[EdgeId, ...]] = {
+        f: tuple(ref.edge for ref in b.trail) if len(b.trail) >= 2 else ()
+        for f, b in c.faces.items()
+    }
     return DualComplex(dual, RotationSystem(sigma_map), tuple(surfaces), class_of)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .complexes import EdgeId, FaceId, Incidence, PreComplex, VertexId, connected_classes
+from .complexes import EdgeId, FaceId, PreComplex, VertexId, connected_classes
 from .errors import NotClosedSurfaceError, NotIncidentError, UnknownVertexError
 from .links import HEAD, TAIL, LinkGraph, LinkVertex, link_graph
 from .rotation import RotationSystem
@@ -198,26 +198,28 @@ def maps_isomorphism(
 class LinkTracer:
     """Precomputed dart structure of one link graph, retraceable cheaply
     for different rotator assignments during search: the one reader of
-    a link's rotators, cells and component count.  What only some
+    a link's rotators, cells and component count.  A link vertex is an
+    edge-end, and each face through the edge gives it one dart, so its
+    darts are keyed by face id, as sigma lists them.  What only some
     readers need (the component count, link-edge labels, each vertex's
-    sorted incidences, the link edges' corner ids) is built on first use
-    and kept."""
+    sorted faces, the link edges' corner ids) is built on first use and
+    kept."""
 
-    def __init__(self, c: PreComplex, lg: LinkGraph):
+    def __init__(self, lg: LinkGraph):
         self.link = lg
         self.vertex_index = index = {lv: i for i, lv in enumerate(lg.vertices)}
         # each link vertex's edge, and whether it is the edge's tail end
         self._ends = [(lv.edge, lv.end == TAIL) for lv in lg.vertices]
         self.dart_vertex: list[int] = []
-        self.dart_of_incidence: list[dict[Incidence, int]] = [{} for _ in lg.vertices]
-        faces, darts = c.faces, self.dart_of_incidence
-        # link edge k at corner (f, pos): dart 2k arrives at u over the
-        # incidence (f, pos - 1), dart 2k+1 leaves w over (f, pos)
-        for k, (f, pos, lu, lw) in enumerate(lg.edges):
+        self.dart_of_face: list[dict[FaceId, int]] = [{} for _ in lg.vertices]
+        darts = self.dart_of_face
+        # link edge k at a corner of face f: dart 2k arrives at u, dart
+        # 2k+1 leaves w, each over f's traversal of that vertex's edge
+        for k, (f, _, lu, lw) in enumerate(lg.edges):
             u, w = index[lu], index[lw]
             self.dart_vertex += (u, w)
-            darts[u][Incidence(f, (pos - 1) % len(faces[f].trail))] = 2 * k
-            darts[w][Incidence(f, pos)] = 2 * k + 1
+            darts[u][f] = 2 * k
+            darts[w][f] = 2 * k + 1
         self._corners: list[int] | None = None
 
     @cached_property
@@ -227,17 +229,21 @@ class LinkTracer:
 
     @cached_property
     def sphere_cells(self) -> int:
-        """The orbit count of a sphere union, 2 - V + E per component."""
+        """The orbit count of a sphere union, 2 - V + E per component.  A
+        link vertex without darts, an end of a faceless edge, traces no
+        cell and counts one fewer: the link is read as if that edge were
+        not there, as the searches read it."""
         lg = self.link
-        return 2 * self.component_count - len(lg.vertices) + len(lg.edges)
+        bare = sum(not darts for darts in self.dart_of_face)
+        return 2 * self.component_count - len(lg.vertices) + len(lg.edges) - bare
 
     @cached_property
     def edge_labels(self) -> list[str]:
         return [le.label() for le in self.link.edges]
 
     @cached_property
-    def incidences_of_vertex(self) -> list[tuple[Incidence, ...]]:
-        return [tuple(sorted(t)) for t in self.dart_of_incidence]
+    def faces_of_vertex(self) -> list[tuple[FaceId, ...]]:
+        return [tuple(sorted(t)) for t in self.dart_of_face]
 
     def corners(self, face_start: Mapping[FaceId, int]) -> list[int]:
         """Each link edge's corner id, ``face_start[face] + pos``.  Built
@@ -247,23 +253,21 @@ class LinkTracer:
             self._corners = [face_start[le.face] + le.pos for le in self.link.edges]
         return self._corners
 
-    def rotator(
-        self, i: int, order: Sequence[Incidence], red: bool = False
-    ) -> list[int]:
+    def rotator(self, i: int, order: Sequence[FaceId], red: bool = False) -> list[int]:
         """The darts at link vertex ``i`` in the cyclic order that
         ``order`` (sigma of its edge) induces.
 
         At a head end the darts follow ``order``; at a tail end they
         follow the reverse, unless the edge is red, in which case both
-        ends read it forwards.  An empty ``order`` (an edge with one
-        incidence, or a faceless one) yields the darts the vertex has.
+        ends read it forwards.  An empty ``order`` (an edge in one face,
+        or a faceless one) yields the darts the vertex has.
         """
-        table = self.dart_of_incidence[i]
+        table = self.dart_of_face[i]
         if not order:
-            order = self.incidences_of_vertex[i]
+            order = self.faces_of_vertex[i]
         elif self._ends[i][1] and not red:
             order = order[::-1]
-        return [table[inc] for inc in order]
+        return [table[f] for f in order]
 
     def rotators(
         self, sigma: RotationSystem, red_edges: frozenset[EdgeId] = frozenset()
@@ -303,12 +307,12 @@ class LinkTracer:
 def link_tracer(
     c: PreComplex,
     v: VertexId,
-    incidences: dict[EdgeId, list[Incidence]] | None = None,
+    incidences: dict[EdgeId, list[FaceId]] | None = None,
 ) -> LinkTracer:
     """The tracer of the link at ``v``.  ``incidences`` is accepted for
     callers that pass ``c.edge_incidences()`` and unused: a tracer takes
-    each incidence from its own link edges."""
-    return LinkTracer(c, link_graph(c, v))
+    each face from its own link edges."""
+    return LinkTracer(link_graph(c, v))
 
 
 def link_tracers(c: PreComplex) -> dict[VertexId, LinkTracer]:
@@ -343,15 +347,15 @@ def trace_link_complex(c: PreComplex, sigma: RotationSystem, v: VertexId) -> Cel
 
 def induced_rotator(
     c: PreComplex, sigma: RotationSystem, e: EdgeId, v: VertexId
-) -> list[tuple[str, Incidence]]:
+) -> list[tuple[str, FaceId]]:
     """The rotator at link vertex ``e`` of the link graph at ``v``:
     sigma(e) when the edge points toward ``v``, its reverse otherwise,
-    with each incidence resolved to the link edge (face traversal) it
-    contributes.
+    as (link-edge label, face id) pairs: each face with the link edge
+    (face traversal of ``v``) it contributes.
 
     For a loop both ends lie at ``v``; the head end is reported.  The
     single-face convention leaves sigma empty, and the rotator is then
-    the one link edge of the single incidence.  Read from the link
+    the one link edge of the single face.  Read from the link
     tracer at ``v`` kept in ``c.table``.
     """
     if e not in c.edges:
@@ -361,11 +365,8 @@ def induced_rotator(
         raise NotIncidentError(f"vertex {v!r} is not an endpoint of edge {e!r}")
     tracer = link_tracers(c)[v]
     i = tracer.vertex_index[LinkVertex(e, HEAD if head == v else TAIL)]
-    incidence_of = {d: inc for inc, d in tracer.dart_of_incidence[i].items()}
-    return [
-        (tracer.edge_labels[d >> 1], incidence_of[d])
-        for d in tracer.rotator(i, sigma.sigma[e])
-    ]
+    face_of = {d: f for f, d in tracer.dart_of_face[i].items()}
+    return [(tracer.edge_labels[d >> 1], face_of[d]) for d in tracer.rotator(i, sigma.sigma[e])]
 
 
 def is_planar_rotation_system(

@@ -2,12 +2,16 @@
 
 Dict-based implementations kept as an oracle for ``rotsys.surfaces``:
 they rebuild incidences, polygon refs and positive orientations per
-rotation system, as ``OrientedFace``/``Incidence`` tuples and
-tuple-keyed dicts.  ``test_surfaces_oracle.py`` compares the library
-with them.
+rotation system, as ``OrientedFace``/``_Incidence`` tuples and
+tuple-keyed dicts.  A rotation system lists face ids; each is mapped to
+the edge's incidence it names, and a face that does not meet the edge
+raises the library's error.  ``test_surfaces_oracle.py`` compares the
+library with them.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from rotsys.complexes import (
     GENERAL,
@@ -15,13 +19,16 @@ from rotsys.complexes import (
     EdgeId,
     FaceBoundary,
     FaceId,
-    Incidence,
     PreComplex,
     SignedEdgeRef,
     VertexId,
     connected_classes,
 )
-from rotsys.errors import BijectionFailureError, NotClosedSurfaceError
+from rotsys.errors import (
+    BijectionFailureError,
+    InvalidRotationSystemError,
+    NotClosedSurfaceError,
+)
 from rotsys.rotation import RotationSystem, canonical_cycle
 from rotsys.surfaces import (
     DualComplex,
@@ -34,11 +41,34 @@ from rotsys.surfaces import (
 from rotsys.tracing import LinkTracer, link_tracers, maps_isomorphism, surface_dual
 
 
-def _edge_incidences(c: PreComplex) -> dict[EdgeId, list[Incidence]]:
-    out: dict[EdgeId, list[Incidence]] = {e: [] for e in c.edges}
+class _Incidence(NamedTuple):
+    """One traversal of an edge by a face: the face id and the position
+    of the traversal in the face's stored trail."""
+
+    face: FaceId
+    pos: int
+
+
+def _edge_incidences(c: PreComplex) -> dict[EdgeId, list[_Incidence]]:
+    out: dict[EdgeId, list[_Incidence]] = {e: [] for e in c.edges}
     for f in sorted(c.faces):
         for i, ref in enumerate(c.faces[f].trail):
-            out[ref.edge].append(Incidence(f, i))
+            out[ref.edge].append(_Incidence(f, i))
+    return out
+
+
+def _order_incidences(
+    e: EdgeId, order: tuple[FaceId, ...], entries: list[_Incidence]
+) -> list[_Incidence]:
+    """The incidences at ``e`` of the faces ``order`` lists."""
+    by_face = {inc.face: inc for inc in entries}
+    out = []
+    for f in order:
+        if f not in by_face:
+            raise InvalidRotationSystemError(
+                f"edge {e!r}: sigma lists face {f!r}, which does not meet it"
+            )
+        out.append(by_face[f])
     return out
 
 
@@ -49,7 +79,7 @@ def polygon_refs(c: PreComplex, member: OrientedFace) -> tuple[SignedEdgeRef, ..
     return tuple(ref.reversed() for ref in reversed(trail))
 
 
-def _positive_member(c: PreComplex, inc: Incidence) -> OrientedFace:
+def _positive_member(c: PreComplex, inc: _Incidence) -> OrientedFace:
     """The orientation of the face that traverses the edge of ``inc``
     along its chosen direction."""
     sign = c.faces[inc.face].trail[inc.pos].sign
@@ -91,7 +121,7 @@ def related_pairs(c: PreComplex, sigma: RotationSystem) -> list[Gluing]:
                 )
             )
             continue
-        order = sigma.sigma[e]
+        order = _order_incidences(e, sigma.sigma[e], entries)
         for t, inc in enumerate(order):
             nxt = order[(t + 1) % len(order)]
             pos = _positive_member(c, inc)
@@ -238,7 +268,9 @@ def dual_complex(
         entries = incidences[e]
         if not entries:
             continue  # faceless edges of a PreComplex have no dual face
-        order = sigma.sigma[e] if len(entries) >= 2 else tuple(entries)
+        order = entries
+        if len(entries) >= 2:
+            order = _order_incidences(e, sigma.sigma[e], entries)
         refs = tuple(
             SignedEdgeRef(inc.face, c.faces[inc.face].trail[inc.pos].sign)
             for inc in order
@@ -247,18 +279,18 @@ def dual_complex(
     dual = DirectedComplex(GENERAL, vertices, edges, faces)
 
     # sigma of the dual: the boundary trail of each primal face, as
-    # incidences into the dual faces it traverses
+    # incidences into the dual faces it traverses, listed by dual face
     pos_in_dual_face: dict[tuple[EdgeId, FaceId], int] = {}
     for e, boundary in faces.items():
         for t, ref in enumerate(boundary.trail):
             pos_in_dual_face[(e, ref.edge)] = t
-    sigma_map: dict[FaceId, tuple[Incidence, ...]] = {}
+    sigma_map: dict[FaceId, tuple[EdgeId, ...]] = {}
     for f, boundary in c.faces.items():
         seq = tuple(
-            Incidence(ref.edge, pos_in_dual_face[(ref.edge, f)])
+            _Incidence(ref.edge, pos_in_dual_face[(ref.edge, f)])
             for ref in boundary.trail
         )
-        sigma_map[f] = seq if len(seq) >= 2 else ()
+        sigma_map[f] = tuple(inc.face for inc in seq) if len(seq) >= 2 else ()
     return DualComplex(dual, RotationSystem(sigma_map), tuple(surfaces), class_of)
 
 

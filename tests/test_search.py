@@ -193,7 +193,8 @@ def test_faceless_edges_search_as_if_removed(monkeypatch):
     """On a complex with faceless edges every search reports what it
     reports on the complex without them, the witness giving each faceless
     edge the empty order, and reads the link tracers kept in the
-    complex's own table."""
+    complex's own table; ``is_planar_rotation_system`` accepts each
+    planar witness, reading the links by the search's rule."""
     rng = random.Random(41)
     corpus = [triangle_with_faceless_edge()] + [
         glued(rng, rng.choices(GENERAL_PIECES, k=rng.randint(1, 5)), 0.1)
@@ -212,7 +213,7 @@ def test_faceless_edges_search_as_if_removed(monkeypatch):
         lambda c: search_planar_rotation_system(c, "count"),
         search_generalized_prs,
     )
-    checked = reached = 0
+    checked = reached = witnesses = 0
     for c in corpus:
         reference = without_faceless_edges(c)
         if reference.edges == c.edges:
@@ -223,6 +224,9 @@ def test_faceless_edges_search_as_if_removed(monkeypatch):
             got = run(c)
             assert all(tracers is c.table.tracers for tracers in compiled_from)
             reached += bool(compiled_from)
+            if run is searches[0] and got.sigma is not None:
+                assert is_planar_rotation_system(c, got.sigma) == (True, None)
+                witnesses += 1
             expected = run(reference)
             if expected.sigma is not None:
                 sigma = RotationSystem({**expected.sigma.sigma, **empty})
@@ -230,6 +234,7 @@ def test_faceless_edges_search_as_if_removed(monkeypatch):
             assert got == expected
         checked += 1
     assert checked >= 50 and reached >= 2 * checked, (checked, reached)
+    assert witnesses >= 50, witnesses
 
 
 def test_gprs_planar_complexes_all_black(complexes):
@@ -512,23 +517,24 @@ def test_each_complex_builds_each_link_graph_once(monkeypatch, complexes):
     assert max(built.values()) == 1
 
 
-def _corner_of(c, inc, end):
-    """The corner of ``inc.face`` where the traversal ``inc`` meets its
-    edge's end ``end``: the next corner when the face arrives there
+def _corner_of(c, f, e, end):
+    """The corner of face ``f`` where its traversal of edge ``e`` meets
+    the edge's end ``end``: the next corner when the face arrives there
     (at the head when it runs along the edge), its own when it leaves."""
-    trail = c.faces[inc.face].trail
-    arrives = "h" if trail[inc.pos].sign == 1 else "t"
-    return (inc.pos + 1) % len(trail) if end == arrives else inc.pos
+    trail = c.faces[f].trail
+    pos = next(i for i, ref in enumerate(trail) if ref.edge == e)
+    arrives = "h" if trail[pos].sign == 1 else "t"
+    return (pos + 1) % len(trail) if end == arrives else pos
 
 
 def walked_rotator(c, order, e, end, red=False):
-    """Oracle for one rotator, with no link graph: the incidences of
-    sigma(e), or of ``e`` when sigma is empty, reversed at a tail end
-    unless the edge is red, each resolved to its corner."""
+    """Oracle for one rotator, with no link graph: the faces of sigma(e),
+    or of ``e`` when sigma is empty, reversed at a tail end unless the
+    edge is red, each resolved to its corner."""
     order = order or c.edge_incidences()[e]
     if end == "t" and not red:
         order = order[::-1]
-    return [(f"{inc.face}#{_corner_of(c, inc, end)}", inc) for inc in order]
+    return [(f"{f}#{_corner_of(c, f, e, end)}", f) for f in order]
 
 
 def walked_rotator_doc(result, c):
@@ -613,12 +619,27 @@ def test_compiled_link_writes_agree_with_sphere_union():
     """The search's tracing arrays, after the writes of any complete
     choice of options (each edge's first pass compiles them into its
     list), give LinkTracer.sphere_union's verdict on every link; a link
-    left without an array is a sphere union under every choice."""
+    left without an array is a sphere union under every choice.  Also on
+    glued general complexes with faceless edges, whose links hold
+    vertices without darts."""
     rng = random.Random(5)
+    corpus = [
+        generate_random_complex(
+            GenParams(seed=seed, n_vertices=5 + seed % 3, target_faces=4 + seed % 8)
+        )
+        for seed in range(40)
+    ]
+    faceless = 0
+    while faceless < 20:
+        pieces = rng.choices(GENERAL_PIECES, k=rng.randint(1, 4))
+        params = GenParams(seed=faceless, n_vertices=5, target_faces=5)
+        pieces.append(generate_random_complex(params))
+        c = glued(rng, pieces, 0.1)
+        if any(not faces for faces in c.table.incidences.values()):
+            corpus.append(c)
+            faceless += 1
     checked = 0
-    for seed in range(40):
-        params = GenParams(seed=seed, n_vertices=5 + seed % 3, target_faces=4 + seed % 8)
-        c = generate_random_complex(params)
+    for c in corpus:
         edges, candidates, _ = _candidates(c)
         tracers = {v: link_tracer(c, v) for v in c.vertices}
         steps, passes, arrays = _compile_links(tracers, edges, candidates, (False, True))
@@ -633,10 +654,10 @@ def test_compiled_link_writes_agree_with_sphere_union():
             for v, t in tracers.items():
                 expected = t.sphere_union(sigma, red)
                 if v in arrays:
-                    assert traces_sphere_union(*arrays[v]) == expected, (seed, v)
+                    assert traces_sphere_union(*arrays[v]) == expected, v
                     checked += 1
                 else:
-                    assert expected, (seed, v)
+                    assert expected, v
     assert checked >= 1000
 
 

@@ -9,7 +9,7 @@ must give equal local surfaces, the same dual documents and dual sigma,
 and the same iota reports and duality maps, or fail the same way.  On
 rotation systems with corrupted cyclic orders, local surfaces must come
 out equal or fail with the same message, naming the same surface and
-check.
+check, or the same edge and the face that does not meet it.
 """
 
 import random
@@ -20,7 +20,12 @@ from general_pieces import GENERAL_PIECES, glued
 
 from rotsys import GenParams, generate_random_complex, surfaces
 from rotsys.documents import complex_to_doc, sigma_to_doc
-from rotsys.errors import NotClosedSurfaceError, RotsysError, UnsatisfiableError
+from rotsys.errors import (
+    InvalidRotationSystemError,
+    NotClosedSurfaceError,
+    RotsysError,
+    UnsatisfiableError,
+)
 from rotsys.rotation import (
     RotationSystem,
     canonical_rotation_system,
@@ -150,9 +155,10 @@ KINDS = ("repeat", "drop", "foreign", "move")
 
 
 def corrupted(c, sigma, e, kind, rng):
-    """``sigma`` with the cyclic order at ``e`` corrupted: one incidence
-    repeated or dropped, or another edge's incidence put first, staying
-    at its own edge or moved from it."""
+    """``sigma`` with the cyclic order at ``e`` corrupted: one face
+    repeated or dropped, or a face of another edge put first, staying at
+    its own edge or moved from it.  A face put first that also meets
+    ``e`` is a repeat."""
     order = sigma[e]
     i = rng.randrange(len(order))
     if kind == "repeat":
@@ -185,8 +191,10 @@ def corrupted_systems(c, rng):
 
 def test_invalid_systems_fail_like_the_reference(complexes):
     """Local surfaces of corrupted rotation systems fail with the
-    reference's message, naming the same surface and the same check.
-    A gluing that passes the other checks glues oriented polygons into
+    reference's message, naming the same edge and face that does not
+    meet it, or the same surface and the same check.  Every gluing joins
+    two sides over one edge, so no corner walk leaves its vertex, and a
+    gluing that passes the other checks glues oriented polygons into
     closed orientable surfaces, so no system fails the Euler check."""
     rng = random.Random(5)
     corpus = list(complexes.values()) + randgen_corpus(40) + glued_corpus(40)
@@ -197,9 +205,12 @@ def test_invalid_systems_fail_like_the_reference(complexes):
             assert mine == outcome(ref.local_surfaces, c, sigma)
             if isinstance(mine, list):
                 seen["closed"] += 1
+            elif mine[0] is InvalidRotationSystemError:
+                assert "which does not meet it" in mine[1]
+                seen["foreign face"] += 1
             else:
                 assert mine[0] is NotClosedSurfaceError
                 seen[next(check for check in CHECKS if check in mine[1])] += 1
                 seen["after s0"] += not mine[1].endswith(" s0")
-    assert sum(seen[k] for k in ("closed", *CHECKS)) >= 4000, seen
-    assert min(seen[k] for k in ("closed", "after s0", *CHECKS[:3])) >= 20, seen
+    assert sum(seen[k] for k in ("closed", "foreign face", *CHECKS)) >= 4000, seen
+    assert min(seen[k] for k in ("closed", "after s0", "foreign face", *CHECKS[:2])) >= 20, seen

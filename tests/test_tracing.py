@@ -146,7 +146,7 @@ def test_cone_k5_apex_brute_force(complexes):
         assignment = dict(fixed)
         assignment.update(zip(spokes, combo))
         cc = tracer.cell_complex(rotation_system_from_face_lists(
-            c, {e: [i.face for i in order] for e, order in assignment.items()}
+            c, {e: list(order) for e, order in assignment.items()}
         ))
         count += 1
         chi = cc.chi()
@@ -185,10 +185,10 @@ def test_induced_rotator_directions(complexes):
     sigma = rotation_system_from_face_lists(c, {"v-w": order})
     # edge v-w points toward w: rotator at w follows sigma
     at_head = induced_rotator(c, sigma, "v-w", "w")
-    assert [inc.face for _, inc in at_head] == order
+    assert [f for _, f in at_head] == order
     # and is reversed at the tail v
     at_tail = induced_rotator(c, sigma, "v-w", "v")
-    assert [inc.face for _, inc in at_tail] == list(reversed(order))
+    assert [f for _, f in at_tail] == list(reversed(order))
 
 
 def test_induced_rotator_single_face_edge(complexes):
