@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, TypeVar
 
 from .errors import (
     EmptyKindError,
@@ -28,11 +28,13 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    from .rotation import RotationSystem
     from .tracing import LinkTracer
 
 VertexId = str
 EdgeId = str
 FaceId = str
+T = TypeVar("T")
 
 SIMPLICIAL = "simplicial"
 GENERAL = "general"
@@ -306,8 +308,9 @@ class PolygonTable:
     the face; incidence ids run face by face in face id order from
     ``face_start[face]``, and corner ``pos`` of the face, where its refs
     ``pos - 1`` and ``pos`` meet, shares the id.  ``incidence_id[e][f]``
-    is the id of face ``f``'s traversal of edge ``e``, and ``order_ids``
-    reads an order of faces at an edge through it.
+    is the id of face ``f``'s traversal of edge ``e``, and
+    ``dual_refs[e][f]`` the step of dual face ``e`` over dual edge ``f``;
+    ``read_order`` reads an order of faces at an edge through either.
     Oriented face ``m`` is ``members[m]``: the ``m >> 1``-th face, as
     stored for even ``m`` and reversed for odd ``m``, the order of
     ``OrientedFace.sort_key``.  The sides of polygon ``m`` are numbered
@@ -329,7 +332,7 @@ class PolygonTable:
         self.incidence_id: dict[EdgeId, dict[FaceId, int]] = {}
         # per incidence: the dual face step over it, and the sides over
         # it of the orientation that runs along its edge and of the other
-        self.dual_ref: list[SignedEdgeRef] = []
+        dual_ref: list[SignedEdgeRef] = []
         self.pos_side: list[int] = []
         self.neg_side: list[int] = []
         # per oriented face
@@ -365,7 +368,7 @@ class PolygonTable:
                     self.face_corner.append(start + (j if sense == 1 else (k - j) % k))
             for pos, ref in enumerate(trail):
                 self.incidence_id.setdefault(ref.edge, {})[f] = start + pos
-                self.dual_ref.append(SignedEdgeRef(f, ref.sign))
+                dual_ref.append(SignedEdgeRef(f, ref.sign))
                 ahead, back = forward + pos, backward + k - 1 - pos
                 self.pos_side.append(ahead if ref.sign == 1 else back)
                 self.neg_side.append(back if ref.sign == 1 else ahead)
@@ -380,14 +383,25 @@ class PolygonTable:
         for e, ids in self.glued_edges:
             self.glue_start[e] = glued
             glued += len(ids)
+        # per edge with faces, in the complex's order, the dual face steps
+        self.dual_refs = {
+            e: {f: dual_ref[i] for f, i in self.incidence_id[e].items()}
+            for e in edges
+            if e in self.incidence_id
+        }
+        # the rotation system of every dual of the complex, its cyclic
+        # order at dual edge f the trail of f: ``surfaces.dual_complex``
+        # builds it on first use, and every dual shares it
+        self.dual_sigma: RotationSystem | None = None
 
-    def order_ids(self, e: EdgeId, order: Iterable[FaceId]) -> list[int]:
-        """The incidence ids of the faces ``order`` lists at edge ``e``.
-        Raises InvalidRotationSystemError, naming the edge and the face,
-        when a listed face does not meet ``e``."""
-        ids = self.incidence_id[e]
+    @staticmethod
+    def read_order(e: EdgeId, order: Iterable[FaceId], by_face: dict[FaceId, T]) -> list[T]:
+        """What ``by_face``, a table of the faces at edge ``e``, holds for
+        the faces ``order`` lists.  Raises InvalidRotationSystemError,
+        naming the edge and the face, when a listed face does not meet
+        ``e``."""
         try:
-            return [ids[f] for f in order]
+            return [by_face[f] for f in order]
         except KeyError as exc:
             raise InvalidRotationSystemError(
                 f"edge {e!r}: sigma lists face {exc.args[0]!r}, which does not meet it"

@@ -15,13 +15,18 @@ so f's trail is the dual's cyclic order at f.
 The polygons, their sides and corners, and the sides over each face's
 traversal of an edge (an incidence) are sigma-independent: they are
 read from the complex's table (``PolygonTable``, compiled once per
-complex), which maps each cyclic order of faces to incidence ids, so
-the work per rotation system runs on integer ids and builds only the
-values it returns.  The identity checks build once what does not
-depend on sigma either: the bijection check reads each link edge's
-corner id from its link tracer, which computes them on first use, and
-the duality check traces each local surface once, reading its surface
-dual's successors straight off the traced cells.
+complex), which reads each cyclic order of faces as incidence ids or
+as dual face steps, so the work per rotation system runs on integer
+ids and builds only the values it returns.  The dual's rotation system
+does not depend on sigma either: it is built once per complex and kept
+in the table, and every dual shares it.  Per rotation system, each
+pass is one walk: ``local_surfaces`` walks each corner orbit once,
+reading its corners and rotator on the way; the bijection check traces
+each link once and spells each cell in corner ids as it walks the
+tracing map, reading each link edge's corner id from its tracer, which
+computes them on first use; and the duality check traces each local
+surface and each link of the dual once, its surface dual's successors
+being the surface's own tracing map.
 """
 
 from __future__ import annotations
@@ -49,8 +54,6 @@ from .tracing import (
     LinkTracer,
     link_tracers,
     maps_isomorphism,
-    orbits_of,
-    successors,
     surface_dual_successors,
 )
 
@@ -95,13 +98,20 @@ def _glue(p: PolygonTable, sigma: RotationSystem) -> list[tuple[EdgeId, int, int
     orientations of that face (one gluing), which is the same rule read
     on its one-entry order.
     """
-    pos_side, neg_side = p.pos_side, p.neg_side
+    pos_side, neg_side, incidence_id = p.pos_side, p.neg_side, p.incidence_id
+    orders = sigma.sigma
     gluings = []
     for e, ids in p.glued_edges:
         if len(ids) > 1:
-            ids = p.order_ids(e, sigma.sigma[e])
-        d = len(ids)
-        gluings += [(e, t, pos_side[ids[t]], neg_side[ids[(t + 1) % d]]) for t in range(d)]
+            ids = p.read_order(e, orders[e], incidence_id[e])
+            if not ids:
+                continue  # an empty order glues nothing
+        # entry t is glued to entry t + 1, the last entry to the first
+        a = ids[0]
+        for t, b in enumerate(ids[1:]):
+            gluings.append((e, t, pos_side[a], neg_side[b]))
+            a = b
+        gluings.append((e, len(ids) - 1, pos_side[a], neg_side[ids[0]]))
     return gluings
 
 
@@ -123,20 +133,19 @@ class LocalSurface:
         orbits, edges the gluings (dart 2k on the positive side), cells
         the member polygons."""
         cc = CellComplex.from_rotators([sv.rotator for sv in self.vertices])
-        # cells trace out exactly the member polygons, each once
+        # cells trace out exactly the member polygons, each once: the
+        # tracing map keeps every dart on its polygon, and the cells
+        # start on distinct polygons, one per member
         index = {m: i for i, m in enumerate(self.members)}
         dart_member = []
         for g in self.gluings:
             dart_member += (index[g.pos_member], index[g.neg_member])
-        traced = []
-        for orbit in cc.cells:
-            owners = {dart_member[d] for d in orbit}
-            if len(owners) != 1:
-                raise NotClosedSurfaceError(
-                    f"traced cell mixes polygons in local surface {self.id}"
-                )
-            traced.append(owners.pop())
-        if sorted(traced) != list(range(len(self.members))):
+        if [dart_member[s ^ 1] for s in cc.succ] != dart_member:
+            raise NotClosedSurfaceError(
+                f"traced cell mixes polygons in local surface {self.id}"
+            )
+        members = len(self.members)
+        if len(cc.cells) != members or len({dart_member[o[0]] for o in cc.cells}) != members:
             raise NotClosedSurfaceError(
                 f"traced cells do not match member polygons in {self.id}"
             )
@@ -192,16 +201,17 @@ def local_surfaces(c: PreComplex, sigma: RotationSystem) -> list[LocalSurface]:
     """
     p = c.table.polygons
     gluings = _glue(p, sigma)
-    member, side_pos = p.side_member, p.side_pos
+    member, side_pos, all_members = p.side_member, p.side_pos, p.members
     classes = connected_classes(
-        len(p.members), ((member[a], member[b]) for _, _, a, b in gluings)
+        len(all_members), [(member[a], member[b]) for _, _, a, b in gluings]
     )
-    surface_of = [0] * len(p.members)
-    local = [0] * len(p.members)  # index among the members of its surface
+    surface_of = [0] * len(all_members)
+    local = [0] * len(all_members)  # index among the members of its surface
     for si, members in enumerate(classes):
         for i, m in enumerate(members):
             surface_of[m] = si
             local[m] = i
+    side_surface = [surface_of[m] for m in member]
 
     # per side, the side glued to it and that side's dart: 2k and 2k + 1
     # for the k-th gluing of its surface; per surface, its gluings and
@@ -211,62 +221,69 @@ def local_surfaces(c: PreComplex, sigma: RotationSystem) -> list[LocalSurface]:
     own: list[list[Gluing]] = [[] for _ in classes]
     failure: list[str | None] = [None] * len(classes)
     for e, t, a, b in gluings:
-        si = surface_of[member[a]]
-        k = len(own[si])
-        pos, neg = p.members[member[a]], p.members[member[b]]
-        own[si].append(Gluing(e, t, pos, side_pos[a], neg, side_pos[b]))
-        for side, d, other in ((a, 2 * k, b), (b, 2 * k + 1, a)):
-            if glued[side] >= 0 and not failure[si]:
-                named = (local[member[side]], side_pos[side])
-                failure[si] = f"side {named} glued twice in s{si}"
-            glued[side], dart[side] = other, d
-    for side, other in enumerate(glued):
-        si = surface_of[member[side]]
-        if other < 0 and not failure[si]:
-            failure[si] = f"unglued polygon side in s{si}"
+        si = side_surface[a]
+        k = 2 * len(own[si])
+        own[si].append(
+            Gluing(e, t, all_members[member[a]], side_pos[a], all_members[member[b]], side_pos[b])
+        )
+        if (glued[a] >= 0 or glued[b] >= 0) and not failure[si]:
+            side = a if glued[a] >= 0 else b
+            failure[si] = f"side {(local[member[side]], side_pos[side])} glued twice in s{si}"
+        glued[a], dart[a], glued[b], dart[b] = b, k, a, k + 1
+    if -1 in glued:
+        for side, other in enumerate(glued):
+            si = side_surface[side]
+            if other < 0 and not failure[si]:
+                failure[si] = f"unglued polygon side in s{si}"
 
-    # the surface vertices are the orbits of the corner walk, which come
-    # by least corner, so a primal vertex's orbits in a surface are
-    # labeled in that order; the sides of a failed surface stay put, so
-    # the walk is a permutation
+    # the surface vertices are the orbits of the corner walk (cross the
+    # gluing at a corner's side, go on at the corner after the side
+    # entered), walked by least corner, so a primal vertex's orbits in a
+    # surface are labeled in that order; the walk of a surface that
+    # passed the gluing checks is a permutation of its corners
     next_corner, corner_vertex = p.next_corner, p.corner_vertex
-    walk = [
-        side if failure[surface_of[member[side]]] else next_corner[other]
-        for side, other in enumerate(glued)
-    ]
     vertices: list[list[SurfaceVertex]] = [[] for _ in classes]
     orbits_at: dict[tuple[int, VertexId], int] = {}
-    for orbit in orbits_of(walk):
-        start = orbit[0]
-        si = surface_of[member[start]]
-        if failure[si]:
+    walked = [False] * len(member)
+    for start, si in enumerate(side_surface):
+        if walked[start] or failure[si]:
             continue
         home = corner_vertex[start]
-        if any(corner_vertex[x] != home for x in orbit):
+        left = False
+        corners, rotator = [], []
+        x = start
+        while not walked[x]:
+            walked[x] = True
+            left = left or corner_vertex[x] != home
+            corners.append((local[member[x]], side_pos[x]))
+            other = glued[x]
+            rotator.append(dart[other])
+            x = next_corner[other]
+        if left:
             failure[si] = f"corner walk left vertex {home!r} in s{si}"
             continue
         n = orbits_at.get((si, home), 0)
         orbits_at[si, home] = n + 1
-        corners = tuple([(local[member[x]], side_pos[x]) for x in orbit])
-        rotator = tuple([dart[glued[x]] for x in orbit])
-        vertices[si].append(SurfaceVertex(f"{home}.{n}", home, corners, rotator))
+        vertices[si].append(SurfaceVertex(f"{home}.{n}", home, tuple(corners), tuple(rotator)))
 
     surfaces = []
+    polygon_refs = p.polygon_refs
     for si, members in enumerate(classes):
         chi = len(vertices[si]) - len(own[si]) + len(members)
         if not failure[si] and (chi % 2 != 0 or chi > 2):
             failure[si] = f"impossible Euler characteristic {chi} in s{si}"
         if failure[si]:
             raise NotClosedSurfaceError(failure[si])
+        # labels are unique in a surface and come first in a vertex
         surfaces.append(
             LocalSurface(
                 f"s{si}",
-                tuple(p.members[m] for m in members),
+                tuple([all_members[m] for m in members]),
                 tuple(own[si]),
-                tuple(sorted(vertices[si], key=lambda sv: sv.label)),
+                tuple(sorted(vertices[si])),
                 chi,
                 (2 - chi) // 2,
-                tuple(len(p.polygon_refs[m]) for m in members),
+                tuple([len(polygon_refs[m]) for m in members]),
             )
         )
     return surfaces
@@ -307,19 +324,21 @@ def dual_complex(
         f: (class_of[members[2 * r + 1]], class_of[members[2 * r]])
         for f, r in p.face_rank.items()
     }
-    dual_ref = p.dual_ref
+    # faceless edges of a PreComplex have no dual face
+    orders = sigma.sigma
     faces: dict[str, FaceBoundary] = {}
-    for e, entries in c.table.incidences.items():
-        if not entries:
-            continue  # faceless edges of a PreComplex have no dual face
-        order = sigma.sigma[e] if len(entries) >= 2 else entries
-        faces[e] = FaceBoundary(e, tuple(dual_ref[i] for i in p.order_ids(e, order)))
+    for e, refs in p.dual_refs.items():
+        order = orders[e] if len(refs) >= 2 else refs
+        faces[e] = FaceBoundary(e, tuple(p.read_order(e, order, refs)))
     dual = DirectedComplex.valid_by_construction(GENERAL, vertices, edges, faces)
-    sigma_map: dict[FaceId, tuple[EdgeId, ...]] = {
-        f: tuple(ref.edge for ref in b.trail) if len(b.trail) >= 2 else ()
-        for f, b in c.faces.items()
-    }
-    return DualComplex(dual, RotationSystem(sigma_map), tuple(surfaces), class_of)
+    if p.dual_sigma is None:
+        p.dual_sigma = RotationSystem(
+            {
+                f: tuple(ref.edge for ref in b.trail) if len(b.trail) >= 2 else ()
+                for f, b in c.faces.items()
+            }
+        )
+    return DualComplex(dual, p.dual_sigma, tuple(surfaces), class_of)
 
 
 # -- executable identities ----------------------------------------------------
@@ -384,12 +403,21 @@ def iota_check(
     for v in sorted(c.vertices):
         tracer = tracers[v]
         corner = tracer.corners(p.face_start)
-        cells = tracer.cells(sigma)
-        total_cells += len(cells)
+        trace = tracer.trace(sigma)
+        # the cells, the orbits of the tracing map from the least unused
+        # dart, spelled straight in corner ids
         pool: dict[tuple[int, ...], int] = {}
-        for orbit in cells:
-            key = _canon_word(tuple([corner[d >> 1] for d in orbit]))
+        for start in range(len(trace)):
+            if trace[start] < 0:
+                continue
+            word = []
+            d = start
+            while trace[d] >= 0:
+                word.append(corner[d >> 1])
+                trace[d], d = -1, trace[d]  # d is walked; step on
+            key = _canon_word(tuple(word))
             pool[key] = pool.get(key, 0) + 1
+            total_cells += 1
         for w in corner_words[v]:
             key = _canon_word(w)
             if pool.get(key, 0) <= 0:
@@ -439,17 +467,15 @@ def surface_duality_check(
     out: dict[str, str] = {}
     for s in dual.surfaces:
         tracer = tracers[s.id]
-        succ = successors(tracer.rotators(dual.sigma_c), len(tracer.dart_vertex))
+        succ = [d ^ 1 for d in tracer.trace(dual.sigma_c)]
         b_succ = surface_dual_successors(s.cell_complex())
         gluing_index = {glue_start[g.edge] + g.seq: k for k, g in enumerate(s.gluings)}
-        dart_map = [-1] * len(succ)
-        for k, le in enumerate(tracer.link.edges):
+        dart_map = []
+        for e, t, _, _ in tracer.link.edges:
             # dual face = primal edge e, corner t: the gluing of sigma(e)'s
-            # entries t - 1 and t
-            e, t = le.face, le.pos
-            g_idx = gluing_index[glue_start[e] + (t - 1) % len(incidences[e])]
-            dart_map[2 * k] = 2 * g_idx       # u side <-> positive side
-            dart_map[2 * k + 1] = 2 * g_idx + 1
+            # entries t - 1 and t; the u side is the positive side
+            k = gluing_index[glue_start[e] + (t - 1) % len(incidences[e])]
+            dart_map += (2 * k, 2 * k + 1)
         verdict = maps_isomorphism(succ, b_succ, dart_map)
         if verdict is None:
             raise BijectionFailureError(

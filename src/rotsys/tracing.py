@@ -64,16 +64,6 @@ def traces_sphere_union(trace: Sequence[int], cells: int) -> bool:
     return orbits == cells
 
 
-def successors(rotators: Sequence[Sequence[int]], n: int) -> list[int]:
-    """The successor permutation of ``rotators`` over darts 0..n-1:
-    each dart to the next one in its rotator."""
-    succ = [-1] * n
-    for rot in rotators:
-        for j, d in enumerate(rot):
-            succ[rot[j - 1]] = d
-    return succ
-
-
 def _component_count(vertex_count: int, dart_vertex: Sequence[int]) -> int:
     """Connected components of a traced graph, isolated vertices
     included."""
@@ -95,15 +85,26 @@ class CellComplex:
     @staticmethod
     def from_rotators(rotators: Sequence[Sequence[int]]) -> "CellComplex":
         """One vertex per rotator, so a vertex without darts counts.  The
-        rotators must hold the darts 0..n-1 of whole edges, each once."""
+        rotators must hold the darts 0..n-1 of whole edges, each once:
+        n darts, each in range and none twice, in one pass."""
+        not_a_partition = "rotators do not partition the darts"
         n = sum(len(rot) for rot in rotators)
-        if n % 2 or sorted(d for rot in rotators for d in rot) != list(range(n)):
-            raise ValueError("rotators do not partition the darts")
-        dart_vertex = [0] * n
-        for vi, rot in enumerate(rotators):
-            for d in rot:
-                dart_vertex[d] = vi
-        succ = successors(rotators, n)
+        if n % 2:
+            raise ValueError(not_a_partition)
+        dart_vertex = [-1] * n
+        succ = [-1] * n
+        try:
+            for vi, rot in enumerate(rotators):
+                # a rotator's last dart is written to before its own turn
+                prev = rot[-1] if rot else 0
+                for d in rot:
+                    if d < 0 or dart_vertex[d] >= 0:
+                        raise ValueError(not_a_partition)
+                    dart_vertex[d] = vi
+                    succ[prev] = d
+                    prev = d
+        except IndexError:  # a dart past the last one
+            raise ValueError(not_a_partition) from None
         trace = [s ^ 1 for s in succ]
         return CellComplex(len(rotators), tuple(dart_vertex), tuple(succ), tuple(orbits_of(trace)))
 
@@ -149,21 +150,22 @@ def surface_dual(cc: CellComplex) -> CellComplex:
     ``cc``, each listed in tracing order (the Edmonds-Hefter-Ringel
     principle), so its cells are the vertex rotators of ``cc``.
     """
-    return CellComplex.from_rotators(_dual_rotators(cc))
+    _require_no_isolated_vertex(cc)
+    return CellComplex.from_rotators(cc.cells)
 
 
 def surface_dual_successors(cc: CellComplex) -> list[int]:
-    """The successor permutation of ``surface_dual(cc)``, read straight
-    off the cells of ``cc`` without building the dual."""
-    return successors(_dual_rotators(cc), len(cc.dart_vertex))
+    """The successor permutation of ``surface_dual(cc)`` without
+    building the dual: its rotators are the cells of ``cc``, the orbits
+    of the tracing map, so it is that map."""
+    _require_no_isolated_vertex(cc)
+    return [s ^ 1 for s in cc.succ]
 
 
-def _dual_rotators(cc: CellComplex) -> tuple[tuple[int, ...], ...]:
-    """The rotators of the surface dual of ``cc``, its cells, once no
-    vertex of ``cc`` is without darts."""
+def _require_no_isolated_vertex(cc: CellComplex) -> None:
+    """A traced surface has a dual only when every vertex has darts."""
     if len(set(cc.dart_vertex)) < cc.num_vertices():
         raise NotClosedSurfaceError("isolated vertex; not a closed traced surface")
-    return cc.cells
 
 
 def maps_isomorphism(
@@ -175,13 +177,21 @@ def maps_isomorphism(
 
     Returns "direct" if it intertwines the rotator successors, "mirror"
     if it intertwines successor with predecessor uniformly (the two
-    tracing conventions differ by a global mirror), else None.
+    tracing conventions differ by a global mirror), else None.  One
+    pass over the mate pairs checks that ``dart_map`` is a bijection of
+    the darts that keeps mates together; an odd dart count has no mate
+    pairs and gives None.
     """
     n = len(a_succ)
-    if len(b_succ) != n or sorted(dart_map) != list(range(n)):
+    if n % 2 or len(b_succ) != n or len(dart_map) != n:
         return None
-    if any(dart_map[d ^ 1] != dart_map[d] ^ 1 for d in range(n)):
-        return None
+    # the images seen so far, both darts of each pair
+    seen = [False] * n
+    for d in range(0, n, 2):
+        x = dart_map[d]
+        if not 0 <= x < n or seen[x] or dart_map[d + 1] != x ^ 1:
+            return None
+        seen[x] = seen[x ^ 1] = True
     if all(dart_map[a_succ[d]] == b_succ[dart_map[d]] for d in range(n)):
         return "direct"
     b_pred = [0] * n
@@ -269,6 +279,15 @@ class LinkTracer:
             order = order[::-1]
         return [table[f] for f in order]
 
+    @cached_property
+    def _readers(self) -> list[tuple[EdgeId, bool, dict[FaceId, int], tuple[FaceId, ...]]]:
+        """Per link vertex, what ``rotator`` reads: its edge, whether it
+        is a tail end, its darts by face and its faces in id order."""
+        return [
+            (e, tail, table, faces)
+            for (e, tail), table, faces in zip(self._ends, self.dart_of_face, self.faces_of_vertex)
+        ]
+
     def rotators(
         self, sigma: RotationSystem, red_edges: frozenset[EdgeId] = frozenset()
     ) -> list[list[int]]:
@@ -283,10 +302,25 @@ class LinkTracer:
     def trace(
         self, sigma: RotationSystem, red_edges: frozenset[EdgeId] = frozenset()
     ) -> list[int]:
-        """The tracing map of the rotators sigma induces: each dart to
-        the mate of its successor."""
-        succ = successors(self.rotators(sigma, red_edges), len(self.dart_vertex))
-        return [s ^ 1 for s in succ]
+        """The tracing map of the rotators sigma induces, each dart to
+        the mate of its successor: one pass over the link vertices, each
+        reading its order by the rule of ``rotator``.  A dart that no
+        rotator holds maps to -2."""
+        orders = sigma.sigma
+        trace = [-2] * len(self.dart_vertex)
+        for e, tail, table, faces in self._readers:
+            order = orders.get(e)
+            if not order:
+                order = faces
+            elif tail and e not in red_edges:
+                order = order[::-1]
+            if order:
+                prev = table[order[-1]]
+                for f in order:
+                    d = table[f]
+                    trace[prev] = d ^ 1
+                    prev = d
+        return trace
 
     def sphere_union(
         self, sigma: RotationSystem, red_edges: frozenset[EdgeId] = frozenset()

@@ -62,7 +62,7 @@ def check_gluing_multiset(c, surfaces) -> None:
     for s in surfaces:
         for g in s.gluings:
             mentions[g.edge] = mentions.get(g.edge, 0) + 1
-    for e, incs in c.edge_incidences().items():
+    for e, incs in c.table.incidences.items():
         d = len(incs)
         if d == 0:
             continue

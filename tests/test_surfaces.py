@@ -161,6 +161,30 @@ def test_duals_of_fixtures_and_randgen_complexes_validate(complexes):
     assert checked >= 250
 
 
+def test_duals_of_a_complex_share_one_rotation_system(complexes):
+    """Every dual of a complex, one per rotation system, holds the same
+    ``sigma_c`` object: built once per complex, its cyclic order at dual
+    edge f the trail of f (empty for a one-edge trail)."""
+    corpus = list(complexes.values())
+    for seed in range(40):
+        params = GenParams(seed=seed, n_vertices=4 + seed % 4, target_faces=1 + seed % 9)
+        try:
+            corpus.append(generate_random_complex(params))
+        except UnsatisfiableError:
+            pass
+    shared = 0
+    for c in corpus:
+        trails = {
+            f: tuple(ref.edge for ref in b.trail) if len(b.trail) >= 2 else ()
+            for f, b in c.faces.items()
+        }
+        duals = [dual_complex(c, s) for s in itertools.islice(enumerate_rotation_systems(c), 8)]
+        assert duals[0].sigma_c.sigma == trails
+        assert all(d.sigma_c is duals[0].sigma_c for d in duals)
+        shared += len(duals) > 1
+    assert shared >= 12
+
+
 def test_dual_incidence_transpose(complexes):
     for name in ("tetrahedron", "book3", "rp2-6", "torus-7"):
         c = complexes[name]

@@ -3,6 +3,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from general_pieces import GENERAL_PIECES, LOOP_PIECES, glued
 from make_fixtures import BUILDERS
 
@@ -32,11 +33,13 @@ from rotsys.rotation import (
 )
 from rotsys.surfaces import local_surfaces
 from rotsys.search import search_generalized_prs, search_planar_rotation_system
+from rotsys.links import TAIL
 from rotsys.tracing import (
     orbits_of,
     link_tracers,
     maps_isomorphism,
     surface_dual_successors,
+    traces_sphere_union,
 )
 
 
@@ -389,3 +392,230 @@ def test_searches_build_no_polygons_and_no_link_labels():
         if result.sigma is not None:
             result.rotator_doc(c)
             assert all("edge_labels" in vars(t) for t in link_tracers(c).values())
+
+
+# -- the one-pass tracing map against the per-vertex rule ----------------------
+
+
+def reference_successors(rotators, n):
+    """Each dart to the next one in its rotator, over darts 0..n-1; a dart
+    in no rotator maps to -1."""
+    succ = [-1] * n
+    for rot in rotators:
+        for j, d in enumerate(rot):
+            succ[rot[j - 1]] = d
+    return succ
+
+
+def reference_rotators(tracer, sigma, red_edges=frozenset()):
+    """The per-vertex rule, one link vertex at a time: at a head end the
+    darts follow sigma of the edge, at a tail end its reverse unless the
+    edge is red, and an empty order (or an edge sigma does not list)
+    gives the vertex's darts in face id order."""
+    out = []
+    for i, lv in enumerate(tracer.link.vertices):
+        table = tracer.dart_of_face[i]
+        order = sigma.sigma.get(lv.edge, ())
+        if not order:
+            order = sorted(table)
+        elif lv.end == TAIL and lv.edge not in red_edges:
+            order = order[::-1]
+        out.append([table[f] for f in order])
+    return out
+
+
+def reference_trace(tracer, sigma, red_edges=frozenset()):
+    """The tracing map as the rotators run through successors."""
+    succ = reference_successors(
+        reference_rotators(tracer, sigma, red_edges), len(tracer.dart_vertex)
+    )
+    return [s ^ 1 for s in succ]
+
+
+@pytest.fixture(scope="module")
+def traced(complexes):
+    return traced_corpus(complexes)
+
+
+def check_tracer(tracer, sigma, red):
+    expected = reference_trace(tracer, sigma, red)
+    assert tracer.trace(sigma, red) == expected
+    assert tracer.rotators(sigma, red) == reference_rotators(tracer, sigma, red)
+    assert tracer.sphere_union(sigma, red) == traces_sphere_union(expected, tracer.sphere_cells)
+    assert tracer.cells(sigma) == orbits_of(reference_trace(tracer, sigma))
+
+
+def test_trace_is_the_per_vertex_rule_on_the_traced_corpus(traced):
+    """On every link of the fixtures, randgen complexes and glued general
+    complexes (loops, one-vertex faces, bare loops left faceless), under
+    no red edges and a random set of them, and under a sigma that lists
+    only some edges, ``trace`` and ``rotators`` follow the per-vertex
+    rule, and ``sphere_union`` and ``cells`` read the orbits of that
+    map."""
+    rng = random.Random(11)
+    seen = {"loop": 0, "faceless": 0, "red": 0, "unlisted": 0}
+    for c, sigma in traced:
+        red = frozenset(e for e in sorted(c.edges) if rng.random() < 0.3)
+        # a sigma that leaves some edges out reads their faces in id order
+        partial = RotationSystem({e: o for e, o in sigma.sigma.items() if rng.random() < 0.7})
+        for tracer in link_tracers(c).values():
+            check_tracer(tracer, sigma, frozenset())
+            check_tracer(tracer, sigma, red)
+            check_tracer(tracer, partial, red)
+            seen["red"] += not tracer.sphere_union(sigma) == tracer.sphere_union(sigma, red)
+        seen["unlisted"] += any(
+            len(incs) > 1 and e not in partial.sigma for e, incs in c.table.incidences.items()
+        )
+        seen["loop"] += any(t == h for t, h in c.edges.values())
+        seen["faceless"] += any(not incs for incs in c.table.incidences.values())
+    assert min(seen.values()) >= 10, seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_trace_is_the_per_vertex_rule_under_drawn_red_edges(traced, data):
+    c, sigma = data.draw(st.sampled_from(traced))
+    red = data.draw(st.frozensets(st.sampled_from(sorted(c.edges))))
+    for tracer in link_tracers(c).values():
+        check_tracer(tracer, sigma, red)
+
+
+# -- one-pass partition and bijection checks against the sorting ones -------
+
+
+def reference_from_rotators(rotators):
+    """The sort-based construction: the darts sorted must be 0..n-1."""
+    n = sum(len(rot) for rot in rotators)
+    if n % 2 or sorted(d for rot in rotators for d in rot) != list(range(n)):
+        raise ValueError("rotators do not partition the darts")
+    dart_vertex = [0] * n
+    for vi, rot in enumerate(rotators):
+        for d in rot:
+            dart_vertex[d] = vi
+    succ = reference_successors(rotators, n)
+    trace = [s ^ 1 for s in succ]
+    return CellComplex(len(rotators), tuple(dart_vertex), tuple(succ), tuple(orbits_of(trace)))
+
+
+def reference_maps_isomorphism(a_succ, b_succ, dart_map):
+    """The sort-based check: ``dart_map`` sorted must be 0..n-1."""
+    n = len(a_succ)
+    if len(b_succ) != n or sorted(dart_map) != list(range(n)):
+        return None
+    if any(dart_map[d ^ 1] != dart_map[d] ^ 1 for d in range(n)):
+        return None
+    if all(dart_map[a_succ[d]] == b_succ[dart_map[d]] for d in range(n)):
+        return "direct"
+    b_pred = [0] * n
+    for d, s in enumerate(b_succ):
+        b_pred[s] = d
+    if all(dart_map[a_succ[d]] == b_pred[dart_map[d]] for d in range(n)):
+        return "mirror"
+    return None
+
+
+CORRUPTIONS = ("none", "repeat", "missing", "out of range", "negative", "odd")
+
+
+def corrupt(draw, darts, kind):
+    """``darts`` (a list of 2 or more) with one corruption: a dart put in
+    another's place, two darts dropped, one beyond the last or below 0
+    put in a dart's place, or one dart dropped (an odd count)."""
+    darts = list(darts)
+    i = draw(st.integers(0, len(darts) - 1))
+    if kind == "repeat":
+        darts[i] = darts[draw(st.integers(0, len(darts) - 1).filter(lambda j: j != i))]
+    elif kind == "missing":
+        del darts[i]
+        del darts[draw(st.integers(0, len(darts) - 1))]
+    elif kind == "out of range":
+        darts[i] = len(darts) + draw(st.integers(0, 3))
+    elif kind == "negative":
+        darts[i] = -draw(st.integers(1, len(darts) + 2))
+    elif kind == "odd":
+        del darts[i]
+    return darts
+
+
+@st.composite
+def rotator_lists(draw):
+    """Rotators over the darts of 1 to 6 edges, split among 1 to 4
+    vertices, some of them empty, with one drawn corruption."""
+    n = 2 * draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    darts = corrupt(draw, draw(st.permutations(range(n))), kind)
+    cuts = sorted(draw(st.lists(st.integers(0, len(darts)), max_size=3)))
+    return [darts[a:b] for a, b in zip([0] + cuts, cuts + [len(darts)])]
+
+
+def outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rotator_lists())
+@example([[0, 1], [1, 2]])
+@example([[0, 1, 4], [3]])
+@example([[-1, 0]])
+@example([[0], [2]])
+@example([[0, 1, 2]])
+@example([[5, 1], [2, 3]])
+def test_from_rotators_rejects_what_the_sorted_check_rejected(rotators):
+    expected = outcome_of(reference_from_rotators, rotators)
+    assert expected in (ValueError,) or isinstance(expected, CellComplex)
+    assert outcome_of(CellComplex.from_rotators, rotators) == expected
+
+
+@st.composite
+def isomorphism_inputs(draw):
+    """The successors of a traced surface, of its relabeling by a dart
+    bijection that keeps mates together (sometimes mirrored), and that
+    bijection, with one drawn corruption of the bijection."""
+    n = 2 * draw(st.integers(1, 6))
+    darts = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), max_size=3)))
+    rotators = [darts[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    a = CellComplex.from_rotators(rotators)
+    pairs = draw(st.permutations(range(n // 2)))
+    flips = draw(st.lists(st.booleans(), min_size=n // 2, max_size=n // 2))
+    dart_map = [0] * n
+    for k, (p, flip) in enumerate(zip(pairs, flips)):
+        dart_map[2 * k], dart_map[2 * k + 1] = 2 * p ^ flip, 2 * p + 1 ^ flip
+    mirror = draw(st.booleans())
+    b_rotators = [[dart_map[d] for d in (rot[::-1] if mirror else rot)] for rot in rotators]
+    b = CellComplex.from_rotators(b_rotators)
+    kind = draw(st.sampled_from(CORRUPTIONS + ("swap", "pair twice")))
+    if kind == "swap":  # a bijection that splits a mate pair
+        i, j = draw(st.permutations(range(n)))[:2]
+        dart_map[i], dart_map[j] = dart_map[j], dart_map[i]
+    elif kind == "pair twice":  # two mate pairs onto one, either way round
+        k, j = draw(st.permutations(range(n // 2)))[:2] if n > 2 else (0, 0)
+        flip = draw(st.integers(0, 1))
+        dart_map[2 * k], dart_map[2 * k + 1] = dart_map[2 * j] ^ flip, dart_map[2 * j + 1] ^ flip
+    else:
+        dart_map = corrupt(draw, dart_map, kind)
+    a_succ, b_succ = list(a.succ), list(b.succ)
+    if kind == "odd" and draw(st.booleans()):  # an odd dart count throughout
+        a_succ, b_succ = a_succ[:-1], b_succ[:-1]
+    return a_succ, b_succ, dart_map
+
+
+@settings(max_examples=400, deadline=None)
+@given(isomorphism_inputs())
+# two one-loop vertices: mapping both loops onto the first, in either
+# direction, intertwines the successors but is no bijection
+@example(([1, 0, 3, 2], [1, 0, 3, 2], [0, 1, 0, 1]))
+@example(([1, 0, 3, 2], [1, 0, 3, 2], [0, 1, 1, 0]))
+def test_maps_isomorphism_rejects_what_the_sorted_check_rejected(args):
+    """Equal verdicts, None exactly where the sorted check gave None; an
+    odd dart count gives None, where the sorted check raised IndexError
+    on a map of all the darts."""
+    got = maps_isomorphism(*args)
+    expected = outcome_of(reference_maps_isomorphism, *args)
+    if len(args[0]) % 2:
+        assert got is None and expected in (None, IndexError)
+    else:
+        assert got == expected
