@@ -81,20 +81,6 @@ class OrientedFace(NamedTuple):
         return f"{self.face}{'+' if self.sense == 1 else '-'}"
 
 
-class Corner(NamedTuple):
-    """A traversal of a vertex by a face boundary.
-
-    Corner ``i`` of face ``f`` sits between trail refs ``i-1`` and ``i``
-    (cyclically); ``vertex`` is where those two refs meet.
-    """
-
-    face: FaceId
-    pos: int
-    vertex: VertexId
-    prev_ref: SignedEdgeRef
-    next_ref: SignedEdgeRef
-
-
 @dataclass(frozen=True)
 class Violation:
     """One validation failure: the rule name and the offending ids."""
@@ -181,17 +167,8 @@ class PreComplex:
         tail, head = self.edges[ref.edge]
         return head if ref.sign == 1 else tail
 
-    def corners(self, f: FaceId) -> list[Corner]:
-        """All vertex traversals of face ``f`` in trail order."""
-        trail = self.faces[f].trail
-        out = []
-        for i, ref in enumerate(trail):
-            prev = trail[i - 1]
-            out.append(Corner(f, i, self.ref_start(ref), prev, ref))
-        return out
-
     def face_vertices(self, f: FaceId) -> frozenset[VertexId]:
-        return frozenset(c.vertex for c in self.corners(f))
+        return frozenset(self.ref_start(ref) for ref in self.faces[f].trail)
 
     @cached_property
     def table(self) -> "ComplexTable":

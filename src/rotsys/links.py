@@ -101,16 +101,18 @@ def link_graph(c: PreComplex, v: VertexId) -> LinkGraph:
             vertices.append(LinkVertex(e, TAIL))
     edges: list[LinkEdge] = []
     for f in sorted(c.faces):
-        for corner in c.corners(f):
-            if corner.vertex != v:
+        trail = c.faces[f].trail
+        for pos, nxt in enumerate(trail):
+            if c.ref_start(nxt) != v:
                 continue
-            # the face arrives over its previous ref, at the edge's head
-            # when it runs along the edge, and leaves over its next ref,
-            # from the edge's tail when it runs along it
-            prev, nxt = corner.prev_ref, corner.next_ref
+            # corner pos, between refs pos - 1 and pos: the face arrives
+            # over its previous ref, at the edge's head when it runs along
+            # the edge, and leaves over its next ref, from the edge's tail
+            # when it runs along it
+            prev = trail[pos - 1]
             u = LinkVertex(prev.edge, HEAD if prev.sign == 1 else TAIL)
             w = LinkVertex(nxt.edge, TAIL if nxt.sign == 1 else HEAD)
-            edges.append(LinkEdge(f, corner.pos, u, w))
+            edges.append(LinkEdge(f, pos, u, w))
     return LinkGraph(v, tuple(vertices), tuple(edges), frozenset(loops))
 
 

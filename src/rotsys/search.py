@@ -172,15 +172,14 @@ def _compile_links(
         trace = [0] * n
         start = 0
         open_ends = False
-        for i, lv in enumerate(t.link.vertices):
-            darts = len(t.faces_of_vertex[i])
-            if darts <= 2:
+        for i, (e, _, darts, _) in enumerate(t.records):
+            if len(darts) <= 2:
                 _, lo, hi, values = _write(t, i, trace, slot, start, (), False)
                 trace[lo:hi] = values
             else:
-                ends[lv.edge].append((t, i, trace, slot, start))
+                ends[e].append((t, i, trace, slot, start))
                 open_ends = True
-            start += darts
+            start += len(darts)
         if open_ends or not traces_sphere_union(trace, t.sphere_cells):
             arrays[v] = (trace, t.sphere_cells)
     steps: list[list[_Step]] = [[] for _ in edge_order]

@@ -23,8 +23,8 @@ in the table, and every dual shares it.  Per rotation system, each
 pass is one walk: ``local_surfaces`` walks each corner orbit once,
 reading its corners and rotator on the way; the bijection check traces
 each link once and spells each cell in corner ids as it walks the
-tracing map, reading each link edge's corner id from its tracer, which
-computes them on first use; and the duality check traces each local
+tracing map, each link edge's corner id being its face's first id in
+the table plus its position; and the duality check traces each local
 surface and each link of the dual once, its surface dual's successors
 being the surface's own tracing map.
 """
@@ -398,11 +398,12 @@ def iota_check(
 
     if tracers is None:
         tracers = link_tracers(c)
+    face_start = p.face_start
     total_cells = 0
     matched = 0
     for v in sorted(c.vertices):
         tracer = tracers[v]
-        corner = tracer.corners(p.face_start)
+        corner = [face_start[le.face] + le.pos for le in tracer.link.edges]
         trace = tracer.trace(sigma)
         # the cells, the orbits of the tracing map from the least unused
         # dart, spelled straight in corner ids

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .complexes import EdgeId, FaceId, PreComplex, VertexId, connected_classes
 from .errors import NotClosedSurfaceError, NotIncidentError, UnknownVertexError
 from .links import HEAD, TAIL, LinkGraph, LinkVertex, link_graph
-from .rotation import RotationSystem
+from .rotation import RotationSystem, check_rotation_system
 
 
 def orbits_of(trace: Sequence[int]) -> list[tuple[int, ...]]:
@@ -211,18 +211,14 @@ class LinkTracer:
     a link's rotators, cells and component count.  A link vertex is an
     edge-end, and each face through the edge gives it one dart, so its
     darts are keyed by face id, as sigma lists them.  What only some
-    readers need (the component count, link-edge labels, each vertex's
-    sorted faces, the link edges' corner ids) is built on first use and
-    kept."""
+    readers need (the component count, link-edge labels) is built on
+    first use and kept."""
 
     def __init__(self, lg: LinkGraph):
         self.link = lg
-        self.vertex_index = index = {lv: i for i, lv in enumerate(lg.vertices)}
-        # each link vertex's edge, and whether it is the edge's tail end
-        self._ends = [(lv.edge, lv.end == TAIL) for lv in lg.vertices]
+        index = {lv: i for i, lv in enumerate(lg.vertices)}
         self.dart_vertex: list[int] = []
-        self.dart_of_face: list[dict[FaceId, int]] = [{} for _ in lg.vertices]
-        darts = self.dart_of_face
+        darts: list[dict[FaceId, int]] = [{} for _ in lg.vertices]
         # link edge k at a corner of face f: dart 2k arrives at u, dart
         # 2k+1 leaves w, each over f's traversal of that vertex's edge
         for k, (f, _, lu, lw) in enumerate(lg.edges):
@@ -230,7 +226,13 @@ class LinkTracer:
             self.dart_vertex += (u, w)
             darts[u][f] = 2 * k
             darts[w][f] = 2 * k + 1
-        self._corners: list[int] | None = None
+        # one record per link vertex: its edge, whether it is the tail
+        # end, its darts by face and its faces in id order, the order of
+        # the link edges
+        self.records: list[tuple[EdgeId, bool, dict[FaceId, int], tuple[FaceId, ...]]] = [
+            (lv.edge, lv.end == TAIL, table, tuple(table))
+            for lv, table in zip(lg.vertices, darts)
+        ]
 
     @cached_property
     def component_count(self) -> int:
@@ -244,24 +246,12 @@ class LinkTracer:
         cell and counts one fewer: the link is read as if that edge were
         not there, as the searches read it."""
         lg = self.link
-        bare = sum(not darts for darts in self.dart_of_face)
+        bare = sum(not darts for _, _, darts, _ in self.records)
         return 2 * self.component_count - len(lg.vertices) + len(lg.edges) - bare
 
     @cached_property
     def edge_labels(self) -> list[str]:
         return [le.label() for le in self.link.edges]
-
-    @cached_property
-    def faces_of_vertex(self) -> list[tuple[FaceId, ...]]:
-        return [tuple(sorted(t)) for t in self.dart_of_face]
-
-    def corners(self, face_start: Mapping[FaceId, int]) -> list[int]:
-        """Each link edge's corner id, ``face_start[face] + pos``.  Built
-        on the first call and kept, so every call must pass the
-        ``face_start`` of the tracer's own complex."""
-        if self._corners is None:
-            self._corners = [face_start[le.face] + le.pos for le in self.link.edges]
-        return self._corners
 
     def rotator(self, i: int, order: Sequence[FaceId], red: bool = False) -> list[int]:
         """The darts at link vertex ``i`` in the cyclic order that
@@ -272,21 +262,12 @@ class LinkTracer:
         ends read it forwards.  An empty ``order`` (an edge in one face,
         or a faceless one) yields the darts the vertex has.
         """
-        table = self.dart_of_face[i]
+        _, tail, darts, faces = self.records[i]
         if not order:
-            order = self.faces_of_vertex[i]
-        elif self._ends[i][1] and not red:
+            order = faces
+        elif tail and not red:
             order = order[::-1]
-        return [table[f] for f in order]
-
-    @cached_property
-    def _readers(self) -> list[tuple[EdgeId, bool, dict[FaceId, int], tuple[FaceId, ...]]]:
-        """Per link vertex, what ``rotator`` reads: its edge, whether it
-        is a tail end, its darts by face and its faces in id order."""
-        return [
-            (e, tail, table, faces)
-            for (e, tail), table, faces in zip(self._ends, self.dart_of_face, self.faces_of_vertex)
-        ]
+        return [darts[f] for f in order]
 
     def rotators(
         self, sigma: RotationSystem, red_edges: frozenset[EdgeId] = frozenset()
@@ -296,7 +277,7 @@ class LinkTracer:
         orders = sigma.sigma
         return [
             self.rotator(i, orders.get(e, ()), e in red_edges)
-            for i, (e, _) in enumerate(self._ends)
+            for i, (e, *_) in enumerate(self.records)
         ]
 
     def trace(
@@ -308,16 +289,16 @@ class LinkTracer:
         rotator holds maps to -2."""
         orders = sigma.sigma
         trace = [-2] * len(self.dart_vertex)
-        for e, tail, table, faces in self._readers:
+        for e, tail, darts, faces in self.records:
             order = orders.get(e)
             if not order:
                 order = faces
             elif tail and e not in red_edges:
                 order = order[::-1]
             if order:
-                prev = table[order[-1]]
+                prev = darts[order[-1]]
                 for f in order:
-                    d = table[f]
+                    d = darts[f]
                     trace[prev] = d ^ 1
                     prev = d
         return trace
@@ -372,7 +353,9 @@ def is_locally_connected(c: PreComplex) -> tuple[bool, VertexId | None]:
 
 def trace_link_complex(c: PreComplex, sigma: RotationSystem, v: VertexId) -> CellComplex:
     """The link complex of ``(c, sigma)`` at ``v``: the link graph with
-    rotators induced by sigma, traced into cells."""
+    rotators induced by sigma, a rotation system of ``c``, traced into
+    cells."""
+    check_rotation_system(c, sigma)
     tracer = link_tracers(c).get(v)
     if tracer is None:
         raise UnknownVertexError(f"unknown vertex {v!r}")
@@ -390,24 +373,28 @@ def induced_rotator(
     For a loop both ends lie at ``v``; the head end is reported.  The
     single-face convention leaves sigma empty, and the rotator is then
     the one link edge of the single face.  Read from the link
-    tracer at ``v`` kept in ``c.table``.
+    tracer at ``v`` kept in ``c.table``.  Sigma must be a rotation
+    system of ``c``.
     """
+    check_rotation_system(c, sigma)
     if e not in c.edges:
         raise NotIncidentError(f"unknown edge {e!r}")
     tail, head = c.edges[e]
     if v not in (tail, head):
         raise NotIncidentError(f"vertex {v!r} is not an endpoint of edge {e!r}")
     tracer = link_tracers(c)[v]
-    i = tracer.vertex_index[LinkVertex(e, HEAD if head == v else TAIL)]
-    face_of = {d: f for f, d in tracer.dart_of_face[i].items()}
-    return [(tracer.edge_labels[d >> 1], face_of[d]) for d in tracer.rotator(i, sigma.sigma[e])]
+    i = tracer.link.vertices.index(LinkVertex(e, HEAD if head == v else TAIL))
+    edges = [tracer.link.edges[d >> 1] for d in tracer.rotator(i, sigma.sigma[e])]
+    return [(le.label(), le.face) for le in edges]
 
 
 def is_planar_rotation_system(
     c: PreComplex, sigma: RotationSystem
 ) -> tuple[bool, VertexId | None]:
-    """Whether every link complex is a disjoint union of spheres; on
-    failure also the least failing vertex."""
+    """Whether every link complex of ``(c, sigma)``, sigma a rotation
+    system of ``c``, is a disjoint union of spheres; on failure also the
+    least failing vertex."""
+    check_rotation_system(c, sigma)
     tracers = link_tracers(c)
     for v in sorted(c.vertices):
         if not tracers[v].sphere_union(sigma):

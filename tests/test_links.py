@@ -1,10 +1,13 @@
 import itertools
 import random
+from typing import NamedTuple
 
 import pytest
 
 from rotsys import (
     GenParams,
+    PreComplex,
+    SignedEdgeRef,
     attached_complexes,
     cut_vertices,
     generate_random_complex,
@@ -12,7 +15,8 @@ from rotsys import (
     link_graph,
     validate,
 )
-from rotsys.errors import NotACutVertexError
+from rotsys.errors import NotACutVertexError, UnsatisfiableError
+from rotsys.links import HEAD, TAIL, LinkEdge, LinkGraph, LinkVertex
 
 from general_pieces import (
     GENERAL_PIECES,
@@ -78,6 +82,95 @@ def test_link_vertex_count_equals_degree(complexes):
         for v in c.vertices:
             lg = link_graph(c, v)
             assert len(lg.vertices) == len(c.incident_edges(v))
+
+
+# -- link graphs against the corner-based reference ---------------------------
+
+
+class Corner(NamedTuple):
+    """A traversal of a vertex by a face boundary: corner ``pos`` of
+    ``face`` sits between trail refs ``pos - 1`` and ``pos``, and
+    ``vertex`` is where they meet."""
+
+    face: str
+    pos: int
+    vertex: str
+    prev_ref: SignedEdgeRef
+    next_ref: SignedEdgeRef
+
+
+def reference_corners(c, f):
+    trail = c.faces[f].trail
+    return [Corner(f, i, c.ref_start(ref), trail[i - 1], ref) for i, ref in enumerate(trail)]
+
+
+def reference_face_vertices(c, f):
+    return frozenset(corner.vertex for corner in reference_corners(c, f))
+
+
+def reference_link_graph(c, v):
+    """The link graph read off the corners of every face: the edge-ends
+    at ``v`` in id order, head before tail at a loop, and one link edge
+    per corner at ``v`` in (face id, position) order."""
+    vertices, loops = [], set()
+    for e in sorted(e for e, ends in c.edges.items() if v in ends):
+        tail, head = c.edges[e]
+        if tail == head:
+            loops.add(e)
+        if head == v:
+            vertices.append(LinkVertex(e, HEAD))
+        if tail == v:
+            vertices.append(LinkVertex(e, TAIL))
+    edges = []
+    for f in sorted(c.faces):
+        for corner in reference_corners(c, f):
+            if corner.vertex == v:
+                prev, nxt = corner.prev_ref, corner.next_ref
+                u = LinkVertex(prev.edge, HEAD if prev.sign == 1 else TAIL)
+                w = LinkVertex(nxt.edge, TAIL if nxt.sign == 1 else HEAD)
+                edges.append(LinkEdge(f, corner.pos, u, w))
+    return LinkGraph(v, tuple(vertices), tuple(edges), frozenset(loops))
+
+
+def with_isolated_vertex(c):
+    return PreComplex(c.kind, (*c.vertices, "isolated"), c.edges, c.faces)
+
+
+def link_corpus(complexes):
+    """The fixtures, randgen complexes, and glued general complexes with
+    loops, one-ref loop faces and faceless edges, every other one with
+    an isolated vertex."""
+    rng = random.Random(41)
+    corpus = list(complexes.values())
+    for seed in range(60):
+        params = GenParams(seed=seed, n_vertices=4 + seed % 4, target_faces=2 + seed % 9)
+        try:
+            corpus.append(generate_random_complex(params))
+        except UnsatisfiableError:
+            pass
+    for i in range(80):
+        c = glued(rng, rng.choices(GENERAL_PIECES + LOOP_PIECES, k=rng.randint(1, 5)), 0.1)
+        corpus.append(with_isolated_vertex(c) if i % 2 else c)
+    return corpus
+
+
+def test_link_graph_equals_the_corner_reference(complexes):
+    seen = {"loop": 0, "one-ref face": 0, "faceless": 0, "isolated": 0, "simplicial": 0}
+    for c in link_corpus(complexes):
+        for v in c.vertices:
+            assert link_graph(c, v) == reference_link_graph(c, v), v
+        for f in c.faces:
+            assert c.face_vertices(f) == reference_face_vertices(c, f), f
+        degree = {e: 0 for e in c.edges}
+        for b in c.faces.values():
+            for ref in b.trail:
+                degree[ref.edge] += 1
+        seen["loop"] += any(tail == head for tail, head in c.edges.values())
+        seen["one-ref face"] += any(len(b.trail) == 1 for b in c.faces.values())
+        seen["faceless"] += 0 in degree.values()
+        seen["isolated"] += "isolated" in c.vertices
+        seen["simplicial"] += c.kind == "simplicial"
+    assert min(seen.values()) >= 20, seen
 
 
 def test_cut_vertices_fixtures(complexes):

@@ -19,6 +19,7 @@ from rotsys import (
     trace_link_complex,
 )
 from rotsys.errors import (
+    InvalidRotationSystemError,
     NotClosedSurfaceError,
     NotIncidentError,
     RotsysError,
@@ -209,6 +210,47 @@ def test_induced_rotator_requires_incidence(complexes):
         induced_rotator(c, sigma, "v-w", "a")
 
 
+def test_link_readers_refuse_an_order_that_is_not_a_cyclic_order(complexes):
+    """A hand-built system whose order at an edge leaves out, repeats or
+    adds a foreign face is refused by ``trace_link_complex``,
+    ``induced_rotator`` and ``is_planar_rotation_system`` alike, at
+    either end of the edge.  ``is_planar_rotation_system`` comes last:
+    unchecked, its walk would follow a left-out face's dart forever."""
+    rng = random.Random(31)
+    corpus = list(complexes.values())
+    corpus += [
+        generate_random_complex(GenParams(seed=s, n_vertices=5 + s % 3, target_faces=4 + s % 5))
+        for s in range(30)
+    ]
+    corpus += [
+        glued(rng, rng.choices(GENERAL_PIECES + LOOP_PIECES, k=rng.randint(1, 4)))
+        for _ in range(30)
+    ]
+    seen = {"omitted": 0, "repeated": 0, "foreign": 0}
+    for c in corpus:
+        incidences = c.edge_incidences()
+        multi = sorted(e for e, faces in incidences.items() if len(faces) >= 2)
+        if not multi:
+            continue
+        e = rng.choice(multi)
+        faces = incidences[e]
+        foreign = sorted(set(c.faces) - set(faces))
+        bad = {"omitted": faces[1:], "repeated": [faces[-1], *faces[1:]]}
+        if foreign:
+            bad["foreign"] = [rng.choice(foreign), *faces[1:]]
+        for kind, order in bad.items():
+            sigma = RotationSystem({**canonical_rotation_system(c).sigma, e: tuple(order)})
+            for v in set(c.edges[e]):
+                with pytest.raises(InvalidRotationSystemError):
+                    trace_link_complex(c, sigma, v)
+                with pytest.raises(InvalidRotationSystemError):
+                    induced_rotator(c, sigma, e, v)
+            with pytest.raises(InvalidRotationSystemError):
+                is_planar_rotation_system(c, sigma)
+            seen[kind] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def test_surface_dual_tetrahedral_sphere(complexes):
     c = complexes["tetrahedron"]
     sigma = canonical_rotation_system(c)
@@ -378,8 +420,7 @@ def test_surface_dual_and_sphere_union_against_the_cells(complexes):
 def test_searches_build_no_polygons_and_no_link_labels():
     """What only the identity checks and the witness documents read is
     built on first use: a search and the planarity check leave the
-    polygon table and every tracer's link-edge labels and corner ids
-    unbuilt."""
+    polygon table and every tracer's link-edge labels unbuilt."""
     for name, build in BUILDERS.items():
         c = build()
         search_planar_rotation_system(c, "count")
@@ -388,7 +429,7 @@ def test_searches_build_no_polygons_and_no_link_labels():
         is_planar_rotation_system(c, sigma)
         assert "polygons" not in vars(c.table), name
         for t in link_tracers(c).values():
-            assert "edge_labels" not in vars(t) and t._corners is None, name
+            assert "edge_labels" not in vars(t), name
         if result.sigma is not None:
             result.rotator_doc(c)
             assert all("edge_labels" in vars(t) for t in link_tracers(c).values())
@@ -414,7 +455,7 @@ def reference_rotators(tracer, sigma, red_edges=frozenset()):
     gives the vertex's darts in face id order."""
     out = []
     for i, lv in enumerate(tracer.link.vertices):
-        table = tracer.dart_of_face[i]
+        table = tracer.records[i][2]
         order = sigma.sigma.get(lv.edge, ())
         if not order:
             order = sorted(table)
