@@ -34,6 +34,7 @@ from .links import (
     attached_complexes,
     cut_vertices,
     link_graph,
+    link_graphs,
 )
 from .presentation import Pi1Verdict, pi1_trivial_heuristic
 from .randgen import GenParams, generate_random_complex

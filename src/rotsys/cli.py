@@ -22,7 +22,7 @@ from .documents import (
 from .dot import export_dot_complex, export_dot_link
 from .errors import RotsysError
 from .homology import euler_identity_report, homology_summary, integral_summary
-from .links import link_graph
+from .links import link_graph, link_graphs
 from .randgen import GenParams, generate_random_complex
 from .rotation import canonical_rotation_system
 from .search import search_generalized_prs, search_planar_rotation_system
@@ -120,13 +120,12 @@ def _cmd_links(args) -> int:
     c = parse_complex(_read_input(args.input))
     if args.dot and not args.vertex:
         raise _UsageError("--dot requires --vertex")
-    targets = [args.vertex] if args.vertex else sorted(c.vertices)
     if args.dot:
-        print(export_dot_link(link_graph(c, targets[0])), end="")
+        print(export_dot_link(link_graph(c, args.vertex)), end="")
         return 0
+    graphs = {args.vertex: link_graph(c, args.vertex)} if args.vertex else link_graphs(c)
     doc = {}
-    for v in targets:
-        lg = link_graph(c, v)
+    for v, lg in sorted(graphs.items()):
         doc[v] = {
             "vertices": lg.vertex_labels(),
             "edges": [

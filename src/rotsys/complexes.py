@@ -187,12 +187,6 @@ class PreComplex:
 
     # -- 1-skeleton ---------------------------------------------------------
 
-    def incident_edges(self, v: VertexId) -> list[EdgeId]:
-        """Edges with ``v`` as an endpoint, in id order."""
-        return sorted(
-            e for e, (tail, head) in self.edges.items() if v in (tail, head)
-        )
-
     def components(self) -> list[set[VertexId]]:
         """Connected components of the 1-skeleton, ordered by least vertex."""
         order = sorted(self.vertices)

@@ -6,9 +6,11 @@ ends of a loop edge follows the double-counting convention for dual
 complexes: a loop contributes two link vertices.  For loop-free
 complexes the link vertices are simply the edges at v.  A face arrives
 at an edge's head when it runs along the edge, at its tail when it runs
-against it, and leaves from the other end.  Rotators and link counts
-are read from the link tracers that ``tracing.link_tracers`` builds
-once per complex, and so is local connectivity.
+against it, and leaves from the other end.  ``link_graphs`` builds every
+link in one walk that deals each edge-end and each corner to its vertex.
+Rotators and link counts are read from the link tracers that
+``tracing.link_tracers`` builds from one walk per complex, and so is
+local connectivity.
 
 Cut vertices are those of the complex as a space: splits run on vertex
 sets over ``space_adjacency``.  Without its vertices the space falls
@@ -42,9 +44,6 @@ class LinkVertex(NamedTuple):
     edge: EdgeId
     end: str  # HEAD or TAIL
 
-    def label(self, is_loop: bool) -> str:
-        return f"{self.edge}:{self.end}" if is_loop else self.edge
-
 
 class LinkEdge(NamedTuple):
     """One traversal of the center vertex by a face boundary.
@@ -72,39 +71,29 @@ class LinkGraph:
     def label_of(self, lv: LinkVertex) -> str:
         """The label of link vertex ``lv``: its edge id, with the end
         appended for a loop."""
-        return lv.label(lv.edge in self.loops)
+        return f"{lv.edge}:{lv.end}" if lv.edge in self.loops else lv.edge
 
     def vertex_labels(self) -> list[str]:
         return [self.label_of(lv) for lv in self.vertices]
 
 
-def link_graph(c: PreComplex, v: VertexId) -> LinkGraph:
-    """The link graph of ``c`` at ``v``.
+def link_graphs(c: PreComplex) -> dict[VertexId, LinkGraph]:
+    """The link graph of ``c`` at every vertex, in ``c``'s vertex order,
+    from one pass over the edges and one over the face trails.
 
     Vertices are the edge-ends at v (in id order, head end before tail
     end for loops); edges are the face traversals of v in (face id,
     position) order, which fixes the dart ordering used everywhere else.
     """
-    if v not in c.vertices:
-        raise UnknownVertexError(f"unknown vertex {v!r}")
-    vertices: list[LinkVertex] = []
-    loops = set()
-    for e in c.incident_edges(v):
+    vertices: dict[VertexId, list[LinkVertex]] = {v: [] for v in c.vertices}
+    for e in sorted(c.edges):
         tail, head = c.edges[e]
-        if tail == head:
-            loops.add(e)
-            vertices.append(LinkVertex(e, HEAD))
-            vertices.append(LinkVertex(e, TAIL))
-        elif head == v:
-            vertices.append(LinkVertex(e, HEAD))
-        else:
-            vertices.append(LinkVertex(e, TAIL))
-    edges: list[LinkEdge] = []
+        vertices[head].append(LinkVertex(e, HEAD))
+        vertices[tail].append(LinkVertex(e, TAIL))
+    edges: dict[VertexId, list[LinkEdge]] = {v: [] for v in c.vertices}
     for f in sorted(c.faces):
         trail = c.faces[f].trail
         for pos, nxt in enumerate(trail):
-            if c.ref_start(nxt) != v:
-                continue
             # corner pos, between refs pos - 1 and pos: the face arrives
             # over its previous ref, at the edge's head when it runs along
             # the edge, and leaves over its next ref, from the edge's tail
@@ -112,8 +101,19 @@ def link_graph(c: PreComplex, v: VertexId) -> LinkGraph:
             prev = trail[pos - 1]
             u = LinkVertex(prev.edge, HEAD if prev.sign == 1 else TAIL)
             w = LinkVertex(nxt.edge, TAIL if nxt.sign == 1 else HEAD)
-            edges.append(LinkEdge(f, pos, u, w))
-    return LinkGraph(v, tuple(vertices), tuple(edges), frozenset(loops))
+            edges[c.ref_start(nxt)].append(LinkEdge(f, pos, u, w))
+    loops = {e for e, (tail, head) in c.edges.items() if tail == head}
+    return {
+        v: LinkGraph(v, tuple(lvs), tuple(edges[v]), frozenset(lv.edge for lv in lvs) & loops)
+        for v, lvs in vertices.items()
+    }
+
+
+def link_graph(c: PreComplex, v: VertexId) -> LinkGraph:
+    """The link graph of ``c`` at ``v``, as ``link_graphs`` builds it."""
+    if v not in c.vertices:
+        raise UnknownVertexError(f"unknown vertex {v!r}")
+    return link_graphs(c)[v]
 
 
 def _supports(

@@ -67,9 +67,14 @@ def check_rotation_system(c: PreComplex, sigma: RotationSystem) -> None:
                 )
             continue
         if sorted(got) != sorted(expected):
-            raise InvalidRotationSystemError(
-                f"edge {e!r}: sigma does not list each of its faces exactly once"
-            )
+            raise not_listed_once(e)
+
+
+def not_listed_once(e: EdgeId) -> InvalidRotationSystemError:
+    """The error of an order at ``e`` that leaves out, repeats or adds a face."""
+    return InvalidRotationSystemError(
+        f"edge {e!r}: sigma does not list each of its faces exactly once"
+    )
 
 
 def rotation_system_from_face_lists(

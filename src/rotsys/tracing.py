@@ -17,8 +17,8 @@ from typing import Sequence
 
 from .complexes import EdgeId, FaceId, PreComplex, VertexId, connected_classes
 from .errors import NotClosedSurfaceError, NotIncidentError, UnknownVertexError
-from .links import HEAD, TAIL, LinkGraph, LinkVertex, link_graph
-from .rotation import RotationSystem, check_rotation_system
+from .links import HEAD, TAIL, LinkGraph, LinkVertex, link_graph, link_graphs
+from .rotation import RotationSystem, check_rotation_system, not_listed_once
 
 
 def orbits_of(trace: Sequence[int]) -> list[tuple[int, ...]]:
@@ -62,13 +62,6 @@ def traces_sphere_union(trace: Sequence[int], cells: int) -> bool:
             seen[d] = True
             d = trace[d]
     return orbits == cells
-
-
-def _component_count(vertex_count: int, dart_vertex: Sequence[int]) -> int:
-    """Connected components of a traced graph, isolated vertices
-    included."""
-    ends = iter(dart_vertex)
-    return len(connected_classes(vertex_count, zip(ends, ends)))
 
 
 @dataclass(frozen=True)
@@ -137,10 +130,9 @@ class CellComplex:
 
 
 def is_sphere_union(cc: CellComplex) -> bool:
-    """True iff every connected component has Euler characteristic 2:
-    each has at most 2, so iff the cells reach 2 - V + E per component."""
-    components = _component_count(cc.vertex_count, cc.dart_vertex)
-    return cc.num_cells() == 2 * components - cc.num_vertices() + cc.num_edges()
+    """True iff every connected component has Euler characteristic 2,
+    its cells reaching 2 - V + E."""
+    return all(chi == 2 for chi in cc.chi_by_component())
 
 
 def surface_dual(cc: CellComplex) -> CellComplex:
@@ -236,8 +228,9 @@ class LinkTracer:
 
     @cached_property
     def component_count(self) -> int:
-        """The link's connected components."""
-        return _component_count(len(self.link.vertices), self.dart_vertex)
+        """The link's connected components, isolated vertices included."""
+        ends = iter(self.dart_vertex)
+        return len(connected_classes(len(self.link.vertices), zip(ends, ends)))
 
     @cached_property
     def sphere_cells(self) -> int:
@@ -285,22 +278,29 @@ class LinkTracer:
     ) -> list[int]:
         """The tracing map of the rotators sigma induces, each dart to
         the mate of its successor: one pass over the link vertices, each
-        reading its order by the rule of ``rotator``.  A dart that no
-        rotator holds maps to -2."""
+        reading its order by the rule of ``rotator``.  An order that
+        leaves out, repeats or adds a face is an InvalidRotationSystemError."""
         orders = sigma.sigma
         trace = [-2] * len(self.dart_vertex)
-        for e, tail, darts, faces in self.records:
-            order = orders.get(e)
-            if not order:
-                order = faces
-            elif tail and e not in red_edges:
-                order = order[::-1]
-            if order:
-                prev = darts[order[-1]]
-                for f in order:
-                    d = darts[f]
-                    trace[prev] = d ^ 1
-                    prev = d
+        try:
+            for e, tail, darts, faces in self.records:
+                order = orders.get(e)
+                if not order:
+                    order = faces
+                elif len(order) != len(faces):
+                    raise not_listed_once(e)
+                elif tail and e not in red_edges:
+                    order = order[::-1]
+                if order:
+                    prev = darts[order[-1]]
+                    for f in order:
+                        d = darts[f]
+                        trace[prev] = d ^ 1
+                        prev = d
+        except KeyError:  # a face that does not meet the edge
+            raise not_listed_once(e) from None
+        if -2 in trace:
+            raise not_listed_once(self.records[self.dart_vertex[trace.index(-2)]][0])
         return trace
 
     def sphere_union(
@@ -331,12 +331,12 @@ def link_tracer(
 
 
 def link_tracers(c: PreComplex) -> dict[VertexId, LinkTracer]:
-    """The tracers of every link of ``c``, in ``c``'s vertex order:
-    built on the first call and kept in ``c.table``, so every later
-    caller shares them and must not change them."""
+    """The tracers of every link of ``c``, in ``c``'s vertex order: built
+    from one walk on the first call and kept in ``c.table``, so every
+    later caller shares them and must not change them."""
     table = c.table
     if table.tracers is None:
-        table.tracers = {v: link_tracer(c, v) for v in c.vertices}
+        table.tracers = {v: LinkTracer(lg) for v, lg in link_graphs(c).items()}
     return table.tracers
 
 

@@ -13,11 +13,13 @@ from rotsys import (
     generate_random_complex,
     is_locally_connected,
     link_graph,
+    link_graphs,
     validate,
 )
 from rotsys.errors import NotACutVertexError, UnsatisfiableError
 from rotsys.links import HEAD, TAIL, LinkEdge, LinkGraph, LinkVertex
 
+import make_fixtures
 from general_pieces import (
     GENERAL_PIECES,
     LOOP_PIECES,
@@ -81,7 +83,9 @@ def test_link_vertex_count_equals_degree(complexes):
     for c in complexes.values():
         for v in c.vertices:
             lg = link_graph(c, v)
-            assert len(lg.vertices) == len(c.incident_edges(v))
+            # one link vertex per edge end at v, both ends of a loop
+            ends = sum((tail == v) + (head == v) for tail, head in c.edges.values())
+            assert len(lg.vertices) == ends
 
 
 # -- link graphs against the corner-based reference ---------------------------
@@ -155,10 +159,15 @@ def link_corpus(complexes):
 
 
 def test_link_graph_equals_the_corner_reference(complexes):
+    """``link_graph`` and the one walk of ``link_graphs`` give the corner
+    reference's link at every vertex, on the corpus and on grid tori and
+    Klein bottles of up to 400 vertices."""
     seen = {"loop": 0, "one-ref face": 0, "faceless": 0, "isolated": 0, "simplicial": 0}
     for c in link_corpus(complexes):
+        graphs = link_graphs(c)
+        assert list(graphs) == list(c.vertices)
         for v in c.vertices:
-            assert link_graph(c, v) == reference_link_graph(c, v), v
+            assert link_graph(c, v) == graphs[v] == reference_link_graph(c, v), v
         for f in c.faces:
             assert c.face_vertices(f) == reference_face_vertices(c, f), f
         degree = {e: 0 for e in c.edges}
@@ -171,6 +180,12 @@ def test_link_graph_equals_the_corner_reference(complexes):
         seen["isolated"] += "isolated" in c.vertices
         seen["simplicial"] += c.kind == "simplicial"
     assert min(seen.values()) >= 20, seen
+    for n, twisted in itertools.product((4, 20), (False, True)):
+        c = make_fixtures._grid_surface(n, twisted)
+        graphs = link_graphs(c)
+        assert list(graphs) == list(c.vertices)
+        for v in c.vertices:
+            assert graphs[v] == reference_link_graph(c, v), (n, twisted, v)
 
 
 def test_cut_vertices_fixtures(complexes):

@@ -462,28 +462,28 @@ ROADMAP_WITNESS = {
 
 
 def test_each_complex_builds_each_link_graph_once(monkeypatch, complexes):
-    """A complex object builds the link graph of each vertex at most once,
-    for the link tracers kept in its table, across ``prs find`` and
-    ``count``, ``gprs find`` with its rotators, ``verdict`` (its
-    re-check of the witness included) and ``euler_identity_report``;
-    each search still runs its planarity precheck once."""
+    """A complex object walks its link graphs at most once, for the link
+    tracers kept in its table, across ``prs find`` and ``count``, ``gprs
+    find`` with its rotators, ``verdict`` (its re-check of the witness
+    included) and ``euler_identity_report``; each search still runs its
+    planarity precheck once."""
     built = Counter()
     alive = []  # keeps every complex seen, so no id is reused
     prechecks = []
 
-    def counted_link_graph(c, v):
+    def counted_link_graphs(c):
         alive.append(c)
-        built[id(c), v] += 1
-        return original(c, v)
+        built[id(c)] += 1
+        return original(c)
 
     def counted_precheck(graphs):
         prechecks.append(1)
         return link_planarity_precheck(graphs)
 
-    original = links.link_graph
+    original = links.link_graphs
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rotsys" and module.__dict__.get("link_graph") is original:
-            monkeypatch.setattr(module, "link_graph", counted_link_graph)
+        if name.split(".")[0] == "rotsys" and module.__dict__.get("link_graphs") is original:
+            monkeypatch.setattr(module, "link_graphs", counted_link_graphs)
     monkeypatch.setattr(search, "link_planarity_precheck", counted_precheck)
     corpus = list(complexes.values()) + [
         generate_random_complex(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -87,7 +88,7 @@ def test_tetrahedron_links_against_oracle(complexes):
         # rebuild the same rotators for the oracle from first principles:
         # at each spoke, the two incident faces in sigma order (per-end
         # direction does not matter for two-cycles)
-        spokes = c.incident_edges(v)
+        spokes = sorted(e for e, (tail, head) in c.edges.items() if v in (tail, head))
         faces_at = {
             e: [f for f in sorted(c.faces) if any(r.edge == e for r in c.faces[f].trail)]
             for e in spokes
@@ -210,12 +211,10 @@ def test_induced_rotator_requires_incidence(complexes):
         induced_rotator(c, sigma, "v-w", "a")
 
 
-def test_link_readers_refuse_an_order_that_is_not_a_cyclic_order(complexes):
-    """A hand-built system whose order at an edge leaves out, repeats or
-    adds a foreign face is refused by ``trace_link_complex``,
-    ``induced_rotator`` and ``is_planar_rotation_system`` alike, at
-    either end of the edge.  ``is_planar_rotation_system`` comes last:
-    unchecked, its walk would follow a left-out face's dart forever."""
+def broken_orders(complexes):
+    """Per complex of a corpus with an edge in two or more faces, at one
+    such edge: systems whose order there leaves out, repeats or adds a
+    foreign face, or lists a face twice, as (complex, edge, kind, system)."""
     rng = random.Random(31)
     corpus = list(complexes.values())
     corpus += [
@@ -226,7 +225,6 @@ def test_link_readers_refuse_an_order_that_is_not_a_cyclic_order(complexes):
         glued(rng, rng.choices(GENERAL_PIECES + LOOP_PIECES, k=rng.randint(1, 4)))
         for _ in range(30)
     ]
-    seen = {"omitted": 0, "repeated": 0, "foreign": 0}
     for c in corpus:
         incidences = c.edge_incidences()
         multi = sorted(e for e, faces in incidences.items() if len(faces) >= 2)
@@ -235,20 +233,60 @@ def test_link_readers_refuse_an_order_that_is_not_a_cyclic_order(complexes):
         e = rng.choice(multi)
         faces = incidences[e]
         foreign = sorted(set(c.faces) - set(faces))
-        bad = {"omitted": faces[1:], "repeated": [faces[-1], *faces[1:]]}
+        bad = {
+            "omitted": faces[1:],
+            "repeated": [faces[-1], *faces[1:]],
+            "longer": [*faces, faces[0]],
+        }
         if foreign:
             bad["foreign"] = [rng.choice(foreign), *faces[1:]]
         for kind, order in bad.items():
-            sigma = RotationSystem({**canonical_rotation_system(c).sigma, e: tuple(order)})
-            for v in set(c.edges[e]):
-                with pytest.raises(InvalidRotationSystemError):
-                    trace_link_complex(c, sigma, v)
-                with pytest.raises(InvalidRotationSystemError):
-                    induced_rotator(c, sigma, e, v)
+            yield c, e, kind, RotationSystem({**canonical_rotation_system(c).sigma, e: tuple(order)})
+
+
+def test_link_readers_refuse_an_order_that_is_not_a_cyclic_order(complexes):
+    """A hand-built system whose order at an edge leaves out, repeats or
+    adds a face is refused by ``trace_link_complex``,
+    ``induced_rotator`` and ``is_planar_rotation_system`` alike, at
+    either end of the edge."""
+    seen = {"omitted": 0, "repeated": 0, "longer": 0, "foreign": 0}
+    for c, e, kind, sigma in broken_orders(complexes):
+        for v in set(c.edges[e]):
             with pytest.raises(InvalidRotationSystemError):
-                is_planar_rotation_system(c, sigma)
-            seen[kind] += 1
+                trace_link_complex(c, sigma, v)
+            with pytest.raises(InvalidRotationSystemError):
+                induced_rotator(c, sigma, e, v)
+        with pytest.raises(InvalidRotationSystemError):
+            is_planar_rotation_system(c, sigma)
+        seen[kind] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_link_tracers_refuse_an_order_that_is_not_a_cyclic_order(complexes):
+    """The tracers' own readers check the orders they trace: ``trace``,
+    ``sphere_union`` and ``cells`` raise on an order that leaves out,
+    repeats or adds a face, or lists a face twice, at either end of the
+    edge, where a dart no rotator holds would send the orbit walk
+    around forever.  Book3 with ``sigma['v-w']`` cut to its first two
+    faces is such a system."""
+    c = complexes["book3"]
+    sigma = canonical_rotation_system(c)
+    cut = RotationSystem({**sigma.sigma, "v-w": sigma.sigma["v-w"][:2]})
+    cases = [(c, "v-w", "cut", cut), *broken_orders(complexes)]
+    seen = {"cut": 0, "omitted": 0, "repeated": 0, "longer": 0, "foreign": 0}
+    for c, e, kind, sigma in cases:
+        tracers = link_tracers(c)
+        for v in set(c.edges[e]):
+            t = tracers[v]
+            for red in (frozenset(), frozenset([e])):
+                with pytest.raises(InvalidRotationSystemError, match=re.escape(repr(e))):
+                    t.trace(sigma, red)
+                with pytest.raises(InvalidRotationSystemError, match=re.escape(repr(e))):
+                    t.sphere_union(sigma, red)
+            with pytest.raises(InvalidRotationSystemError, match=re.escape(repr(e))):
+                t.cells(sigma)
+        seen[kind] += 1
+    assert seen.pop("cut") == 1 and min(seen.values()) >= 20, seen
 
 
 def test_surface_dual_tetrahedral_sphere(complexes):
