@@ -227,14 +227,33 @@ class DirectedComplex(PreComplex):
         faces: dict[FaceId, FaceBoundary],
     ) -> "DirectedComplex":
         """A complex its builder guarantees to meet the standing
-        assumptions: the structural checks of PreComplex run, and
-        :func:`validate` does not."""
+        assumptions and to give declared, non-empty ids, known edge ends,
+        boundaries labeled by their face and signs of +1 or -1.  What
+        that leaves of the structural checks of PreComplex runs, one pass
+        per face: its trail is non-empty, no edge comes twice, and each
+        ref starts where the one before it ends.  A face that fails goes
+        through ``_check_trail``, which raises the full check's error;
+        :func:`validate` does not run."""
         c = object.__new__(cls)
         object.__setattr__(c, "kind", kind)
         object.__setattr__(c, "vertices", vertices)
         object.__setattr__(c, "edges", edges)
         object.__setattr__(c, "faces", faces)
-        PreComplex.__post_init__(c)
+        for f, boundary in faces.items():
+            trail = boundary.trail
+            if trail:
+                # an edge's ends in the order a ref runs over them
+                at = edges[trail[-1].edge][:: trail[-1].sign][1]
+                seen = set()
+                for ref in trail:
+                    start, end = edges[ref.edge][:: ref.sign]
+                    if start != at or ref.edge in seen:
+                        break
+                    seen.add(ref.edge)
+                    at = end
+                else:
+                    continue
+            c._check_trail(f, trail)
         return c
 
     @staticmethod

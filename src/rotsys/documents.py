@@ -1,7 +1,11 @@
 """Canonical JSON documents for complexes and rotation systems.
 
-The canonical form is ``json.dumps(..., indent=2)`` plus a trailing
-newline, keys in the fixed order shown below, arrays in input order.
+The canonical form is ``json.dumps(..., indent=2, ensure_ascii=False)``
+plus a trailing newline, keys in the fixed order shown below, arrays in
+input order.  ``dump_canonical`` reproduces those bytes, and json's
+TypeError for what it cannot write, with a short recursive writer: json's
+encoder runs in Python generators once it indents.  Documents are trees,
+so json's check for a circular reference is not repeated.
 ``emit_complex(parse_complex(doc)) == doc`` holds byte-for-byte for
 canonical documents.  Parsing ignores unknown top-level keys so that
 annotated documents (dual complexes carrying their rotation system)
@@ -11,6 +15,7 @@ stay consumable by every command.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring as _quote
 from typing import Any
 
 from .complexes import (
@@ -122,8 +127,94 @@ def complex_to_doc(c: PreComplex) -> dict[str, Any]:
     }
 
 
+_INF = float("inf")
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (_INF, -_INF):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+# json's text of a scalar, by its exact type
+_TEXT = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_text,
+    bool: _CONSTANTS.__getitem__,
+    type(None): _CONSTANTS.__getitem__,
+}
+
+
+def _scalar_text(o: Any) -> str | None:
+    """json's text of ``o`` when it is a scalar, a subclass of str, int
+    or float included, and None when it is not."""
+    text = _TEXT.get(type(o))
+    if text is not None:
+        return text(o)
+    for kind, text in ((str, _quote), (int, int.__repr__), (float, _float_text)):
+        if isinstance(o, kind):
+            return text(o)
+    return None
+
+
+def _write(o: Any, out: list[str], newline: str) -> None:
+    """Append json's text of ``o`` to ``out``; ``newline`` is the line
+    break and indent that ``o``'s closing bracket follows."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            text = _TEXT.get(type(item))
+            if text is not None:
+                out.append(sep + text(item))
+            else:
+                out.append(sep)
+                _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in o.items():
+            if not isinstance(key, str):
+                # json writes a scalar key as the string of its text
+                text = _scalar_text(key)
+                if text is None:
+                    raise TypeError(
+                        "keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}"
+                    )
+                key = text
+            text = _TEXT.get(type(value))
+            if text is not None:
+                out.append(sep + _quote(key) + ": " + text(value))
+            else:
+                out.append(sep + _quote(key) + ": ")
+                _write(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        text = _scalar_text(o)
+        if text is None:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        out.append(text)
+
+
 def dump_canonical(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    out: list[str] = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def emit_complex(c: PreComplex, extra: dict[str, Any] | None = None) -> str:

@@ -86,25 +86,36 @@ def link_graphs(c: PreComplex) -> dict[VertexId, LinkGraph]:
     position) order, which fixes the dart ordering used everywhere else.
     """
     vertices: dict[VertexId, list[LinkVertex]] = {v: [] for v in c.vertices}
+    loops: dict[VertexId, list[EdgeId]] = {}
+    # per edge: its tail, its head and the link vertices at its two ends
+    ends: dict[EdgeId, tuple[VertexId, VertexId, LinkVertex, LinkVertex]] = {}
     for e in sorted(c.edges):
         tail, head = c.edges[e]
-        vertices[head].append(LinkVertex(e, HEAD))
-        vertices[tail].append(LinkVertex(e, TAIL))
+        at_tail, at_head = LinkVertex(e, TAIL), LinkVertex(e, HEAD)
+        ends[e] = (tail, head, at_tail, at_head)
+        vertices[head].append(at_head)
+        vertices[tail].append(at_tail)
+        if tail == head:
+            loops.setdefault(tail, []).append(e)
     edges: dict[VertexId, list[LinkEdge]] = {v: [] for v in c.vertices}
     for f in sorted(c.faces):
         trail = c.faces[f].trail
-        for pos, nxt in enumerate(trail):
-            # corner pos, between refs pos - 1 and pos: the face arrives
-            # over its previous ref, at the edge's head when it runs along
-            # the edge, and leaves over its next ref, from the edge's tail
-            # when it runs along it
-            prev = trail[pos - 1]
-            u = LinkVertex(prev.edge, HEAD if prev.sign == 1 else TAIL)
-            w = LinkVertex(nxt.edge, TAIL if nxt.sign == 1 else HEAD)
-            edges[c.ref_start(nxt)].append(LinkEdge(f, pos, u, w))
-    loops = {e for e, (tail, head) in c.edges.items() if tail == head}
+        # corner pos, between refs pos - 1 and pos: the face arrives over
+        # its previous ref, at the edge's head when it runs along the
+        # edge, and leaves over its next ref, from the edge's tail when it
+        # runs along it; u is the end it arrives at
+        _, _, at_tail, at_head = ends[trail[-1].edge]
+        u = at_head if trail[-1].sign == 1 else at_tail
+        for pos, ref in enumerate(trail):
+            tail, head, at_tail, at_head = ends[ref.edge]
+            if ref.sign == 1:
+                edges[tail].append(LinkEdge(f, pos, u, at_tail))
+                u = at_head
+            else:
+                edges[head].append(LinkEdge(f, pos, u, at_head))
+                u = at_tail
     return {
-        v: LinkGraph(v, tuple(lvs), tuple(edges[v]), frozenset(lv.edge for lv in lvs) & loops)
+        v: LinkGraph(v, tuple(lvs), tuple(edges[v]), frozenset(loops.get(v, ())))
         for v, lvs in vertices.items()
     }
 

@@ -1,15 +1,19 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rotsys import (
     DirectedComplex,
+    FaceBoundary,
+    PreComplex,
     SignedEdgeRef,
     emit_complex,
     parse_complex,
     parse_precomplex,
     validate,
 )
+from rotsys.complexes import GENERAL
 from rotsys.errors import (
     EmptyKindError,
     NonClosedTrailError,
@@ -162,3 +166,69 @@ def test_face_trail_edge_repetition_rejected():
     )
     with pytest.raises(NonClosedTrailError):
         parse_precomplex(text)
+
+
+# the trail guard of DirectedComplex.valid_by_construction, which the
+# dual's builder uses, against the full structural check of PreComplex
+GUARD_VERTICES = ("a", "b", "c")
+GUARD_EDGES = {"x": ("a", "b"), "y": ("b", "c"), "z": ("c", "a"), "l": ("a", "a")}
+CLOSED = (("x", 1), ("y", 1), ("z", 1))
+
+
+def guard_faces(*trails):
+    return {
+        f"f{i}": FaceBoundary(f"f{i}", tuple(SignedEdgeRef(e, s) for e, s in trail))
+        for i, trail in enumerate(trails)
+    }
+
+
+def assert_guard_fails_like_the_full_check(faces):
+    with pytest.raises(NonClosedTrailError) as want:
+        PreComplex(GENERAL, GUARD_VERTICES, GUARD_EDGES, faces)
+    with pytest.raises(NonClosedTrailError) as got:
+        DirectedComplex.valid_by_construction(GENERAL, GUARD_VERTICES, GUARD_EDGES, faces)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (),  # an empty trail
+        (("x", 1), ("x", -1)),  # closed, but x twice
+        (("x", 1), ("y", 1), ("x", 1)),  # x twice, and not closed
+        (("x", 1), ("y", 1)),  # the first ref does not start where y ends
+        (("x", 1), ("y", 1), ("l", 1)),  # the last ref does not start where y ends
+    ],
+    ids=["empty", "repeated", "repeated-open", "open-at-first", "open-at-last"],
+)
+def test_dual_trail_guard_fails_like_the_full_check(bad):
+    assert_guard_fails_like_the_full_check(guard_faces(bad))
+    # after a face that passes, naming the face that fails
+    assert_guard_fails_like_the_full_check(guard_faces(CLOSED, bad))
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(st.sampled_from(sorted(GUARD_EDGES)), st.sampled_from([1, -1])),
+            max_size=5,
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_dual_trail_guard_decides_like_the_full_check(trails):
+    faces = guard_faces(*trails)
+    try:
+        full = PreComplex(GENERAL, GUARD_VERTICES, GUARD_EDGES, faces)
+    except NonClosedTrailError:
+        assert_guard_fails_like_the_full_check(faces)
+        return
+    built = DirectedComplex.valid_by_construction(GENERAL, GUARD_VERTICES, GUARD_EDGES, faces)
+    assert (built.kind, built.vertices, built.edges, built.faces) == (
+        full.kind,
+        full.vertices,
+        full.edges,
+        full.faces,
+    )
