@@ -6,11 +6,12 @@ ends of a loop edge follows the double-counting convention for dual
 complexes: a loop contributes two link vertices.  For loop-free
 complexes the link vertices are simply the edges at v.  A face arrives
 at an edge's head when it runs along the edge, at its tail when it runs
-against it, and leaves from the other end.  ``link_graphs`` builds every
-link in one walk that deals each edge-end and each corner to its vertex.
-Rotators and link counts are read from the link tracers that
-``tracing.link_tracers`` builds from one walk per complex, and so is
-local connectivity.
+against it, and leaves from the other end.  ``walk_links`` reads every
+link in one walk over integers that deals each edge-end and each
+corner to its vertex; ``tracing.link_tracers`` builds a complex's link
+tracers from it, and ``link_graphs`` spells it as ``LinkGraph``
+objects.  Rotators, link counts and local connectivity are read from
+the tracers.
 
 Cut vertices are those of the complex as a space: splits run on vertex
 sets over ``space_adjacency``.  Without its vertices the space falls
@@ -77,54 +78,103 @@ class LinkGraph:
         return [self.label_of(lv) for lv in self.vertices]
 
 
-def link_graphs(c: PreComplex) -> dict[VertexId, LinkGraph]:
-    """The link graph of ``c`` at every vertex, in ``c``'s vertex order,
-    from one pass over the edges and one over the face trails.
+class LinkWalk(NamedTuple):
+    """The link at ``center`` over integers, as ``walk_links`` builds it.
 
-    Vertices are the edge-ends at v (in id order, head end before tail
-    end for loops); edges are the face traversals of v in (face id,
-    position) order, which fixes the dart ordering used everywhere else.
+    ``ends`` holds per link vertex its edge, whether it is the edge's
+    tail end, and its darts by face.  Link edge k, a corner of a face at
+    the center, has darts 2k (arriving at its ``u``) and 2k + 1 (leaving
+    its ``w``), ``dart_vertex`` giving each dart's link vertex; per link
+    edge, ``faces`` and ``positions`` hold its face and its position
+    there, and ``corner_ids`` the corner's id, its place among all
+    corners of the complex in (face id, position) order, as
+    ``PolygonTable`` numbers them.  A corner is kept as ids in flat lists,
+    not as a pair, so a walk makes no object per corner.
     """
-    vertices: dict[VertexId, list[LinkVertex]] = {v: [] for v in c.vertices}
-    loops: dict[VertexId, list[EdgeId]] = {}
-    # per edge: its tail, its head and the link vertices at its two ends
-    ends: dict[EdgeId, tuple[VertexId, VertexId, LinkVertex, LinkVertex]] = {}
+
+    center: VertexId
+    ends: list[tuple[EdgeId, bool, dict[FaceId, int]]]
+    dart_vertex: list[int]
+    faces: list[FaceId]
+    positions: list[int]
+    corner_ids: list[int]
+
+
+def walk_links(c: PreComplex) -> dict[VertexId, LinkWalk]:
+    """The link of ``c`` at every vertex, in ``c``'s vertex order, from
+    one pass over the edges and one over the face trails.
+
+    Link vertices are the edge-ends at v (in id order, head end before
+    tail end for loops); link edges are the face traversals of v in
+    (face id, position) order, which fixes the dart ordering used
+    everywhere else.
+    """
+    walks = {v: LinkWalk(v, [], [], [], [], []) for v in c.vertices}
+    # per edge, its tail end and its head end, each with the lists of
+    # the link at its vertex, its link vertex there and that one's darts
+    ends = {}
     for e in sorted(c.edges):
         tail, head = c.edges[e]
-        at_tail, at_head = LinkVertex(e, TAIL), LinkVertex(e, HEAD)
-        ends[e] = (tail, head, at_tail, at_head)
-        vertices[head].append(at_head)
-        vertices[tail].append(at_tail)
-        if tail == head:
-            loops.setdefault(tail, []).append(e)
-    edges: dict[VertexId, list[LinkEdge]] = {v: [] for v in c.vertices}
+        pair = []
+        for v, at_tail in ((head, False), (tail, True)):
+            _, vertices, dart_vertex, faces, positions, corner_ids = walks[v]
+            darts: dict[FaceId, int] = {}
+            pair.append((dart_vertex, faces, positions, corner_ids, len(vertices), darts))
+            vertices.append((e, at_tail, darts))
+        ends[e] = (pair[1], pair[0])
+    corner = 0
     for f in sorted(c.faces):
         trail = c.faces[f].trail
         # corner pos, between refs pos - 1 and pos: the face arrives over
         # its previous ref, at the edge's head when it runs along the
         # edge, and leaves over its next ref, from the edge's tail when it
         # runs along it; u is the end it arrives at
-        _, _, at_tail, at_head = ends[trail[-1].edge]
-        u = at_head if trail[-1].sign == 1 else at_tail
+        _, _, _, _, u, arrived = ends[trail[-1].edge][trail[-1].sign == 1]
         for pos, ref in enumerate(trail):
-            tail, head, at_tail, at_head = ends[ref.edge]
-            if ref.sign == 1:
-                edges[tail].append(LinkEdge(f, pos, u, at_tail))
-                u = at_head
-            else:
-                edges[head].append(LinkEdge(f, pos, u, at_head))
-                u = at_tail
-    return {
-        v: LinkGraph(v, tuple(lvs), tuple(edges[v]), frozenset(loops.get(v, ())))
-        for v, lvs in vertices.items()
-    }
+            pair = ends[ref.edge]
+            dart_vertex, faces, positions, corner_ids, w, leaves = pair[ref.sign != 1]
+            k = len(dart_vertex)
+            dart_vertex += (u, w)
+            arrived[f] = k
+            leaves[f] = k + 1
+            faces.append(f)
+            positions.append(pos)
+            corner_ids.append(corner)
+            corner += 1
+            _, _, _, _, u, arrived = pair[ref.sign == 1]
+    return walks
+
+
+def link_view(walk: LinkWalk) -> LinkGraph:
+    """The link graph that ``walk`` spells in integers.  Its link vertices
+    and edges are made by ``tuple.__new__``, as ``NamedTuple._make``
+    makes them, without a Python call each: every search builds a view
+    of each link for its planarity precheck."""
+    new, ends = tuple.__new__, walk.ends
+    vertices = tuple([new(LinkVertex, (e, TAIL if at_tail else HEAD)) for e, at_tail, _ in ends])
+    uw = walk.dart_vertex
+    edges = tuple(
+        [
+            new(LinkEdge, (f, pos, vertices[uw[2 * k]], vertices[uw[2 * k + 1]]))
+            for k, (f, pos) in enumerate(zip(walk.faces, walk.positions))
+        ]
+    )
+    # the walk deals a loop's two ends to its vertex one after the other
+    loops = frozenset([a[0] for a, b in zip(ends, ends[1:]) if a[0] == b[0]])
+    return LinkGraph(walk.center, vertices, edges, loops)
+
+
+def link_graphs(c: PreComplex) -> dict[VertexId, LinkGraph]:
+    """The link graph of ``c`` at every vertex, in ``c``'s vertex order,
+    read off ``walk_links``."""
+    return {v: link_view(walk) for v, walk in walk_links(c).items()}
 
 
 def link_graph(c: PreComplex, v: VertexId) -> LinkGraph:
     """The link graph of ``c`` at ``v``, as ``link_graphs`` builds it."""
     if v not in c.vertices:
         raise UnknownVertexError(f"unknown vertex {v!r}")
-    return link_graphs(c)[v]
+    return link_view(walk_links(c)[v])
 
 
 def _supports(

@@ -172,7 +172,7 @@ def _compile_links(
         trace = [0] * n
         start = 0
         open_ends = False
-        for i, (e, _, darts, _) in enumerate(t.records):
+        for i, (e, _, darts) in enumerate(t.records):
             if len(darts) <= 2:
                 _, lo, hi, values = _write(t, i, trace, slot, start, (), False)
                 trace[lo:hi] = values

@@ -22,11 +22,15 @@ does not depend on sigma either: it is built once per complex and kept
 in the table, and every dual shares it.  Per rotation system, each
 pass is one walk: ``local_surfaces`` walks each corner orbit once,
 reading its corners and rotator on the way; the bijection check traces
-each link once and spells each cell in corner ids as it walks the
-tracing map, each link edge's corner id being its face's first id in
-the table plus its position; and the duality check traces each local
-surface and each link of the dual once, its surface dual's successors
-being the surface's own tracing map.
+each link once and spells each cell in the corner ids its link tracer
+holds as it walks the tracing map, files each cell under its least
+corner id, and matches each surface vertex to an unused cell filed
+under the least letter of its corner word, reading the cell forwards
+or backwards from each occurrence of that letter (canonical words
+spell only the message of a failed match); and the duality check
+traces each local surface and each link of the dual once, its surface
+dual's successors being the surface's own tracing map, and reads each
+dual link edge's face and position from its tracer.
 """
 
 from __future__ import annotations
@@ -367,6 +371,22 @@ def _canon_word(word: tuple) -> tuple:
     return best
 
 
+def _same_cycle(a: list[int], b: list[int]) -> bool:
+    """Whether ``b`` reads the cyclic word ``a``, forwards or backwards,
+    from some letter on: ``_canon_word(a) == _canon_word(b)``.  Such a
+    reading puts ``a``'s least letter on an occurrence of that letter in
+    ``b``, so only readings from those occurrences are compared."""
+    if len(b) != len(a):
+        return False
+    least = min(a)
+    i = a.index(least)
+    ahead = a[i:] + a[:i]
+    for j, x in enumerate(b):
+        if x == least and (b[j:] + b[:j] == ahead or b[j::-1] + b[:j:-1] == ahead):
+            return True
+    return False
+
+
 def iota_check(
     c: PreComplex,
     sigma: RotationSystem,
@@ -382,32 +402,37 @@ def iota_check(
     optional arguments let callers reuse per-complex structures when
     sweeping many rotation systems.  Words are spelled in corner ids
     of the complex's table, which follow the (face, position) order.
+    Each surface vertex takes the first unused cell that reads its word;
+    which one does not matter, since cells reading one word are
+    interchangeable, and a failure names the word or the cell class as
+    canonical words would.
     """
     if surfaces is None:
         surfaces = local_surfaces(c, sigma)
     p = c.table.polygons
     face_corner = p.face_corner
-    corner_words: dict[VertexId, list[tuple[int, ...]]] = {v: [] for v in c.vertices}
+    corner_words: dict[VertexId, list[list[int]]] = {v: [] for v in c.vertices}
     total_vertices = 0
     for s in surfaces:
         bases = [p.side_start[p.member_id[m]] for m in s.members]
         for sv in s.vertices:
-            word = tuple([face_corner[bases[m] + j] for m, j in sv.corners])
-            corner_words[sv.c_vertex].append(word)
+            corner_words[sv.c_vertex].append([face_corner[bases[m] + j] for m, j in sv.corners])
             total_vertices += 1
 
     if tracers is None:
         tracers = link_tracers(c)
-    face_start = p.face_start
     total_cells = 0
     matched = 0
     for v in sorted(c.vertices):
         tracer = tracers[v]
-        corner = [face_start[le.face] + le.pos for le in tracer.link.edges]
+        corner = tracer.corner_ids
         trace = tracer.trace(sigma)
         # the cells, the orbits of the tracing map from the least unused
-        # dart, spelled straight in corner ids
-        pool: dict[tuple[int, ...], int] = {}
+        # dart, spelled straight in corner ids, each filed under its
+        # least corner id: a surface vertex's word has the same least
+        # letter as the cell it reads
+        cells: list[list[int]] = []
+        by_least: dict[int, list[int]] = {}
         for start in range(len(trace)):
             if trace[start] < 0:
                 continue
@@ -416,23 +441,29 @@ def iota_check(
             while trace[d] >= 0:
                 word.append(corner[d >> 1])
                 trace[d], d = -1, trace[d]  # d is walked; step on
-            key = _canon_word(tuple(word))
-            pool[key] = pool.get(key, 0) + 1
-            total_cells += 1
+            by_least.setdefault(min(word), []).append(len(cells))
+            cells.append(word)
+        total_cells += len(cells)
+        used = [False] * len(cells)
         for w in corner_words[v]:
-            key = _canon_word(w)
-            if pool.get(key, 0) <= 0:
+            for i in by_least.get(min(w), ()):
+                if not used[i] and _same_cycle(w, cells[i]):
+                    used[i] = True
+                    break
+            else:
                 raise BijectionFailureError(
                     f"surface vertex at {v!r} with corner word {_spelled(p, w)} "
                     "has no matching link cell"
                 )
-            pool[key] -= 1
             matched += 1
-        leftovers = [k for k, n in pool.items() if n > 0]
-        if leftovers:
-            raise BijectionFailureError(
-                f"link cell at {v!r} unmatched: {_spelled(p, leftovers[0])}"
-            )
+        if not all(used):
+            # the first cell left over is of the class that a pool of
+            # canonical words names first: a corner id is on the two
+            # darts of one link edge, so at most two cells read one word,
+            # and the second is walked right after the first (it holds
+            # the mate of the first one's least dart)
+            unmatched = _canon_word(tuple(cells[used.index(False)]))
+            raise BijectionFailureError(f"link cell at {v!r} unmatched: {_spelled(p, unmatched)}")
     if total_vertices != total_cells:
         raise BijectionFailureError(
             f"{total_vertices} surface vertices vs {total_cells} link cells"
@@ -472,7 +503,7 @@ def surface_duality_check(
         b_succ = surface_dual_successors(s.cell_complex())
         gluing_index = {glue_start[g.edge] + g.seq: k for k, g in enumerate(s.gluings)}
         dart_map = []
-        for e, t, _, _ in tracer.link.edges:
+        for e, t in zip(tracer.walk.faces, tracer.walk.positions):
             # dual face = primal edge e, corner t: the gluing of sigma(e)'s
             # entries t - 1 and t; the u side is the positive side
             k = gluing_index[glue_start[e] + (t - 1) % len(incidences[e])]

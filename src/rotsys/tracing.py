@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .complexes import EdgeId, FaceId, PreComplex, VertexId, connected_classes
 from .errors import NotClosedSurfaceError, NotIncidentError, UnknownVertexError
-from .links import HEAD, TAIL, LinkGraph, LinkVertex, link_graph, link_graphs
+from .links import HEAD, TAIL, LinkGraph, LinkVertex, LinkWalk, link_view, walk_links
 from .rotation import RotationSystem, check_rotation_system, not_listed_once
 
 
@@ -198,39 +198,45 @@ def maps_isomorphism(
 
 
 class LinkTracer:
-    """Precomputed dart structure of one link graph, retraceable cheaply
-    for different rotator assignments during search: the one reader of
-    a link's rotators, cells and component count.  A link vertex is an
+    """Precomputed dart structure of one link, retraceable cheaply for
+    different rotator assignments during search: the one reader of a
+    link's rotators, cells and component count.  A link vertex is an
     edge-end, and each face through the edge gives it one dart, so its
-    darts are keyed by face id, as sigma lists them.  What only some
-    readers need (the component count, link-edge labels) is built on
-    first use and kept."""
+    darts are keyed by face id, as sigma lists them.  Everything is read
+    off the link's walk (``links.walk_links``, kept as ``walk``): each
+    link edge's face and position and its corner id (``corner_ids``) too.
+    What only some readers need (the component count, link-edge labels,
+    the link graph itself) is built on first use and kept."""
 
-    def __init__(self, lg: LinkGraph):
-        self.link = lg
-        index = {lv: i for i, lv in enumerate(lg.vertices)}
-        self.dart_vertex: list[int] = []
-        darts: list[dict[FaceId, int]] = [{} for _ in lg.vertices]
-        # link edge k at a corner of face f: dart 2k arrives at u, dart
-        # 2k+1 leaves w, each over f's traversal of that vertex's edge
-        for k, (f, _, lu, lw) in enumerate(lg.edges):
-            u, w = index[lu], index[lw]
-            self.dart_vertex += (u, w)
-            darts[u][f] = 2 * k
-            darts[w][f] = 2 * k + 1
+    def __init__(self, walk: LinkWalk):
+        self.walk = walk
+        # link edge k at a corner of face f: dart 2k arrives at its u,
+        # dart 2k+1 leaves its w, each over f's traversal of that link
+        # vertex's edge
+        self.dart_vertex = walk.dart_vertex
+        self.corner_ids = walk.corner_ids
         # one record per link vertex: its edge, whether it is the tail
-        # end, its darts by face and its faces in id order, the order of
-        # the link edges
-        self.records: list[tuple[EdgeId, bool, dict[FaceId, int], tuple[FaceId, ...]]] = [
-            (lv.edge, lv.end == TAIL, table, tuple(table))
-            for lv, table in zip(lg.vertices, darts)
-        ]
+        # end, and its darts by face, in face id order (the order of the
+        # link edges)
+        self.records = walk.ends
+        self._link: LinkGraph | None = None
+
+    @property
+    def link(self) -> LinkGraph:
+        """The link graph, for the readers of its labels and edge-ends,
+        spelled on first use and kept.  A plain property: each search's
+        precheck reads every tracer's link once, and the lock that
+        ``cached_property`` takes on first use costs about a fifth of
+        spelling the link."""
+        if self._link is None:
+            self._link = link_view(self.walk)
+        return self._link
 
     @cached_property
     def component_count(self) -> int:
         """The link's connected components, isolated vertices included."""
         ends = iter(self.dart_vertex)
-        return len(connected_classes(len(self.link.vertices), zip(ends, ends)))
+        return len(connected_classes(len(self.records), zip(ends, ends)))
 
     @cached_property
     def sphere_cells(self) -> int:
@@ -238,9 +244,8 @@ class LinkTracer:
         link vertex without darts, an end of a faceless edge, traces no
         cell and counts one fewer: the link is read as if that edge were
         not there, as the searches read it."""
-        lg = self.link
-        bare = sum(not darts for _, _, darts, _ in self.records)
-        return 2 * self.component_count - len(lg.vertices) + len(lg.edges) - bare
+        bare = sum(not darts for _, _, darts in self.records)
+        return 2 * self.component_count - len(self.records) + len(self.corner_ids) - bare
 
     @cached_property
     def edge_labels(self) -> list[str]:
@@ -255,9 +260,9 @@ class LinkTracer:
         ends read it forwards.  An empty ``order`` (an edge in one face,
         or a faceless one) yields the darts the vertex has.
         """
-        _, tail, darts, faces = self.records[i]
+        _, tail, darts = self.records[i]
         if not order:
-            order = faces
+            order = list(darts)
         elif tail and not red:
             order = order[::-1]
         return [darts[f] for f in order]
@@ -270,7 +275,7 @@ class LinkTracer:
         orders = sigma.sigma
         return [
             self.rotator(i, orders.get(e, ()), e in red_edges)
-            for i, (e, *_) in enumerate(self.records)
+            for i, (e, _, _) in enumerate(self.records)
         ]
 
     def trace(
@@ -283,11 +288,11 @@ class LinkTracer:
         orders = sigma.sigma
         trace = [-2] * len(self.dart_vertex)
         try:
-            for e, tail, darts, faces in self.records:
+            for e, tail, darts in self.records:
                 order = orders.get(e)
                 if not order:
-                    order = faces
-                elif len(order) != len(faces):
+                    order = list(darts)
+                elif len(order) != len(darts):
                     raise not_listed_once(e)
                 elif tail and e not in red_edges:
                     order = order[::-1]
@@ -327,7 +332,9 @@ def link_tracer(
     """The tracer of the link at ``v``.  ``incidences`` is accepted for
     callers that pass ``c.edge_incidences()`` and unused: a tracer takes
     each face from its own link edges."""
-    return LinkTracer(link_graph(c, v))
+    if v not in c.vertices:
+        raise UnknownVertexError(f"unknown vertex {v!r}")
+    return LinkTracer(walk_links(c)[v])
 
 
 def link_tracers(c: PreComplex) -> dict[VertexId, LinkTracer]:
@@ -336,7 +343,7 @@ def link_tracers(c: PreComplex) -> dict[VertexId, LinkTracer]:
     later caller shares them and must not change them."""
     table = c.table
     if table.tracers is None:
-        table.tracers = {v: LinkTracer(lg) for v, lg in link_graphs(c).items()}
+        table.tracers = {v: LinkTracer(walk) for v, walk in walk_links(c).items()}
     return table.tracers
 
 

@@ -462,7 +462,7 @@ ROADMAP_WITNESS = {
 
 
 def test_each_complex_builds_each_link_graph_once(monkeypatch, complexes):
-    """A complex object walks its link graphs at most once, for the link
+    """A complex object walks its links at most once, for the link
     tracers kept in its table, across ``prs find`` and ``count``, ``gprs
     find`` with its rotators, ``verdict`` (its re-check of the witness
     included) and ``euler_identity_report``; each search still runs its
@@ -471,7 +471,7 @@ def test_each_complex_builds_each_link_graph_once(monkeypatch, complexes):
     alive = []  # keeps every complex seen, so no id is reused
     prechecks = []
 
-    def counted_link_graphs(c):
+    def counted_walk_links(c):
         alive.append(c)
         built[id(c)] += 1
         return original(c)
@@ -480,10 +480,10 @@ def test_each_complex_builds_each_link_graph_once(monkeypatch, complexes):
         prechecks.append(1)
         return link_planarity_precheck(graphs)
 
-    original = links.link_graphs
+    original = links.walk_links
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rotsys" and module.__dict__.get("link_graphs") is original:
-            monkeypatch.setattr(module, "link_graphs", counted_link_graphs)
+        if name.split(".")[0] == "rotsys" and module.__dict__.get("walk_links") is original:
+            monkeypatch.setattr(module, "walk_links", counted_walk_links)
     monkeypatch.setattr(search, "link_planarity_precheck", counted_precheck)
     corpus = list(complexes.values()) + [
         generate_random_complex(

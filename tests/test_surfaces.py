@@ -21,7 +21,7 @@ from rotsys.rotation import (
     canonical_rotation_system,
     enumerate_rotation_systems,
 )
-from rotsys.surfaces import _canon_word
+from rotsys.surfaces import _canon_word, _same_cycle
 from rotsys.tracing import CellComplex, link_tracer
 
 
@@ -265,6 +265,53 @@ def test_canon_word_is_least_rotation_of_either_reading(word):
     rotations, also when the least letter occurs more than once, as in
     a link cell holding both darts of one link edge."""
     assert _canon_word(word) == min(canonical_cycle(word), canonical_cycle(word[::-1]))
+
+
+LETTERS = st.integers(0, 3)
+
+
+@st.composite
+def word_pairs(draw):
+    """A word over at most four letters, so that its least letter often
+    repeats, and a second word: any word, or a rotation of the first,
+    perhaps read backwards, perhaps with one letter changed."""
+    a = draw(st.lists(LETTERS, min_size=1, max_size=10))
+    if draw(st.booleans()):
+        return a, draw(st.lists(LETTERS, min_size=1, max_size=10))
+    r = draw(st.integers(0, len(a) - 1))
+    b = a[r:] + a[:r]
+    if draw(st.booleans()):
+        b.reverse()
+    if draw(st.booleans()):
+        b[draw(st.integers(0, len(b) - 1))] = draw(LETTERS)
+    return a, b
+
+
+@given(word_pairs())
+@example(([0, 1, 0, 2], [0, 2, 0, 1]))
+@example(([0, 1, 0, 2], [1, 0, 2, 0]))
+@example(([0, 1, 0, 1], [1, 0, 1, 0]))
+@example(([1, 0, 2, 0, 2, 1, 0], [0, 1, 2, 0, 2, 0, 1]))
+@example(([0, 0, 1], [0, 1, 1]))
+@example(([0, 1, 2], [0, 1, 2, 0]))
+@example(([3], [3]))
+def test_same_cycle_decides_as_canonical_words(pair):
+    """``iota_check``'s matcher says two words read one cycle exactly when
+    their canonical words are equal."""
+    a, b = pair
+    assert _same_cycle(a, b) == (_canon_word(tuple(a)) == _canon_word(tuple(b)))
+
+
+def test_same_cycle_decides_as_canonical_words_on_every_short_word():
+    """The same, for every pair of words of up to four letters from
+    three."""
+    words = [
+        list(w) for n in range(1, 5) for w in itertools.product(range(3), repeat=n)
+    ]
+    for a in words:
+        key = _canon_word(tuple(a))
+        for b in words:
+            assert _same_cycle(a, b) == (key == _canon_word(tuple(b))), (a, b)
 
 
 def test_iota_check_with_caller_built_tracers(complexes):

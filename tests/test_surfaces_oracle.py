@@ -12,8 +12,10 @@ out equal or fail with the same message, naming the same surface and
 check, or the same edge and the face that does not meet it.
 """
 
+import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import surfaces_reference as ref
 from general_pieces import GENERAL_PIECES, glued
@@ -147,6 +149,30 @@ def test_surfaces_match_the_reference_on_glued_general_complexes():
         )
         seen["choice"] += check_every_system(c, Counter()) > 1
     assert min(seen.values()) >= 10, seen
+
+
+def test_iota_fails_like_the_reference_on_changed_surface_vertices():
+    """With one surface vertex dropped, or two next to each other, link
+    cells are left unmatched, and with one doubled a surface vertex finds
+    no cell: ``iota_check`` fails with the reference's message, naming
+    the same corner word, or the same class of link cells (the first, in
+    the order of each class's first cell, that keeps an unmatched cell,
+    spelled as its canonical word)."""
+    seen = Counter()
+    for c in randgen_corpus(30) + glued_corpus(30):
+        for sigma in itertools.islice(enumerate_rotation_systems(c), 3):
+            found = surfaces.local_surfaces(c, sigma)
+            for si, s in enumerate(found):
+                for k in range(len(s.vertices)):
+                    dropped = s.vertices[:k] + s.vertices[k + 1 :]
+                    two_dropped = s.vertices[:k] + s.vertices[k + 2 :]
+                    doubled = s.vertices[: k + 1] + s.vertices[k:]
+                    for vertices in (dropped, two_dropped, doubled):
+                        changed = [*found[:si], replace(s, vertices=vertices), *found[si + 1 :]]
+                        mine = outcome(surfaces.iota_check, c, sigma, changed)
+                        assert mine == outcome(ref.iota_check, c, sigma, changed)
+                        seen["unmatched" if "unmatched" in mine[1] else "no cell"] += 1
+    assert min(seen["unmatched"], seen["no cell"]) >= 500, seen
 
 
 # the failures of local-surface assembly, in the order each surface is checked

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -11,12 +12,18 @@ from make_fixtures import BUILDERS
 from rotsys import (
     CellComplex,
     GenParams,
+    PreComplex,
     RotationSystem,
+    dual_complex,
     generate_random_complex,
     induced_rotator,
     is_planar_rotation_system,
     is_sphere_union,
+    iota_check,
+    link_graph,
+    link_graphs,
     surface_dual,
+    surface_duality_check,
     trace_link_complex,
 )
 from rotsys.errors import (
@@ -38,6 +45,7 @@ from rotsys.search import search_generalized_prs, search_planar_rotation_system
 from rotsys.links import TAIL
 from rotsys.tracing import (
     orbits_of,
+    link_tracer,
     link_tracers,
     maps_isomorphism,
     surface_dual_successors,
@@ -458,7 +466,9 @@ def test_surface_dual_and_sphere_union_against_the_cells(complexes):
 def test_searches_build_no_polygons_and_no_link_labels():
     """What only the identity checks and the witness documents read is
     built on first use: a search and the planarity check leave the
-    polygon table and every tracer's link-edge labels unbuilt."""
+    polygon table and every tracer's link-edge labels unbuilt, and the
+    cross-check of a rotation system builds no link graph for the dual
+    (nor for the complex, when no search ran first)."""
     for name, build in BUILDERS.items():
         c = build()
         search_planar_rotation_system(c, "count")
@@ -471,6 +481,87 @@ def test_searches_build_no_polygons_and_no_link_labels():
         if result.sigma is not None:
             result.rotator_doc(c)
             assert all("edge_labels" in vars(t) for t in link_tracers(c).values())
+        c = build()
+        surfaces = local_surfaces(c, sigma)
+        dual = dual_complex(c, sigma, surfaces)
+        iota_check(c, sigma, surfaces)
+        surface_duality_check(c, sigma, dual)
+        for t in [*link_tracers(c).values(), *link_tracers(dual.complex).values()]:
+            assert t._link is None, name
+
+
+def tracer_parts_from_link_graph(c, lg):
+    """What a link's tracer holds, built from its link graph as tracers
+    were before the walk gave them integers: the link vertices indexed
+    by a dict, each link edge's darts written through it, corner ids
+    read from the polygon table, components counted by networkx."""
+    index = {lv: i for i, lv in enumerate(lg.vertices)}
+    dart_vertex, darts = [], [{} for _ in lg.vertices]
+    for k, le in enumerate(lg.edges):
+        u, w = index[le.u], index[le.w]
+        dart_vertex += (u, w)
+        darts[u][le.face] = 2 * k
+        darts[w][le.face] = 2 * k + 1
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(len(lg.vertices)))
+    g.add_edges_from(zip(dart_vertex[::2], dart_vertex[1::2]))
+    components = nx.number_connected_components(g)
+    bare = sum(not table for table in darts)
+    face_start = c.table.polygons.face_start
+    return {
+        # darts by face in face id order, which an empty order reads
+        "records": [
+            (lv.edge, lv.end == TAIL, list(table.items()))
+            for lv, table in zip(lg.vertices, darts)
+        ],
+        "dart_vertex": dart_vertex,
+        "corners": [(le.face, le.pos) for le in lg.edges],
+        "corner_ids": [face_start[le.face] + le.pos for le in lg.edges],
+        "component_count": components,
+        "sphere_cells": 2 * components - len(lg.vertices) + len(lg.edges) - bare,
+        "edge_labels": [le.label() for le in lg.edges],
+    }
+
+
+def test_each_tracer_from_the_walk_equals_one_from_its_link_graph(complexes):
+    """The tracers that ``link_tracers`` and ``link_tracer`` build from
+    the integer walk hold what tracers built from ``link_graphs`` held,
+    and their link graph, built on first use (a fresh tracer has none),
+    is ``link_graph``'s: on
+    the traced corpus (fixtures, randgen complexes and glued general
+    complexes with loops), half its glued complexes with an isolated
+    vertex, and the duals of every system of book3 and torus-7."""
+    corpus = [c for c, _ in traced_corpus(complexes)]
+    corpus += [
+        PreComplex(c.kind, (*c.vertices, "isolated"), c.edges, c.faces)
+        for c in corpus[-80::2]
+    ]
+    duals = [
+        dual_complex(c, sigma).complex
+        for c in (complexes["book3"], complexes["torus-7"])
+        for sigma in enumerate_rotation_systems(c)
+    ]
+    assert len(duals) == 3
+    seen = Counter()
+    for c in corpus + duals:
+        graphs = link_graphs(c)
+        tracers = link_tracers(c)
+        assert list(tracers) == list(graphs) == list(c.vertices)
+        for v, t in tracers.items():
+            expected = tracer_parts_from_link_graph(c, graphs[v])
+            fresh = link_tracer(c, v)
+            assert fresh._link is None
+            for one in (t, fresh):
+                parts = {part: getattr(one, part, None) for part in expected}
+                parts["records"] = [(e, tail, list(d.items())) for e, tail, d in one.records]
+                parts["corners"] = list(zip(one.walk.faces, one.walk.positions))
+                assert parts == expected, v
+                assert one.link == link_graph(c, v) == graphs[v]
+            seen["loop"] += bool(graphs[v].loops)
+            seen["bare link vertex"] += any(not darts for _, _, darts in t.records)
+            seen["no link vertex"] += not t.records
+            seen["disconnected"] += t.component_count > 1
+    assert min(seen.values()) >= 20, seen
 
 
 # -- the one-pass tracing map against the per-vertex rule ----------------------
