@@ -126,14 +126,12 @@ def _cmd_links(args) -> int:
     graphs = {args.vertex: link_graph(c, args.vertex)} if args.vertex else link_graphs(c)
     doc = {}
     for v, lg in sorted(graphs.items()):
+        labels, uw = lg.vertex_labels(), lg.dart_vertex
         doc[v] = {
-            "vertices": lg.vertex_labels(),
+            "vertices": labels,
             "edges": [
-                {
-                    "label": le.label(),
-                    "endpoints": [lg.label_of(le.u), lg.label_of(le.w)],
-                }
-                for le in lg.edges
+                {"label": label, "endpoints": [labels[u], labels[w]]}
+                for label, u, w in zip(lg.edge_labels(), uw[::2], uw[1::2])
             ],
         }
     print(dump_canonical(doc), end="")

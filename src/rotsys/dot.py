@@ -25,10 +25,11 @@ def export_dot_link(lg: LinkGraph) -> str:
     """A link graph as an undirected graph; edges carry the face id and
     traversal index of the corner they came from."""
     lines = ["graph " + _quote(f"link_{lg.center}") + " {"]
-    for lv in lg.vertices:
-        lines.append(f"  {_quote(lg.label_of(lv))};")
-    for le in lg.edges:
-        u, w = lg.label_of(le.u), lg.label_of(le.w)
-        lines.append(f"  {_quote(u)} -- {_quote(w)} [label={_quote(le.label())}];")
+    labels = lg.vertex_labels()
+    for label in labels:
+        lines.append(f"  {_quote(label)};")
+    uw = lg.dart_vertex
+    for label, u, w in zip(lg.edge_labels(), uw[::2], uw[1::2]):
+        lines.append(f"  {_quote(labels[u])} -- {_quote(labels[w])} [label={_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -6,12 +6,13 @@ ends of a loop edge follows the double-counting convention for dual
 complexes: a loop contributes two link vertices.  For loop-free
 complexes the link vertices are simply the edges at v.  A face arrives
 at an edge's head when it runs along the edge, at its tail when it runs
-against it, and leaves from the other end.  ``walk_links`` reads every
+against it, and leaves from the other end.  ``link_graphs`` reads every
 link in one walk over integers that deals each edge-end and each
-corner to its vertex; ``tracing.link_tracers`` builds a complex's link
-tracers from it, and ``link_graphs`` spells it as ``LinkGraph``
-objects.  Rotators, link counts and local connectivity are read from
-the tracers.
+corner to its vertex, one ``LinkGraph`` per vertex; a link vertex is an
+index there and a link edge a dart pair, and ``LinkGraph`` spells their
+labels only when asked.  ``tracing.link_tracers`` builds a complex's
+link tracers from the one walk, and rotators, link counts and local
+connectivity are read from the tracers.
 
 Cut vertices are those of the complex as a space: splits run on vertex
 sets over ``space_adjacency``.  Without its vertices the space falls
@@ -29,7 +30,6 @@ that holds its support and dropping it when none does.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .complexes import EdgeId, FaceId, PreComplex, VertexId, connected_classes
@@ -39,57 +39,19 @@ HEAD = "h"
 TAIL = "t"
 
 
-class LinkVertex(NamedTuple):
-    """An edge-end at the link's center vertex."""
-
-    edge: EdgeId
-    end: str  # HEAD or TAIL
-
-
-class LinkEdge(NamedTuple):
-    """One traversal of the center vertex by a face boundary.
-
-    ``u`` is the edge-end the traversal arrives on, ``w`` the one it
-    leaves on (with respect to the stored face orientation).
-    """
-
-    face: FaceId
-    pos: int
-    u: LinkVertex
-    w: LinkVertex
-
-    def label(self) -> str:
-        return f"{self.face}#{self.pos}"
-
-
-@dataclass(frozen=True)
-class LinkGraph:
-    center: VertexId
-    vertices: tuple[LinkVertex, ...]
-    edges: tuple[LinkEdge, ...]
-    loops: frozenset[EdgeId]
-
-    def label_of(self, lv: LinkVertex) -> str:
-        """The label of link vertex ``lv``: its edge id, with the end
-        appended for a loop."""
-        return f"{lv.edge}:{lv.end}" if lv.edge in self.loops else lv.edge
-
-    def vertex_labels(self) -> list[str]:
-        return [self.label_of(lv) for lv in self.vertices]
-
-
-class LinkWalk(NamedTuple):
-    """The link at ``center`` over integers, as ``walk_links`` builds it.
+class LinkGraph(NamedTuple):
+    """The link at ``center`` over integers, as ``link_graphs`` builds it.
 
     ``ends`` holds per link vertex its edge, whether it is the edge's
     tail end, and its darts by face.  Link edge k, a corner of a face at
-    the center, has darts 2k (arriving at its ``u``) and 2k + 1 (leaving
-    its ``w``), ``dart_vertex`` giving each dart's link vertex; per link
-    edge, ``faces`` and ``positions`` hold its face and its position
-    there, and ``corner_ids`` the corner's id, its place among all
-    corners of the complex in (face id, position) order, as
-    ``PolygonTable`` numbers them.  A corner is kept as ids in flat lists,
-    not as a pair, so a walk makes no object per corner.
+    the center, has darts 2k, at the link vertex the face arrives at,
+    and 2k + 1, at the one it leaves from, ``dart_vertex`` giving each
+    dart's link vertex; per link edge, ``faces`` and ``positions`` hold
+    its face and its position there, and ``corner_ids`` the corner's id,
+    its place among all corners of the complex in (face id, position)
+    order, as ``PolygonTable`` numbers them.  A corner is kept as ids in
+    flat lists, not as a pair, so a walk makes no object per corner, and
+    labels are spelled only for the readers that print them.
     """
 
     center: VertexId
@@ -99,8 +61,21 @@ class LinkWalk(NamedTuple):
     positions: list[int]
     corner_ids: list[int]
 
+    def vertex_labels(self) -> list[str]:
+        """Each link vertex's label: its edge id, with the end appended
+        (``e:h``, ``e:t``) at a loop, whose two ends both lie here."""
+        count = Counter(e for e, _, _ in self.ends)
+        return [
+            f"{e}:{TAIL if at_tail else HEAD}" if count[e] > 1 else e
+            for e, at_tail, _ in self.ends
+        ]
 
-def walk_links(c: PreComplex) -> dict[VertexId, LinkWalk]:
+    def edge_labels(self) -> list[str]:
+        """Each link edge's label, ``face#pos``."""
+        return [f"{f}#{pos}" for f, pos in zip(self.faces, self.positions)]
+
+
+def link_graphs(c: PreComplex) -> dict[VertexId, LinkGraph]:
     """The link of ``c`` at every vertex, in ``c``'s vertex order, from
     one pass over the edges and one over the face trails.
 
@@ -109,7 +84,7 @@ def walk_links(c: PreComplex) -> dict[VertexId, LinkWalk]:
     (face id, position) order, which fixes the dart ordering used
     everywhere else.
     """
-    walks = {v: LinkWalk(v, [], [], [], [], []) for v in c.vertices}
+    graphs = {v: LinkGraph(v, [], [], [], [], []) for v in c.vertices}
     # per edge, its tail end and its head end, each with the lists of
     # the link at its vertex, its link vertex there and that one's darts
     ends = {}
@@ -117,7 +92,7 @@ def walk_links(c: PreComplex) -> dict[VertexId, LinkWalk]:
         tail, head = c.edges[e]
         pair = []
         for v, at_tail in ((head, False), (tail, True)):
-            _, vertices, dart_vertex, faces, positions, corner_ids = walks[v]
+            _, vertices, dart_vertex, faces, positions, corner_ids = graphs[v]
             darts: dict[FaceId, int] = {}
             pair.append((dart_vertex, faces, positions, corner_ids, len(vertices), darts))
             vertices.append((e, at_tail, darts))
@@ -142,39 +117,14 @@ def walk_links(c: PreComplex) -> dict[VertexId, LinkWalk]:
             corner_ids.append(corner)
             corner += 1
             _, _, _, _, u, arrived = pair[ref.sign == 1]
-    return walks
-
-
-def link_view(walk: LinkWalk) -> LinkGraph:
-    """The link graph that ``walk`` spells in integers.  Its link vertices
-    and edges are made by ``tuple.__new__``, as ``NamedTuple._make``
-    makes them, without a Python call each: every search builds a view
-    of each link for its planarity precheck."""
-    new, ends = tuple.__new__, walk.ends
-    vertices = tuple([new(LinkVertex, (e, TAIL if at_tail else HEAD)) for e, at_tail, _ in ends])
-    uw = walk.dart_vertex
-    edges = tuple(
-        [
-            new(LinkEdge, (f, pos, vertices[uw[2 * k]], vertices[uw[2 * k + 1]]))
-            for k, (f, pos) in enumerate(zip(walk.faces, walk.positions))
-        ]
-    )
-    # the walk deals a loop's two ends to its vertex one after the other
-    loops = frozenset([a[0] for a, b in zip(ends, ends[1:]) if a[0] == b[0]])
-    return LinkGraph(walk.center, vertices, edges, loops)
-
-
-def link_graphs(c: PreComplex) -> dict[VertexId, LinkGraph]:
-    """The link graph of ``c`` at every vertex, in ``c``'s vertex order,
-    read off ``walk_links``."""
-    return {v: link_view(walk) for v, walk in walk_links(c).items()}
+    return graphs
 
 
 def link_graph(c: PreComplex, v: VertexId) -> LinkGraph:
     """The link graph of ``c`` at ``v``, as ``link_graphs`` builds it."""
     if v not in c.vertices:
         raise UnknownVertexError(f"unknown vertex {v!r}")
-    return link_view(walk_links(c)[v])
+    return link_graphs(c)[v]
 
 
 def _supports(

@@ -9,10 +9,11 @@ all-black case of a generalized one, so the planar search offers black
 only.  The order makes the search lexicographic and its outcome
 machine-independent.  Each search reads the link tracers kept in the
 complex's table, built on first use, and prunes threefold: a planarity
-precheck of their link graphs (a sphere-union link complex is a plane
-embedding, so a non-planar link kills every candidate), a sphere-union
-check of each link as soon as all edges at its vertex are decided, and
-an even-red check of each face as soon as all its edges are decided.
+precheck of the link graphs they keep, over link-vertex indices (a
+sphere-union link complex is a plane embedding, so a non-planar link
+kills every candidate), a sphere-union check of each link as soon as
+all edges at its vertex are decided, and an even-red check of each face
+as soon as all its edges are decided.
 
 Two further savings keep the answers unchanged.  The mirror cut:
 reversing every cyclic order maps (generalized) planar systems to
@@ -30,7 +31,8 @@ rotator is checked once, before the search.  A faceless edge of a
 ``PreComplex`` offers no choice and is skipped.  The backtracker keeps
 its own stack, so the size of a complex is not bounded by Python's
 recursion limit.  The rotators of a generalized witness are read from
-the same link tracers, so a ``gprs find`` request builds each link once.
+the same link tracers, so a ``gprs find`` request builds each link once;
+only its document spells link labels.
 """
 
 from __future__ import annotations
@@ -54,14 +56,16 @@ def link_planarity_precheck(links: Iterable[LinkGraph]) -> VertexId | None:
     """Least center of a non-planar link graph among ``links``, or None.
 
     Planarity of a multigraph equals planarity of its underlying simple
-    graph; loops cannot occur in link graphs built over edge-ends.
+    graph, built here over link-vertex indices.  No link edge joins a
+    link vertex to itself: a face arrives at and leaves from one
+    edge-end only by running along an edge and straight back, and a
+    trail passes each edge once.
     """
     for lg in sorted(links, key=lambda lg: lg.center):
         g = nx.Graph()
-        g.add_nodes_from(lg.vertices)
-        for le in lg.edges:
-            if le.u != le.w:
-                g.add_edge(le.u, le.w)
+        g.add_nodes_from(range(len(lg.ends)))
+        darts = iter(lg.dart_vertex)
+        g.add_edges_from(zip(darts, darts))
         ok, _ = nx.check_planarity(g)
         if not ok:
             return lg.center
@@ -341,9 +345,9 @@ class GprsSearchResult:
         out: dict[str, dict[str, list[str]]] = {}
         for v in sorted(c.vertices):
             t = tracers[v]
-            labels = t.link.vertex_labels()
+            labels, edge_labels = t.link.vertex_labels(), t.link.edge_labels()
             out[v] = {
-                labels[i]: [t.edge_labels[d >> 1] for d in rot]
+                labels[i]: [edge_labels[d >> 1] for d in rot]
                 for i, rot in enumerate(t.rotators(self.sigma, red))
             }
         return out

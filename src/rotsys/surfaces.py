@@ -52,7 +52,7 @@ from .complexes import (
     connected_classes,
 )
 from .errors import BijectionFailureError, NotClosedSurfaceError
-from .rotation import RotationSystem
+from .rotation import RotationSystem, canonical_cycle
 from .tracing import (
     CellComplex,
     LinkTracer,
@@ -358,17 +358,8 @@ class IotaReport:
 
 
 def _canon_word(word: tuple) -> tuple:
-    """The least rotation of either reading of a cyclic word, that is
-    ``min(canonical_cycle(word), canonical_cycle(word[::-1]))``: both
-    start at an occurrence of the least letter, so one pass over those
-    occurrences compares the forward and backward reading from each."""
-    least = min(word)
-    first = word.index(least)
-    best = min(word[first:] + word[:first], word[first::-1] + word[:first:-1])
-    for i in range(first + 1, len(word)):
-        if word[i] == least:
-            best = min(best, word[i:] + word[:i], word[i::-1] + word[:i:-1])
-    return best
+    """The least rotation of either reading of a cyclic word."""
+    return min(canonical_cycle(word), canonical_cycle(word[::-1]))
 
 
 def _same_cycle(a: list[int], b: list[int]) -> bool:
@@ -503,7 +494,7 @@ def surface_duality_check(
         b_succ = surface_dual_successors(s.cell_complex())
         gluing_index = {glue_start[g.edge] + g.seq: k for k, g in enumerate(s.gluings)}
         dart_map = []
-        for e, t in zip(tracer.walk.faces, tracer.walk.positions):
+        for e, t in zip(tracer.link.faces, tracer.link.positions):
             # dual face = primal edge e, corner t: the gluing of sigma(e)'s
             # entries t - 1 and t; the u side is the positive side
             k = gluing_index[glue_start[e] + (t - 1) % len(incidences[e])]

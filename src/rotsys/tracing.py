@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .complexes import EdgeId, FaceId, PreComplex, VertexId, connected_classes
 from .errors import NotClosedSurfaceError, NotIncidentError, UnknownVertexError
-from .links import HEAD, TAIL, LinkGraph, LinkVertex, LinkWalk, link_view, walk_links
+from .links import LinkGraph, link_graphs
 from .rotation import RotationSystem, check_rotation_system, not_listed_once
 
 
@@ -203,34 +203,22 @@ class LinkTracer:
     link's rotators, cells and component count.  A link vertex is an
     edge-end, and each face through the edge gives it one dart, so its
     darts are keyed by face id, as sigma lists them.  Everything is read
-    off the link's walk (``links.walk_links``, kept as ``walk``): each
+    off the link graph (``links.link_graphs``, kept as ``link``): each
     link edge's face and position and its corner id (``corner_ids``) too.
-    What only some readers need (the component count, link-edge labels,
-    the link graph itself) is built on first use and kept."""
+    The component count, which only some readers need, is counted on
+    first use and kept."""
 
-    def __init__(self, walk: LinkWalk):
-        self.walk = walk
-        # link edge k at a corner of face f: dart 2k arrives at its u,
-        # dart 2k+1 leaves its w, each over f's traversal of that link
-        # vertex's edge
-        self.dart_vertex = walk.dart_vertex
-        self.corner_ids = walk.corner_ids
+    def __init__(self, link: LinkGraph):
+        self.link = link
+        # link edge k at a corner of face f: dart 2k at the link vertex
+        # f arrives at, dart 2k+1 at the one it leaves from, each over f's
+        # traversal of that link vertex's edge
+        self.dart_vertex = link.dart_vertex
+        self.corner_ids = link.corner_ids
         # one record per link vertex: its edge, whether it is the tail
         # end, and its darts by face, in face id order (the order of the
         # link edges)
-        self.records = walk.ends
-        self._link: LinkGraph | None = None
-
-    @property
-    def link(self) -> LinkGraph:
-        """The link graph, for the readers of its labels and edge-ends,
-        spelled on first use and kept.  A plain property: each search's
-        precheck reads every tracer's link once, and the lock that
-        ``cached_property`` takes on first use costs about a fifth of
-        spelling the link."""
-        if self._link is None:
-            self._link = link_view(self.walk)
-        return self._link
+        self.records = link.ends
 
     @cached_property
     def component_count(self) -> int:
@@ -246,10 +234,6 @@ class LinkTracer:
         not there, as the searches read it."""
         bare = sum(not darts for _, _, darts in self.records)
         return 2 * self.component_count - len(self.records) + len(self.corner_ids) - bare
-
-    @cached_property
-    def edge_labels(self) -> list[str]:
-        return [le.label() for le in self.link.edges]
 
     def rotator(self, i: int, order: Sequence[FaceId], red: bool = False) -> list[int]:
         """The darts at link vertex ``i`` in the cyclic order that
@@ -329,12 +313,13 @@ def link_tracer(
     v: VertexId,
     incidences: dict[EdgeId, list[FaceId]] | None = None,
 ) -> LinkTracer:
-    """The tracer of the link at ``v``.  ``incidences`` is accepted for
-    callers that pass ``c.edge_incidences()`` and unused: a tracer takes
-    each face from its own link edges."""
+    """The tracer of the link at ``v``, the one ``link_tracers`` keeps.
+    ``incidences`` is accepted for callers that pass
+    ``c.edge_incidences()`` and unused: a tracer takes each face from its
+    own link edges."""
     if v not in c.vertices:
         raise UnknownVertexError(f"unknown vertex {v!r}")
-    return LinkTracer(walk_links(c)[v])
+    return link_tracers(c)[v]
 
 
 def link_tracers(c: PreComplex) -> dict[VertexId, LinkTracer]:
@@ -343,7 +328,7 @@ def link_tracers(c: PreComplex) -> dict[VertexId, LinkTracer]:
     later caller shares them and must not change them."""
     table = c.table
     if table.tracers is None:
-        table.tracers = {v: LinkTracer(walk) for v, walk in walk_links(c).items()}
+        table.tracers = {v: LinkTracer(link) for v, link in link_graphs(c).items()}
     return table.tracers
 
 
@@ -390,9 +375,10 @@ def induced_rotator(
     if v not in (tail, head):
         raise NotIncidentError(f"vertex {v!r} is not an endpoint of edge {e!r}")
     tracer = link_tracers(c)[v]
-    i = tracer.link.vertices.index(LinkVertex(e, HEAD if head == v else TAIL))
-    edges = [tracer.link.edges[d >> 1] for d in tracer.rotator(i, sigma.sigma[e])]
-    return [(le.label(), le.face) for le in edges]
+    end = (e, head != v)
+    i = next(i for i, (edge, at_tail, _) in enumerate(tracer.records) if (edge, at_tail) == end)
+    labels, faces = tracer.link.edge_labels(), tracer.link.faces
+    return [(labels[d >> 1], faces[d >> 1]) for d in tracer.rotator(i, sigma.sigma[e])]
 
 
 def is_planar_rotation_system(

@@ -340,7 +340,7 @@ def iota_check(
         cell_words = []
         for orbit in cc.cells:
             cell_words.append(
-                tuple((lg.edges[d >> 1].face, lg.edges[d >> 1].pos) for d in orbit)
+                tuple((lg.faces[d >> 1], lg.positions[d >> 1]) for d in orbit)
             )
         total_cells += len(cell_words)
         pool: dict[tuple, int] = {}
@@ -391,8 +391,8 @@ def surface_duality_check(
         gluing_index = {(g.edge, g.seq): k for k, g in enumerate(s.gluings)}
         lg = tracer.link
         dart_map = [-1] * len(a.dart_vertex)
-        for k, le in enumerate(lg.edges):
-            e, t = le.face, le.pos  # dual face = primal edge, corner position
+        for k, (e, t) in enumerate(zip(lg.faces, lg.positions)):
+            # dual face = primal edge, corner position
             deg = len(d.faces[e].trail)
             g_idx = gluing_index[(e, (t - 1) % deg)]
             dart_map[2 * k] = 2 * g_idx       # u side <-> positive side

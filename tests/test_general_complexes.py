@@ -46,8 +46,8 @@ def test_loop_disc_pipeline():
     c = loop_disc()
     assert validate(c) == []
     lg = link_graph(c, "v")
-    assert len(lg.vertices) == 2  # the two ends of the loop
-    assert len(lg.edges) == 1
+    assert len(lg.ends) == 2  # the two ends of the loop
+    assert len(lg.faces) == 1
     sigma = canonical_rotation_system(c)
     cc = trace_link_complex(c, sigma, "v")
     assert cc.chi_by_component() == [2]
@@ -91,7 +91,7 @@ def test_two_loops_one_vertex_theta():
     assert validate(c) == []
     sigma = canonical_rotation_system(c)
     lg = link_graph(c, "v")
-    assert len(lg.vertices) == 4 and len(lg.edges) == 2
+    assert len(lg.ends) == 4 and len(lg.faces) == 2
     # one face strip along two loops: the complex deformation-retracts
     # to a wedge of circles modulo the relator e1 e2
     betti, torsion = h1_integral(c)

@@ -1,13 +1,12 @@
 import itertools
 import random
-from typing import NamedTuple
+from collections import Counter
 
 import pytest
 
 from rotsys import (
     GenParams,
     PreComplex,
-    SignedEdgeRef,
     attached_complexes,
     cut_vertices,
     generate_random_complex,
@@ -17,7 +16,6 @@ from rotsys import (
     validate,
 )
 from rotsys.errors import NotACutVertexError, UnsatisfiableError
-from rotsys.links import HEAD, TAIL, LinkEdge, LinkGraph, LinkVertex
 
 import make_fixtures
 from general_pieces import (
@@ -27,6 +25,7 @@ from general_pieces import (
     loop_at_cut_vertex,
     parts_without,
 )
+from links_reference import reference_face_vertices, reference_link_graph
 
 
 def brute_cut_vertices(c):
@@ -38,44 +37,45 @@ def brute_cut_vertices(c):
     return {v for v in c.vertices if len(parts_without(c, v)[0]) > 1}
 
 
+def link_edge_pairs(lg):
+    """The pairs of link vertices that link edges join."""
+    uw = lg.dart_vertex
+    return {frozenset(pair) for pair in zip(uw[::2], uw[1::2])}
+
+
 def test_link_graph_tetrahedron_is_triangle(complexes):
     c = complexes["tetrahedron"]
     for v in c.vertices:
         lg = link_graph(c, v)
-        assert len(lg.vertices) == 3
-        assert len(lg.edges) == 3
+        assert len(lg.ends) == 3
+        assert len(lg.faces) == 3
         # every pair of spokes joined exactly once
-        pairs = {frozenset((le.u, le.w)) for le in lg.edges}
-        assert len(pairs) == 3
+        assert len(link_edge_pairs(lg)) == 3
 
 
 def test_link_graph_book3_star(complexes):
     c = complexes["book3"]
     lg = link_graph(c, "v")
-    assert len(lg.vertices) == 4
-    assert len(lg.edges) == 3
-    degree = {lv: 0 for lv in lg.vertices}
-    for le in lg.edges:
-        degree[le.u] += 1
-        degree[le.w] += 1
+    assert len(lg.ends) == 4
+    assert len(lg.faces) == 3
+    degree = Counter(lg.dart_vertex)
     assert sorted(degree.values()) == [1, 1, 1, 3]
-    center = max(lg.vertices, key=degree.__getitem__)
-    assert center.edge == "v-w"
+    center = max(degree, key=degree.__getitem__)
+    assert lg.vertex_labels()[center] == "v-w"
 
 
 def test_link_graph_cone_k5_apex_is_k5(complexes):
     c = complexes["cone-k5"]
     lg = link_graph(c, "apex")
-    assert len(lg.vertices) == 5
-    assert len(lg.edges) == 10
-    pairs = {frozenset((le.u, le.w)) for le in lg.edges}
-    assert len(pairs) == 10  # all pairs once: K5
+    assert len(lg.ends) == 5
+    assert len(lg.faces) == 10
+    assert len(link_edge_pairs(lg)) == 10  # all pairs once: K5
 
 
 def test_link_edge_count_equals_face_incidences(complexes):
     # each triangle has three corners, so links collect 3|F| edges total
     for name, c in complexes.items():
-        total = sum(len(link_graph(c, v).edges) for v in c.vertices)
+        total = sum(len(link_graph(c, v).faces) for v in c.vertices)
         assert total == 3 * len(c.faces), name
 
 
@@ -85,55 +85,28 @@ def test_link_vertex_count_equals_degree(complexes):
             lg = link_graph(c, v)
             # one link vertex per edge end at v, both ends of a loop
             ends = sum((tail == v) + (head == v) for tail, head in c.edges.values())
-            assert len(lg.vertices) == ends
+            assert len(lg.ends) == ends
 
 
 # -- link graphs against the corner-based reference ---------------------------
 
 
-class Corner(NamedTuple):
-    """A traversal of a vertex by a face boundary: corner ``pos`` of
-    ``face`` sits between trail refs ``pos - 1`` and ``pos``, and
-    ``vertex`` is where they meet."""
-
-    face: str
-    pos: int
-    vertex: str
-    prev_ref: SignedEdgeRef
-    next_ref: SignedEdgeRef
-
-
-def reference_corners(c, f):
-    trail = c.faces[f].trail
-    return [Corner(f, i, c.ref_start(ref), trail[i - 1], ref) for i, ref in enumerate(trail)]
+def link_fields(lg, labels=None):
+    """``lg`` field by field, each link vertex's darts as a list in their
+    dict order (an empty order reads it), and its labels: ``lg``'s own,
+    or ``labels`` when given."""
+    vertex_labels, edge_labels = labels or (lg.vertex_labels(), lg.edge_labels())
+    return {
+        **lg._asdict(),
+        "ends": [(e, at_tail, list(darts.items())) for e, at_tail, darts in lg.ends],
+        "vertex_labels": vertex_labels,
+        "edge_labels": edge_labels,
+    }
 
 
-def reference_face_vertices(c, f):
-    return frozenset(corner.vertex for corner in reference_corners(c, f))
-
-
-def reference_link_graph(c, v):
-    """The link graph read off the corners of every face: the edge-ends
-    at ``v`` in id order, head before tail at a loop, and one link edge
-    per corner at ``v`` in (face id, position) order."""
-    vertices, loops = [], set()
-    for e in sorted(e for e, ends in c.edges.items() if v in ends):
-        tail, head = c.edges[e]
-        if tail == head:
-            loops.add(e)
-        if head == v:
-            vertices.append(LinkVertex(e, HEAD))
-        if tail == v:
-            vertices.append(LinkVertex(e, TAIL))
-    edges = []
-    for f in sorted(c.faces):
-        for corner in reference_corners(c, f):
-            if corner.vertex == v:
-                prev, nxt = corner.prev_ref, corner.next_ref
-                u = LinkVertex(prev.edge, HEAD if prev.sign == 1 else TAIL)
-                w = LinkVertex(nxt.edge, TAIL if nxt.sign == 1 else HEAD)
-                edges.append(LinkEdge(f, corner.pos, u, w))
-    return LinkGraph(v, tuple(vertices), tuple(edges), frozenset(loops))
+def reference_link_fields(c, v):
+    graph, *labels = reference_link_graph(c, v)
+    return link_fields(graph, labels)
 
 
 def with_isolated_vertex(c):
@@ -160,14 +133,16 @@ def link_corpus(complexes):
 
 def test_link_graph_equals_the_corner_reference(complexes):
     """``link_graph`` and the one walk of ``link_graphs`` give the corner
-    reference's link at every vertex, on the corpus and on grid tori and
-    Klein bottles of up to 400 vertices."""
+    reference's link at every vertex, field by field and label by label,
+    on the corpus and on grid tori and Klein bottles of up to 400
+    vertices."""
     seen = {"loop": 0, "one-ref face": 0, "faceless": 0, "isolated": 0, "simplicial": 0}
     for c in link_corpus(complexes):
         graphs = link_graphs(c)
         assert list(graphs) == list(c.vertices)
         for v in c.vertices:
-            assert link_graph(c, v) == graphs[v] == reference_link_graph(c, v), v
+            expected = reference_link_fields(c, v)
+            assert link_fields(link_graph(c, v)) == link_fields(graphs[v]) == expected, v
         for f in c.faces:
             assert c.face_vertices(f) == reference_face_vertices(c, f), f
         degree = {e: 0 for e in c.edges}
@@ -185,7 +160,7 @@ def test_link_graph_equals_the_corner_reference(complexes):
         graphs = link_graphs(c)
         assert list(graphs) == list(c.vertices)
         for v in c.vertices:
-            assert graphs[v] == reference_link_graph(c, v), (n, twisted, v)
+            assert link_fields(graphs[v]) == reference_link_fields(c, v), (n, twisted, v)
 
 
 def test_cut_vertices_fixtures(complexes):

@@ -35,9 +35,10 @@ from rotsys.rotation import (
     total_search_space,
 )
 from rotsys.search import _candidates, _compile_links, link_planarity_precheck
+from rotsys.surfaces import dual_complex, iota_check, local_surfaces, surface_duality_check
 from rotsys.tracing import induced_rotator, link_tracer, traces_sphere_union
 
-from general_pieces import GENERAL_PIECES, glued
+from general_pieces import GENERAL_PIECES, LOOP_PIECES, glued
 
 # fixtures and random complexes small enough for brute_force_gprs
 GPRS_ORACLE_LIMIT = 10**5
@@ -471,7 +472,7 @@ def test_each_complex_builds_each_link_graph_once(monkeypatch, complexes):
     alive = []  # keeps every complex seen, so no id is reused
     prechecks = []
 
-    def counted_walk_links(c):
+    def counted_link_graphs(c):
         alive.append(c)
         built[id(c)] += 1
         return original(c)
@@ -480,10 +481,10 @@ def test_each_complex_builds_each_link_graph_once(monkeypatch, complexes):
         prechecks.append(1)
         return link_planarity_precheck(graphs)
 
-    original = links.walk_links
+    original = links.link_graphs
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rotsys" and module.__dict__.get("walk_links") is original:
-            monkeypatch.setattr(module, "walk_links", counted_walk_links)
+        if name.split(".")[0] == "rotsys" and module.__dict__.get("link_graphs") is original:
+            monkeypatch.setattr(module, "link_graphs", counted_link_graphs)
     monkeypatch.setattr(search, "link_planarity_precheck", counted_precheck)
     corpus = list(complexes.values()) + [
         generate_random_complex(
@@ -515,6 +516,43 @@ def test_each_complex_builds_each_link_graph_once(monkeypatch, complexes):
     # the fixtures' links may have been built by earlier tests
     assert identities >= 10
     assert max(built.values()) == 1
+
+
+def test_searches_and_verdicts_spell_no_link_label(monkeypatch, complexes):
+    """Only the documents that print link labels spell them: with
+    ``LinkGraph``'s label methods raising, ``prs find`` and ``count``,
+    ``gprs find`` without its rotators, the planarity check of a system,
+    ``verdict`` and the cross-check of a system (local surfaces, dual
+    complex, iota and duality checks) all run, and a witness's rotators
+    do not."""
+
+    def spelled(self):
+        raise AssertionError(f"link labels spelled at {self.center!r}")
+
+    monkeypatch.setattr(links.LinkGraph, "vertex_labels", spelled)
+    monkeypatch.setattr(links.LinkGraph, "edge_labels", spelled)
+    corpus = list(complexes.values()) + [
+        generate_random_complex(GenParams(seed=seed, n_vertices=5, target_faces=1 + seed % 8))
+        for seed in range(20)
+    ]
+    found = 0
+    for c in corpus:
+        search_planar_rotation_system(c, "first")
+        search_planar_rotation_system(c, "count")
+        result = search_generalized_prs(c)
+        result.to_doc()
+        verdict(c, [2])
+        sigma = canonical_rotation_system(c)
+        is_planar_rotation_system(c, sigma)
+        surfaces = local_surfaces(c, sigma)
+        dual = dual_complex(c, sigma, surfaces)
+        iota_check(c, sigma, surfaces)
+        surface_duality_check(c, sigma, dual)
+        if result.status == "found":
+            with pytest.raises(AssertionError, match="link labels spelled"):
+                result.to_doc(c)
+            found += 1
+    assert found >= 10
 
 
 def _corner_of(c, f, e, end):
@@ -596,12 +634,14 @@ def test_rotator_doc_matches_the_tracer_reading(complexes):
 
 def test_induced_rotator_matches_the_tracer_reading(complexes):
     """The tracer's reading against the walk, on every edge and endpoint,
-    under random rotation systems."""
+    under random rotation systems; at a loop, its head end, which loops
+    in two or more faces tell from its tail end."""
     rng = random.Random(23)
     corpus = list(complexes.values()) + [
-        glued(rng, rng.choices(GENERAL_PIECES, k=rng.randint(1, 4))) for _ in range(30)
+        glued(rng, rng.choices(GENERAL_PIECES + LOOP_PIECES, k=rng.randint(1, 4)))
+        for _ in range(30)
     ]
-    checked = 0
+    checked = loops = 0
     for c in corpus:
         incidences = c.edge_incidences()
         sigma = RotationSystem(
@@ -612,7 +652,9 @@ def test_induced_rotator_matches_the_tracer_reading(complexes):
                 expected = walked_rotator(c, sigma.sigma[e], e, "h" if head == v else "t")
                 assert induced_rotator(c, sigma, e, v) == expected, (e, v)
                 checked += 1
+            loops += tail == head and len(incidences[e]) >= 2
     assert checked >= 300
+    assert loops >= 5
 
 
 def test_compiled_link_writes_agree_with_sphere_union():

@@ -261,9 +261,9 @@ def test_duality_check_traces_each_local_surface_once(complexes, monkeypatch):
 @example((0, 1, 0, 1))
 @example((1, 0, 2, 0, 2, 1, 0))
 def test_canon_word_is_least_rotation_of_either_reading(word):
-    """The one-pass key equals the least of both readings' least
-    rotations, also when the least letter occurs more than once, as in
-    a link cell holding both darts of one link edge."""
+    """The key equals the least of both readings' least rotations, also
+    when the least letter occurs more than once, as in a link cell
+    holding both darts of one link edge."""
     assert _canon_word(word) == min(canonical_cycle(word), canonical_cycle(word[::-1]))
 
 
@@ -315,9 +315,9 @@ def test_same_cycle_decides_as_canonical_words_on_every_short_word():
 
 
 def test_iota_check_with_caller_built_tracers(complexes):
-    """``iota_check`` given tracers built one by one with ``link_tracer``,
-    as a benchmark session holds them, reports what it reports with the
-    tracers kept in the complex's table."""
+    """``iota_check`` given tracers asked for one by one with
+    ``link_tracer``, as a benchmark session holds them, reports what it
+    reports when it reads the complex's table itself."""
     corpus = list(complexes.values())
     seed = 0
     while len(corpus) < len(complexes) + 40:

@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from general_pieces import GENERAL_PIECES, LOOP_PIECES, glued
+from links_reference import reference_link, reference_link_graph
 from make_fixtures import BUILDERS
 
 from rotsys import (
@@ -19,11 +20,9 @@ from rotsys import (
     induced_rotator,
     is_planar_rotation_system,
     is_sphere_union,
-    iota_check,
     link_graph,
     link_graphs,
     surface_dual,
-    surface_duality_check,
     trace_link_complex,
 )
 from rotsys.errors import (
@@ -41,8 +40,11 @@ from rotsys.rotation import (
     sigma_candidates,
 )
 from rotsys.surfaces import local_surfaces
-from rotsys.search import search_generalized_prs, search_planar_rotation_system
-from rotsys.links import TAIL
+from rotsys.search import (
+    link_planarity_precheck,
+    search_generalized_prs,
+    search_planar_rotation_system,
+)
 from rotsys.tracing import (
     orbits_of,
     link_tracer,
@@ -464,73 +466,46 @@ def test_surface_dual_and_sphere_union_against_the_cells(complexes):
 
 
 def test_searches_build_no_polygons_and_no_link_labels():
-    """What only the identity checks and the witness documents read is
-    built on first use: a search and the planarity check leave the
-    polygon table and every tracer's link-edge labels unbuilt, and the
-    cross-check of a rotation system builds no link graph for the dual
-    (nor for the complex, when no search ran first)."""
+    """What only the identity checks read is built on first use: a search
+    and the planarity check leave the polygon table unbuilt.  That they
+    spell no link label is shown in ``test_search.py``, where the label
+    methods raise."""
     for name, build in BUILDERS.items():
         c = build()
         search_planar_rotation_system(c, "count")
-        result = search_generalized_prs(c)
-        sigma = canonical_rotation_system(c)
-        is_planar_rotation_system(c, sigma)
+        search_generalized_prs(c)
+        is_planar_rotation_system(c, canonical_rotation_system(c))
         assert "polygons" not in vars(c.table), name
-        for t in link_tracers(c).values():
-            assert "edge_labels" not in vars(t), name
-        if result.sigma is not None:
-            result.rotator_doc(c)
-            assert all("edge_labels" in vars(t) for t in link_tracers(c).values())
-        c = build()
-        surfaces = local_surfaces(c, sigma)
-        dual = dual_complex(c, sigma, surfaces)
-        iota_check(c, sigma, surfaces)
-        surface_duality_check(c, sigma, dual)
-        for t in [*link_tracers(c).values(), *link_tracers(dual.complex).values()]:
-            assert t._link is None, name
 
 
-def tracer_parts_from_link_graph(c, lg):
-    """What a link's tracer holds, built from its link graph as tracers
-    were before the walk gave them integers: the link vertices indexed
-    by a dict, each link edge's darts written through it, corner ids
-    read from the polygon table, components counted by networkx."""
-    index = {lv: i for i, lv in enumerate(lg.vertices)}
-    dart_vertex, darts = [], [{} for _ in lg.vertices]
-    for k, le in enumerate(lg.edges):
-        u, w = index[le.u], index[le.w]
-        dart_vertex += (u, w)
-        darts[u][le.face] = 2 * k
-        darts[w][le.face] = 2 * k + 1
+def tracer_parts_from_reference_link(c, v):
+    """What the tracer of the link at ``v`` holds, read off the corner
+    reference's link graph: corner ids from the polygon table,
+    components counted by networkx."""
+    lg, _, _ = reference_link_graph(c, v)
+    corners = list(zip(lg.faces, lg.positions))
     g = nx.MultiGraph()
-    g.add_nodes_from(range(len(lg.vertices)))
-    g.add_edges_from(zip(dart_vertex[::2], dart_vertex[1::2]))
+    g.add_nodes_from(range(len(lg.ends)))
+    g.add_edges_from(zip(lg.dart_vertex[::2], lg.dart_vertex[1::2]))
     components = nx.number_connected_components(g)
-    bare = sum(not table for table in darts)
+    bare = sum(not darts for _, _, darts in lg.ends)
     face_start = c.table.polygons.face_start
     return {
         # darts by face in face id order, which an empty order reads
-        "records": [
-            (lv.edge, lv.end == TAIL, list(table.items()))
-            for lv, table in zip(lg.vertices, darts)
-        ],
-        "dart_vertex": dart_vertex,
-        "corners": [(le.face, le.pos) for le in lg.edges],
-        "corner_ids": [face_start[le.face] + le.pos for le in lg.edges],
+        "records": [(e, at_tail, list(darts.items())) for e, at_tail, darts in lg.ends],
+        "dart_vertex": lg.dart_vertex,
+        "corners": corners,
+        "corner_ids": [face_start[f] + pos for f, pos in corners],
         "component_count": components,
-        "sphere_cells": 2 * components - len(lg.vertices) + len(lg.edges) - bare,
-        "edge_labels": [le.label() for le in lg.edges],
+        "sphere_cells": 2 * components - len(lg.ends) + len(corners) - bare,
     }
 
 
-def test_each_tracer_from_the_walk_equals_one_from_its_link_graph(complexes):
-    """The tracers that ``link_tracers`` and ``link_tracer`` build from
-    the integer walk hold what tracers built from ``link_graphs`` held,
-    and their link graph, built on first use (a fresh tracer has none),
-    is ``link_graph``'s: on
-    the traced corpus (fixtures, randgen complexes and glued general
-    complexes with loops), half its glued complexes with an isolated
-    vertex, and the duals of every system of book3 and torus-7."""
+def walked_corpus(complexes):
+    """The complexes of the traced corpus (fixtures, randgen complexes
+    and glued general complexes with loops), half its glued complexes
+    again with an isolated vertex, and the duals of every system of
+    book3 and torus-7."""
     corpus = [c for c, _ in traced_corpus(complexes)]
     corpus += [
         PreComplex(c.kind, (*c.vertices, "isolated"), c.edges, c.faces)
@@ -542,26 +517,75 @@ def test_each_tracer_from_the_walk_equals_one_from_its_link_graph(complexes):
         for sigma in enumerate_rotation_systems(c)
     ]
     assert len(duals) == 3
+    return corpus + duals
+
+
+def test_each_tracer_from_the_walk_equals_one_from_its_link_graph(complexes):
+    """The tracers that ``link_tracers`` and ``link_tracer`` build from
+    the integer walk hold what tracers built from the corner reference's
+    link held, and their link graph is ``link_graph``'s, on
+    ``walked_corpus``."""
     seen = Counter()
-    for c in corpus + duals:
+    for c in walked_corpus(complexes):
         graphs = link_graphs(c)
         tracers = link_tracers(c)
         assert list(tracers) == list(graphs) == list(c.vertices)
         for v, t in tracers.items():
-            expected = tracer_parts_from_link_graph(c, graphs[v])
-            fresh = link_tracer(c, v)
-            assert fresh._link is None
-            for one in (t, fresh):
+            expected = tracer_parts_from_reference_link(c, v)
+            for one in (t, link_tracer(c, v)):
                 parts = {part: getattr(one, part, None) for part in expected}
                 parts["records"] = [(e, tail, list(d.items())) for e, tail, d in one.records]
-                parts["corners"] = list(zip(one.walk.faces, one.walk.positions))
+                parts["corners"] = list(zip(one.link.faces, one.link.positions))
                 assert parts == expected, v
                 assert one.link == link_graph(c, v) == graphs[v]
-            seen["loop"] += bool(graphs[v].loops)
+            edges = [e for e, _, _ in t.records]
+            seen["loop"] += len(set(edges)) < len(edges)
             seen["bare link vertex"] += any(not darts for _, _, darts in t.records)
             seen["no link vertex"] += not t.records
             seen["disconnected"] += t.component_count > 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_link_tracer_is_the_one_link_tracers_keeps(complexes):
+    """``link_tracer`` hands out the tracer kept in the complex's table,
+    so a caller that asks for each vertex's tracer walks the complex
+    once, and it still refuses a vertex the complex does not have."""
+    c = complexes["torus-7"]
+    tracers = link_tracers(c)
+    for v in c.vertices:
+        assert link_tracer(c, v, c.edge_incidences()) is tracers[v]
+        assert link_tracer(c, v) is tracers[v]
+    with pytest.raises(UnknownVertexError):
+        link_tracer(c, "nowhere")
+
+
+def test_planarity_precheck_against_networkx_on_the_corner_reference(complexes):
+    """On ``walked_corpus``, the precheck over link-vertex indices names
+    the least vertex whose corner-reference link, a graph on edge-ends,
+    fails ``nx.check_planarity``, or None when every link is planar.  No
+    link edge joins a link vertex to itself, in the walk or in the
+    reference, as the precheck's docstring argues."""
+    nonplanar = []
+    for c in walked_corpus(complexes):
+        expected = None
+        for v in sorted(c.vertices):
+            vertices, edges = reference_link(c, v)
+            g = nx.Graph()
+            g.add_nodes_from(vertices)
+            for *_, u, w in edges:
+                assert u != w
+                g.add_edge(u, w)
+            if expected is None and not nx.check_planarity(g)[0]:
+                expected = v
+        graphs = link_graphs(c)
+        for lg in graphs.values():
+            uw = lg.dart_vertex
+            assert all(u != w for u, w in zip(uw[::2], uw[1::2]))
+        assert link_planarity_precheck(graphs.values()) == expected
+        if expected is not None:
+            nonplanar.append(expected)
+    assert link_planarity_precheck(link_graphs(complexes["cone-k5"]).values()) == "apex"
+    assert nonplanar, "the corpus has a non-planar link"
 
 
 # -- the one-pass tracing map against the per-vertex rule ----------------------
@@ -583,12 +607,11 @@ def reference_rotators(tracer, sigma, red_edges=frozenset()):
     edge is red, and an empty order (or an edge sigma does not list)
     gives the vertex's darts in face id order."""
     out = []
-    for i, lv in enumerate(tracer.link.vertices):
-        table = tracer.records[i][2]
-        order = sigma.sigma.get(lv.edge, ())
+    for e, at_tail, table in tracer.records:
+        order = sigma.sigma.get(e, ())
         if not order:
             order = sorted(table)
-        elif lv.end == TAIL and lv.edge not in red_edges:
+        elif at_tail and e not in red_edges:
             order = order[::-1]
         out.append([table[f] for f in order])
     return out
