@@ -29,13 +29,7 @@ from .homology import (
     integral_summary,
     is_p_nullhomologous,
 )
-from .links import (
-    LinkGraph,
-    attached_complexes,
-    cut_vertices,
-    link_graph,
-    link_graphs,
-)
+from .links import attached_complexes, cut_vertices
 from .presentation import Pi1Verdict, pi1_trivial_heuristic
 from .randgen import GenParams, generate_random_complex
 from .rotation import (
@@ -61,10 +55,13 @@ from .surfaces import (
 )
 from .tracing import (
     CellComplex,
+    LinkGraph,
     induced_rotator,
     is_locally_connected,
     is_planar_rotation_system,
     is_sphere_union,
+    link_graph,
+    link_graphs,
     surface_dual,
     trace_link_complex,
 )

@@ -22,7 +22,7 @@ from .documents import (
 from .dot import export_dot_complex, export_dot_link
 from .errors import RotsysError
 from .homology import euler_identity_report, homology_summary, integral_summary
-from .links import link_graph, link_graphs
+from .tracing import link_graph, link_graphs
 from .randgen import GenParams, generate_random_complex
 from .rotation import canonical_rotation_system
 from .search import search_generalized_prs, search_planar_rotation_system

@@ -8,7 +8,7 @@ that pieces obtained by splitting at cut vertices remain representable;
 
 What does not depend on a rotation system is compiled once per complex,
 on first use, into its ``table``: each edge's faces, the polygons of
-the oriented faces over integer ids, and the link tracers.  The
+the oriented faces over integer ids, and the link graphs.  The
 table is a memo of the complex's fields, which is why complexes are
 never changed after construction.
 """
@@ -29,7 +29,7 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .rotation import RotationSystem
-    from .tracing import LinkTracer
+    from .tracing import LinkGraph
 
 VertexId = str
 EdgeId = str
@@ -266,15 +266,15 @@ class ComplexTable:
 
     Each part is built on first use: ``incidences``, each edge's faces,
     for the searches and rotation systems, ``polygons`` for the local
-    surfaces and the dual,
-    and ``tracers``, the link tracers, which ``tracing.link_tracers``
-    fills in.  Every part is read-only once built.
+    surfaces and the dual, and ``links``, the link graph at each vertex,
+    which ``tracing.link_graphs`` walks and fills in and every reader of
+    a link traces.  Every part is read-only once built.
     """
 
     def __init__(self, c: PreComplex):
         self._edges = c.edges
         self._faces = c.faces
-        self.tracers: dict[VertexId, LinkTracer] | None = None
+        self.links: dict[VertexId, LinkGraph] | None = None
 
     @cached_property
     def incidences(self) -> dict[EdgeId, tuple[FaceId, ...]]:

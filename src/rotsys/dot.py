@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .complexes import PreComplex
-from .links import LinkGraph
+from .tracing import LinkGraph
 
 
 def _quote(s: str) -> str:

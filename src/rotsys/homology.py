@@ -28,7 +28,7 @@ from .complexes import PreComplex
 from .errors import NotConnectedError, NotLocallyConnectedError, NotPrimeError, TooLargeError
 from .rotation import RotationSystem
 from .surfaces import dual_complex
-from .tracing import is_locally_connected, link_tracers
+from .tracing import is_locally_connected, link_graphs
 
 SparseRows = list[dict[int, int]]
 
@@ -405,10 +405,10 @@ def _total_link_cells(c: PreComplex, sigma: RotationSystem) -> tuple[int, bool]:
     """(total cells over all link complexes, every one a sphere union),
     tracing each link kept in ``c.table`` once."""
     total, spheres = 0, True
-    for t in link_tracers(c).values():
-        cells = len(t.cells(sigma))
+    for lg in link_graphs(c).values():
+        cells = len(lg.cells(sigma))
         total += cells
-        spheres = spheres and cells == t.sphere_cells
+        spheres = spheres and cells == lg.sphere_cells
     return total, spheres
 
 

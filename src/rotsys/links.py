@@ -1,18 +1,8 @@
-"""Link graphs, cut vertices, and splitting at cut vertices.
+"""Cut vertices, blocks, and splitting at cut vertices.
 
-The link graph at a vertex v has one vertex per edge-end at v and one
-edge per traversal of v by a face boundary.  Distinguishing the two
-ends of a loop edge follows the double-counting convention for dual
-complexes: a loop contributes two link vertices.  For loop-free
-complexes the link vertices are simply the edges at v.  A face arrives
-at an edge's head when it runs along the edge, at its tail when it runs
-against it, and leaves from the other end.  ``link_graphs`` reads every
-link in one walk over integers that deals each edge-end and each
-corner to its vertex, one ``LinkGraph`` per vertex; a link vertex is an
-index there and a link edge a dart pair, and ``LinkGraph`` spells their
-labels only when asked.  ``tracing.link_tracers`` builds a complex's
-link tracers from the one walk, and rotators, link counts and local
-connectivity are read from the tracers.
+The link graphs themselves, walked once per complex and kept in its
+table, live in ``tracing`` with their readers; ``link_graph`` is
+re-exported here.
 
 Cut vertices are those of the complex as a space: splits run on vertex
 sets over ``space_adjacency``.  Without its vertices the space falls
@@ -30,101 +20,10 @@ that holds its support and dropping it when none does.
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple
 
 from .complexes import EdgeId, FaceId, PreComplex, VertexId, connected_classes
 from .errors import NotACutVertexError, UnknownVertexError
-
-HEAD = "h"
-TAIL = "t"
-
-
-class LinkGraph(NamedTuple):
-    """The link at ``center`` over integers, as ``link_graphs`` builds it.
-
-    ``ends`` holds per link vertex its edge, whether it is the edge's
-    tail end, and its darts by face.  Link edge k, a corner of a face at
-    the center, has darts 2k, at the link vertex the face arrives at,
-    and 2k + 1, at the one it leaves from, ``dart_vertex`` giving each
-    dart's link vertex; per link edge, ``faces`` and ``positions`` hold
-    its face and its position there, and ``corner_ids`` the corner's id,
-    its place among all corners of the complex in (face id, position)
-    order, as ``PolygonTable`` numbers them.  A corner is kept as ids in
-    flat lists, not as a pair, so a walk makes no object per corner, and
-    labels are spelled only for the readers that print them.
-    """
-
-    center: VertexId
-    ends: list[tuple[EdgeId, bool, dict[FaceId, int]]]
-    dart_vertex: list[int]
-    faces: list[FaceId]
-    positions: list[int]
-    corner_ids: list[int]
-
-    def vertex_labels(self) -> list[str]:
-        """Each link vertex's label: its edge id, with the end appended
-        (``e:h``, ``e:t``) at a loop, whose two ends both lie here."""
-        count = Counter(e for e, _, _ in self.ends)
-        return [
-            f"{e}:{TAIL if at_tail else HEAD}" if count[e] > 1 else e
-            for e, at_tail, _ in self.ends
-        ]
-
-    def edge_labels(self) -> list[str]:
-        """Each link edge's label, ``face#pos``."""
-        return [f"{f}#{pos}" for f, pos in zip(self.faces, self.positions)]
-
-
-def link_graphs(c: PreComplex) -> dict[VertexId, LinkGraph]:
-    """The link of ``c`` at every vertex, in ``c``'s vertex order, from
-    one pass over the edges and one over the face trails.
-
-    Link vertices are the edge-ends at v (in id order, head end before
-    tail end for loops); link edges are the face traversals of v in
-    (face id, position) order, which fixes the dart ordering used
-    everywhere else.
-    """
-    graphs = {v: LinkGraph(v, [], [], [], [], []) for v in c.vertices}
-    # per edge, its tail end and its head end, each with the lists of
-    # the link at its vertex, its link vertex there and that one's darts
-    ends = {}
-    for e in sorted(c.edges):
-        tail, head = c.edges[e]
-        pair = []
-        for v, at_tail in ((head, False), (tail, True)):
-            _, vertices, dart_vertex, faces, positions, corner_ids = graphs[v]
-            darts: dict[FaceId, int] = {}
-            pair.append((dart_vertex, faces, positions, corner_ids, len(vertices), darts))
-            vertices.append((e, at_tail, darts))
-        ends[e] = (pair[1], pair[0])
-    corner = 0
-    for f in sorted(c.faces):
-        trail = c.faces[f].trail
-        # corner pos, between refs pos - 1 and pos: the face arrives over
-        # its previous ref, at the edge's head when it runs along the
-        # edge, and leaves over its next ref, from the edge's tail when it
-        # runs along it; u is the end it arrives at
-        _, _, _, _, u, arrived = ends[trail[-1].edge][trail[-1].sign == 1]
-        for pos, ref in enumerate(trail):
-            pair = ends[ref.edge]
-            dart_vertex, faces, positions, corner_ids, w, leaves = pair[ref.sign != 1]
-            k = len(dart_vertex)
-            dart_vertex += (u, w)
-            arrived[f] = k
-            leaves[f] = k + 1
-            faces.append(f)
-            positions.append(pos)
-            corner_ids.append(corner)
-            corner += 1
-            _, _, _, _, u, arrived = pair[ref.sign == 1]
-    return graphs
-
-
-def link_graph(c: PreComplex, v: VertexId) -> LinkGraph:
-    """The link graph of ``c`` at ``v``, as ``link_graphs`` builds it."""
-    if v not in c.vertices:
-        raise UnknownVertexError(f"unknown vertex {v!r}")
-    return link_graphs(c)[v]
+from .tracing import link_graph  # re-exported
 
 
 def _supports(

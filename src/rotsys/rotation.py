@@ -44,10 +44,6 @@ class RotationSystem:
     def canonical(self, e: EdgeId) -> tuple[FaceId, ...]:
         return canonical_cycle(self.sigma[e])
 
-    def canonical_key(self) -> tuple:
-        """A hashable identity for the whole system, rotation-invariant."""
-        return tuple((e, self.canonical(e)) for e in sorted(self.sigma))
-
 
 def check_rotation_system(c: PreComplex, sigma: RotationSystem) -> None:
     """Raise unless ``sigma`` is a rotation system of ``c``."""

@@ -7,11 +7,11 @@ order, each colour: black gives the two ends mutually reverse rotators,
 red gives both ends the same one.  A planar rotation system is the
 all-black case of a generalized one, so the planar search offers black
 only.  The order makes the search lexicographic and its outcome
-machine-independent.  Each search reads the link tracers kept in the
-complex's table, built on first use, and prunes threefold: a planarity
-precheck of the link graphs they keep, over link-vertex indices (a
-sphere-union link complex is a plane embedding, so a non-planar link
-kills every candidate), a sphere-union check of each link as soon as
+machine-independent.  Each search reads the link graphs kept in the
+complex's table, walked on first use, and prunes threefold: a planarity
+precheck of those graphs, over link-vertex indices (a sphere-union
+link complex is a plane embedding, so a non-planar link kills every
+candidate), a sphere-union check of each link as soon as
 all edges at its vertex are decided, and an even-red check of each face
 as soon as all its edges are decided.
 
@@ -26,13 +26,13 @@ fixes in the links at the edge's ends, compiled when the backtracker
 first places it and kept for later passes, so an edge's cyclic orders
 are generated only as far as the search reaches; a decided link's
 orbits are counted on its array by the same code as
-``LinkTracer.sphere_union``; a link whose edges offer no choice of
+``LinkGraph.sphere_union``; a link whose edges offer no choice of
 rotator is checked once, before the search.  A faceless edge of a
 ``PreComplex`` offers no choice and is skipped.  The backtracker keeps
 its own stack, so the size of a complex is not bounded by Python's
 recursion limit.  The rotators of a generalized witness are read from
-the same link tracers, so a ``gprs find`` request builds each link once;
-only its document spells link labels.
+the same link graphs, so a ``gprs find`` request walks the complex
+once; only its document spells link labels.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ import networkx as nx
 
 from .complexes import EdgeId, FaceId, PreComplex, VertexId
 from .errors import CapExceededError
-from .links import LinkGraph
 from .rotation import RotationSystem, sigma_candidates, total_search_space
-from .tracing import LinkTracer, link_tracers, traces_sphere_union
+from .tracing import LinkGraph, link_graphs, traces_sphere_union
 
 _BLACK = (False,)
 _BLACK_OR_RED = (False, True)
@@ -76,8 +75,8 @@ _Witness = tuple[RotationSystem, tuple[EdgeId, ...]]
 # one compiled write: a tracing array, a block of it, the new values
 _Write = tuple[list[int], int, int, list[int]]
 _Step = tuple[tuple[FaceId, ...], bool, tuple[_Write, ...]]
-# an edge's open end: tracer, link vertex, tracing array, slots, block start
-_End = tuple[LinkTracer, int, list[int], list[int], int]
+# an edge's open end: link, link vertex, tracing array, slots, block start
+_End = tuple[LinkGraph, int, list[int], list[int], int]
 
 
 def _candidates(
@@ -108,7 +107,7 @@ def _candidates(
 
 
 def _write(
-    t: LinkTracer,
+    lg: LinkGraph,
     i: int,
     trace: list[int],
     slot: list[int],
@@ -117,9 +116,9 @@ def _write(
     red: bool,
 ) -> _Write:
     """The write to ``trace`` that fixes the block of link vertex ``i``
-    of ``t``, starting at ``start``, for the cyclic order ``cand`` and
+    of ``lg``, starting at ``start``, for the cyclic order ``cand`` and
     the colour ``red`` of its edge."""
-    rot = t.rotator(i, cand, red)
+    rot = lg.rotator(i, cand, red)
     values = [0] * len(rot)
     for j, succ in enumerate(rot):
         values[slot[rot[j - 1]] - start] = slot[succ ^ 1]
@@ -143,7 +142,7 @@ def _options(
 
 
 def _compile_links(
-    tracers: dict[VertexId, LinkTracer],
+    links: dict[VertexId, LinkGraph],
     edge_order: list[EdgeId],
     candidates: list[Iterator[tuple[FaceId, ...]]],
     colours: tuple[bool, ...],
@@ -163,29 +162,29 @@ def _compile_links(
     the blocks of its ends, so a link whose edges are all assigned holds
     the tracing map of the current assignment.  A link vertex without
     darts, an end of a faceless edge, has an empty block, and the
-    tracer's ``sphere_cells`` already reads its link as if that edge
+    link's ``sphere_cells`` already reads its link as if that edge
     were not there.
     """
     ends: dict[EdgeId, list[_End]] = {e: [] for e in edge_order}
     arrays: dict[VertexId, tuple[list[int], int]] = {}
-    for v, t in tracers.items():
-        n = len(t.dart_vertex)
+    for v, lg in links.items():
+        n = len(lg.dart_vertex)
         slot = [0] * n
-        for k, d in enumerate(sorted(range(n), key=t.dart_vertex.__getitem__)):
+        for k, d in enumerate(sorted(range(n), key=lg.dart_vertex.__getitem__)):
             slot[d] = k
         trace = [0] * n
         start = 0
         open_ends = False
-        for i, (e, _, darts) in enumerate(t.records):
+        for i, (e, _, darts) in enumerate(lg.ends):
             if len(darts) <= 2:
-                _, lo, hi, values = _write(t, i, trace, slot, start, (), False)
+                _, lo, hi, values = _write(lg, i, trace, slot, start, (), False)
                 trace[lo:hi] = values
             else:
-                ends[e].append((t, i, trace, slot, start))
+                ends[e].append((lg, i, trace, slot, start))
                 open_ends = True
             start += len(darts)
-        if open_ends or not traces_sphere_union(trace, t.sphere_cells):
-            arrays[v] = (trace, t.sphere_cells)
+        if open_ends or not traces_sphere_union(trace, lg.sphere_cells):
+            arrays[v] = (trace, lg.sphere_cells)
     steps: list[list[_Step]] = [[] for _ in edge_order]
     passes = [
         _options(ends[e], orders, colours, compiled)
@@ -210,15 +209,15 @@ def _search(
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
     total_space = total_search_space(c)
-    tracers = link_tracers(c)
-    if link_planarity_precheck(t.link for t in tracers.values()) is not None:
+    links = link_graphs(c)
+    if link_planarity_precheck(links.values()) is not None:
         return None, 0, 0, total_space
     edge_order, candidates, weight = _candidates(c)
 
     # a vertex's link is decided once the last of its edges is assigned,
     # a face's red parity once the last of its edges is
     last_edge_index = {v: i for i, e in enumerate(edge_order) for v in c.edges[e]}
-    steps, passes, arrays = _compile_links(tracers, edge_order, candidates, colours)
+    steps, passes, arrays = _compile_links(links, edge_order, candidates, colours)
     decided_at: list[list[tuple[list[int], int]]] = [[] for _ in edge_order]
     for v, i in last_edge_index.items():
         if v in arrays:
@@ -338,17 +337,17 @@ class GprsSearchResult:
         """The per-vertex rotators of the found assignment: for every
         link vertex (edge-end at the vertex, in link order), the cyclic
         order of its link edges (face#corner) that sigma and the red
-        edges induce, read from the link tracers kept in ``c.table``."""
+        edges induce, read from the link graphs kept in ``c.table``."""
         assert self.sigma is not None
         red = frozenset(self.red_edges)
-        tracers = link_tracers(c)
+        links = link_graphs(c)
         out: dict[str, dict[str, list[str]]] = {}
         for v in sorted(c.vertices):
-            t = tracers[v]
-            labels, edge_labels = t.link.vertex_labels(), t.link.edge_labels()
+            lg = links[v]
+            labels, edge_labels = lg.vertex_labels(), lg.edge_labels()
             out[v] = {
                 labels[i]: [edge_labels[d >> 1] for d in rot]
-                for i, rot in enumerate(t.rotators(self.sigma, red))
+                for i, rot in enumerate(lg.rotators(self.sigma, red))
             }
         return out
 

@@ -22,15 +22,15 @@ does not depend on sigma either: it is built once per complex and kept
 in the table, and every dual shares it.  Per rotation system, each
 pass is one walk: ``local_surfaces`` walks each corner orbit once,
 reading its corners and rotator on the way; the bijection check traces
-each link once and spells each cell in the corner ids its link tracer
-holds as it walks the tracing map, files each cell under its least
+each link graph kept in the table once and spells each cell in the
+corner ids the graph holds as it walks the tracing map, files each cell under its least
 corner id, and matches each surface vertex to an unused cell filed
 under the least letter of its corner word, reading the cell forwards
 or backwards from each occurrence of that letter (canonical words
 spell only the message of a failed match); and the duality check
 traces each local surface and each link of the dual once, its surface
 dual's successors being the surface's own tracing map, and reads each
-dual link edge's face and position from its tracer.
+dual link edge's face and position from the dual's link graph.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from .errors import BijectionFailureError, NotClosedSurfaceError
 from .rotation import RotationSystem, canonical_cycle
 from .tracing import (
     CellComplex,
-    LinkTracer,
-    link_tracers,
+    LinkGraph,
+    link_graphs,
     maps_isomorphism,
     surface_dual_successors,
 )
@@ -382,7 +382,7 @@ def iota_check(
     c: PreComplex,
     sigma: RotationSystem,
     surfaces: list[LocalSurface] | None = None,
-    tracers: dict[VertexId, LinkTracer] | None = None,
+    links: dict[VertexId, LinkGraph] | None = None,
 ) -> IotaReport:
     """Match every vertex of every local surface to a cell of the link
     complex at the vertex it was cloned from, by equality of the cyclic
@@ -410,14 +410,14 @@ def iota_check(
             corner_words[sv.c_vertex].append([face_corner[bases[m] + j] for m, j in sv.corners])
             total_vertices += 1
 
-    if tracers is None:
-        tracers = link_tracers(c)
+    if links is None:
+        links = link_graphs(c)
     total_cells = 0
     matched = 0
     for v in sorted(c.vertices):
-        tracer = tracers[v]
-        corner = tracer.corner_ids
-        trace = tracer.trace(sigma)
+        lg = links[v]
+        corner = lg.corner_ids
+        trace = lg.trace(sigma)
         # the cells, the orbits of the tracing map from the least unused
         # dart, spelled straight in corner ids, each filed under its
         # least corner id: a surface vertex's word has the same least
@@ -486,15 +486,15 @@ def surface_duality_check(
         dual = dual_complex(c, sigma)
     incidences = c.table.incidences
     glue_start = c.table.polygons.glue_start
-    tracers = link_tracers(dual.complex)
+    links = link_graphs(dual.complex)
     out: dict[str, str] = {}
     for s in dual.surfaces:
-        tracer = tracers[s.id]
-        succ = [d ^ 1 for d in tracer.trace(dual.sigma_c)]
+        lg = links[s.id]
+        succ = [d ^ 1 for d in lg.trace(dual.sigma_c)]
         b_succ = surface_dual_successors(s.cell_complex())
         gluing_index = {glue_start[g.edge] + g.seq: k for k, g in enumerate(s.gluings)}
         dart_map = []
-        for e, t in zip(tracer.link.faces, tracer.link.positions):
+        for e, t in zip(lg.faces, lg.positions):
             # dual face = primal edge e, corner t: the gluing of sigma(e)'s
             # entries t - 1 and t; the u side is the positive side
             k = gluing_index[glue_start[e] + (t - 1) % len(incidences[e])]

@@ -7,18 +7,35 @@ successor in the rotator at its arrival vertex, and the orbits of that
 map are the cells.  Each connected component realizes a closed oriented
 surface, so its Euler characteristic V - E + cells is even and at most
 2, with 2 exactly for spheres.
+
+The link graph at a vertex v has one vertex per edge-end at v and one
+edge per traversal of v by a face boundary.  Distinguishing the two
+ends of a loop edge follows the double-counting convention for dual
+complexes: a loop contributes two link vertices.  For loop-free
+complexes the link vertices are simply the edges at v.  A face arrives
+at an edge's head when it runs along the edge, at its tail when it runs
+against it, and leaves from the other end.  ``link_graphs`` reads every
+link in one walk over integers that deals each edge-end and each corner
+to its vertex, and keeps them in the complex's table: one ``LinkGraph``
+per vertex, a link vertex an index there and a link edge a dart pair.
+That one object per link is also its tracer: rotators, cells, sphere
+unions and the component count are read from it, and its labels are
+spelled only when asked.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .complexes import EdgeId, FaceId, PreComplex, VertexId, connected_classes
 from .errors import NotClosedSurfaceError, NotIncidentError, UnknownVertexError
-from .links import LinkGraph, link_graphs
 from .rotation import RotationSystem, check_rotation_system, not_listed_once
+
+HEAD = "h"
+TAIL = "t"
 
 
 def orbits_of(trace: Sequence[int]) -> list[tuple[int, ...]]:
@@ -197,34 +214,54 @@ def maps_isomorphism(
 # -- link complexes ---------------------------------------------------------
 
 
-class LinkTracer:
-    """Precomputed dart structure of one link, retraceable cheaply for
-    different rotator assignments during search: the one reader of a
-    link's rotators, cells and component count.  A link vertex is an
-    edge-end, and each face through the edge gives it one dart, so its
-    darts are keyed by face id, as sigma lists them.  Everything is read
-    off the link graph (``links.link_graphs``, kept as ``link``): each
-    link edge's face and position and its corner id (``corner_ids``) too.
-    The component count, which only some readers need, is counted on
-    first use and kept."""
+@dataclass
+class LinkGraph:
+    """The link at ``center`` over integers, as ``link_graphs`` builds it,
+    and the one reader of its rotators, cells and component count,
+    retraceable cheaply for each rotation system a search or a check
+    tries.
 
-    def __init__(self, link: LinkGraph):
-        self.link = link
-        # link edge k at a corner of face f: dart 2k at the link vertex
-        # f arrives at, dart 2k+1 at the one it leaves from, each over f's
-        # traversal of that link vertex's edge
-        self.dart_vertex = link.dart_vertex
-        self.corner_ids = link.corner_ids
-        # one record per link vertex: its edge, whether it is the tail
-        # end, and its darts by face, in face id order (the order of the
-        # link edges)
-        self.records = link.ends
+    ``ends`` holds per link vertex its edge, whether it is the edge's
+    tail end, and its darts by face id, in face id order: each face
+    through the edge gives the link vertex one dart, as sigma lists the
+    faces.  Link edge k, a corner of a face at the center, has darts 2k,
+    at the link vertex the face arrives at, and 2k + 1, at the one it
+    leaves from, ``dart_vertex`` giving each dart's link vertex; per link
+    edge, ``faces`` and ``positions`` hold its face and its position
+    there, and ``corner_ids`` the corner's id, its place among all
+    corners of the complex in (face id, position) order, as
+    ``PolygonTable`` numbers them.  A corner is kept as ids in flat
+    lists, not as a pair, so a walk makes no object per corner, and
+    labels are spelled only for the readers that print them.  The
+    component count and the cell count of a sphere union, which only
+    some readers need, are counted on first use and kept.
+    """
+
+    center: VertexId
+    ends: list[tuple[EdgeId, bool, dict[FaceId, int]]]
+    dart_vertex: list[int]
+    faces: list[FaceId]
+    positions: list[int]
+    corner_ids: list[int]
+
+    def vertex_labels(self) -> list[str]:
+        """Each link vertex's label: its edge id, with the end appended
+        (``e:h``, ``e:t``) at a loop, whose two ends both lie here."""
+        count = Counter(e for e, _, _ in self.ends)
+        return [
+            f"{e}:{TAIL if at_tail else HEAD}" if count[e] > 1 else e
+            for e, at_tail, _ in self.ends
+        ]
+
+    def edge_labels(self) -> list[str]:
+        """Each link edge's label, ``face#pos``."""
+        return [f"{f}#{pos}" for f, pos in zip(self.faces, self.positions)]
 
     @cached_property
     def component_count(self) -> int:
         """The link's connected components, isolated vertices included."""
         ends = iter(self.dart_vertex)
-        return len(connected_classes(len(self.records), zip(ends, ends)))
+        return len(connected_classes(len(self.ends), zip(ends, ends)))
 
     @cached_property
     def sphere_cells(self) -> int:
@@ -232,8 +269,8 @@ class LinkTracer:
         link vertex without darts, an end of a faceless edge, traces no
         cell and counts one fewer: the link is read as if that edge were
         not there, as the searches read it."""
-        bare = sum(not darts for _, _, darts in self.records)
-        return 2 * self.component_count - len(self.records) + len(self.corner_ids) - bare
+        bare = sum(not darts for _, _, darts in self.ends)
+        return 2 * self.component_count - len(self.ends) + len(self.corner_ids) - bare
 
     def rotator(self, i: int, order: Sequence[FaceId], red: bool = False) -> list[int]:
         """The darts at link vertex ``i`` in the cyclic order that
@@ -244,7 +281,7 @@ class LinkTracer:
         ends read it forwards.  An empty ``order`` (an edge in one face,
         or a faceless one) yields the darts the vertex has.
         """
-        _, tail, darts = self.records[i]
+        _, tail, darts = self.ends[i]
         if not order:
             order = list(darts)
         elif tail and not red:
@@ -259,7 +296,7 @@ class LinkTracer:
         orders = sigma.sigma
         return [
             self.rotator(i, orders.get(e, ()), e in red_edges)
-            for i, (e, _, _) in enumerate(self.records)
+            for i, (e, _, _) in enumerate(self.ends)
         ]
 
     def trace(
@@ -267,18 +304,18 @@ class LinkTracer:
     ) -> list[int]:
         """The tracing map of the rotators sigma induces, each dart to
         the mate of its successor: one pass over the link vertices, each
-        reading its order by the rule of ``rotator``.  An order that
-        leaves out, repeats or adds a face is an InvalidRotationSystemError."""
+        reading its order by the rule of ``rotator``, save that an empty
+        or missing order stands only for at most one face.  An order
+        that leaves out, repeats or adds a face is an
+        InvalidRotationSystemError."""
         orders = sigma.sigma
         trace = [-2] * len(self.dart_vertex)
         try:
-            for e, tail, darts in self.records:
-                order = orders.get(e)
-                if not order:
-                    order = list(darts)
-                elif len(order) != len(darts):
+            for e, tail, darts in self.ends:
+                order = orders.get(e) or (list(darts) if len(darts) < 2 else ())
+                if len(order) != len(darts):
                     raise not_listed_once(e)
-                elif tail and e not in red_edges:
+                if tail and e not in red_edges:
                     order = order[::-1]
                 if order:
                     prev = darts[order[-1]]
@@ -289,7 +326,7 @@ class LinkTracer:
         except KeyError:  # a face that does not meet the edge
             raise not_listed_once(e) from None
         if -2 in trace:
-            raise not_listed_once(self.records[self.dart_vertex[trace.index(-2)]][0])
+            raise not_listed_once(self.ends[self.dart_vertex[trace.index(-2)]][0])
         return trace
 
     def sphere_union(
@@ -308,37 +345,90 @@ class LinkTracer:
         return CellComplex.from_rotators(self.rotators(sigma))
 
 
+# the name under which perfbench wraps ``sphere_union``
+LinkTracer = LinkGraph
+
+
+def link_graphs(c: PreComplex) -> dict[VertexId, LinkGraph]:
+    """The link of ``c`` at every vertex, in ``c``'s vertex order: walked
+    on the first call and kept in ``c.table``, so every later caller
+    shares them and must not change them."""
+    table = c.table
+    if table.links is None:
+        table.links = _walk(c)
+    return table.links
+
+
+def _walk(c: PreComplex) -> dict[VertexId, LinkGraph]:
+    """Every link of ``c`` from one pass over the edges and one over the
+    face trails.
+
+    Link vertices are the edge-ends at v (in id order, head end before
+    tail end for loops); link edges are the face traversals of v in
+    (face id, position) order, which fixes the dart ordering used
+    everywhere else.
+    """
+    graphs = {v: LinkGraph(v, [], [], [], [], []) for v in c.vertices}
+    # per edge, its tail end and its head end, each with the lists of
+    # the link at its vertex, its link vertex there and that one's darts
+    ends = {}
+    for e in sorted(c.edges):
+        tail, head = c.edges[e]
+        pair = []
+        for v, at_tail in ((head, False), (tail, True)):
+            g = graphs[v]
+            darts: dict[FaceId, int] = {}
+            pair.append((g.dart_vertex, g.faces, g.positions, g.corner_ids, len(g.ends), darts))
+            g.ends.append((e, at_tail, darts))
+        ends[e] = (pair[1], pair[0])
+    corner = 0
+    for f in sorted(c.faces):
+        trail = c.faces[f].trail
+        # corner pos, between refs pos - 1 and pos: the face arrives over
+        # its previous ref, at the edge's head when it runs along the
+        # edge, and leaves over its next ref, from the edge's tail when it
+        # runs along it; u is the end it arrives at
+        _, _, _, _, u, arrived = ends[trail[-1].edge][trail[-1].sign == 1]
+        for pos, ref in enumerate(trail):
+            pair = ends[ref.edge]
+            dart_vertex, faces, positions, corner_ids, w, leaves = pair[ref.sign != 1]
+            k = len(dart_vertex)
+            dart_vertex += (u, w)
+            arrived[f] = k
+            leaves[f] = k + 1
+            faces.append(f)
+            positions.append(pos)
+            corner_ids.append(corner)
+            corner += 1
+            _, _, _, _, u, arrived = pair[ref.sign == 1]
+    return graphs
+
+
+def link_graph(c: PreComplex, v: VertexId) -> LinkGraph:
+    """The link graph of ``c`` at ``v``, the one ``link_graphs`` keeps."""
+    if v not in c.vertices:
+        raise UnknownVertexError(f"unknown vertex {v!r}")
+    return link_graphs(c)[v]
+
+
 def link_tracer(
     c: PreComplex,
     v: VertexId,
     incidences: dict[EdgeId, list[FaceId]] | None = None,
-) -> LinkTracer:
-    """The tracer of the link at ``v``, the one ``link_tracers`` keeps.
+) -> LinkGraph:
+    """``link_graph(c, v)``, under the name perfbench wraps;
     ``incidences`` is accepted for callers that pass
-    ``c.edge_incidences()`` and unused: a tracer takes each face from its
-    own link edges."""
-    if v not in c.vertices:
-        raise UnknownVertexError(f"unknown vertex {v!r}")
-    return link_tracers(c)[v]
-
-
-def link_tracers(c: PreComplex) -> dict[VertexId, LinkTracer]:
-    """The tracers of every link of ``c``, in ``c``'s vertex order: built
-    from one walk on the first call and kept in ``c.table``, so every
-    later caller shares them and must not change them."""
-    table = c.table
-    if table.tracers is None:
-        table.tracers = {v: LinkTracer(link) for v, link in link_graphs(c).items()}
-    return table.tracers
+    ``c.edge_incidences()`` and unused."""
+    return link_graph(c, v)
 
 
 def is_locally_connected(c: PreComplex) -> tuple[bool, VertexId | None]:
     """Whether every link graph is connected; on failure also the least
     vertex with a disconnected link.  Reads the component counts of the
-    link tracers kept in ``c.table``."""
-    tracers = link_tracers(c)
+    links kept in ``c.table``."""
+    links = link_graphs(c)
     for v in sorted(c.vertices):
-        if tracers[v].component_count > 1:
+        if links[v].component_count > 1:
             return False, v
     return True, None
 
@@ -348,10 +438,7 @@ def trace_link_complex(c: PreComplex, sigma: RotationSystem, v: VertexId) -> Cel
     rotators induced by sigma, a rotation system of ``c``, traced into
     cells."""
     check_rotation_system(c, sigma)
-    tracer = link_tracers(c).get(v)
-    if tracer is None:
-        raise UnknownVertexError(f"unknown vertex {v!r}")
-    return tracer.cell_complex(sigma)
+    return link_graph(c, v).cell_complex(sigma)
 
 
 def induced_rotator(
@@ -364,8 +451,8 @@ def induced_rotator(
 
     For a loop both ends lie at ``v``; the head end is reported.  The
     single-face convention leaves sigma empty, and the rotator is then
-    the one link edge of the single face.  Read from the link
-    tracer at ``v`` kept in ``c.table``.  Sigma must be a rotation
+    the one link edge of the single face.  Read from the link at ``v``
+    kept in ``c.table``.  Sigma must be a rotation
     system of ``c``.
     """
     check_rotation_system(c, sigma)
@@ -374,11 +461,11 @@ def induced_rotator(
     tail, head = c.edges[e]
     if v not in (tail, head):
         raise NotIncidentError(f"vertex {v!r} is not an endpoint of edge {e!r}")
-    tracer = link_tracers(c)[v]
+    lg = link_graphs(c)[v]
     end = (e, head != v)
-    i = next(i for i, (edge, at_tail, _) in enumerate(tracer.records) if (edge, at_tail) == end)
-    labels, faces = tracer.link.edge_labels(), tracer.link.faces
-    return [(labels[d >> 1], faces[d >> 1]) for d in tracer.rotator(i, sigma.sigma[e])]
+    i = next(i for i, (edge, at_tail, _) in enumerate(lg.ends) if (edge, at_tail) == end)
+    labels = lg.edge_labels()
+    return [(labels[d >> 1], lg.faces[d >> 1]) for d in lg.rotator(i, sigma.sigma[e])]
 
 
 def is_planar_rotation_system(
@@ -388,8 +475,8 @@ def is_planar_rotation_system(
     system of ``c``, is a disjoint union of spheres; on failure also the
     least failing vertex."""
     check_rotation_system(c, sigma)
-    tracers = link_tracers(c)
+    links = link_graphs(c)
     for v in sorted(c.vertices):
-        if not tracers[v].sphere_union(sigma):
+        if not links[v].sphere_union(sigma):
             return False, v
     return True, None

@@ -21,7 +21,7 @@ from rotsys.surfaces import (
     polygon_refs,
     surface_duality_check,
 )
-from rotsys.tracing import link_tracers
+from rotsys.tracing import link_graphs
 
 
 def check_chain_condition(c) -> None:
@@ -81,8 +81,8 @@ def check_identities_per_sigma(c, cap: int, null_prime: int | None = None) -> in
     number of systems checked."""
     nv, ne, nf = c.counts()
     z_c = ne - nv + 1
-    # the tracers kept in c.table, which is_locally_connected(c) built
-    tracers = link_tracers(c)
+    # the link graphs kept in c.table, which is_locally_connected(c) walked
+    links = link_graphs(c)
     checked = 0
     for sigma in enumerate_rotation_systems(c, cap=cap):
         surfaces = local_surfaces(c, sigma)
@@ -94,9 +94,9 @@ def check_identities_per_sigma(c, cap: int, null_prime: int | None = None) -> in
         lhs = nv - ne + nf - len(d.vertices)
         z_d = len(d.edges) - len(d.vertices) + 1
         assert lhs == z_d - z_c, f"cycle-space identity failed: {lhs} vs {z_d - z_c}"
-        iota_check(c, sigma, surfaces, tracers)
+        iota_check(c, sigma, surfaces, links)
         surface_duality_check(c, sigma, dual)
-        if all(tracers[v].sphere_union(sigma) for v in c.vertices):
+        if all(links[v].sphere_union(sigma) for v in c.vertices):
             # dual links are surface duals of the local surfaces, so the
             # sphere-equality case is visible on the surfaces directly
             assert lhs <= 0, "double-counting inequality violated"

@@ -1,6 +1,6 @@
 """A reference link graph read off the corners of every face.
 
-Kept apart from ``rotsys.links``'s one walk, with link vertices as
+Kept apart from ``rotsys.tracing``'s one walk, with link vertices as
 (edge, end) pairs and link edges as tuples, so that ``test_links.py``
 can compare ``link_graphs`` with it field by field and
 ``test_tracing.py`` can check the planarity precheck against networkx
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from rotsys.complexes import SignedEdgeRef
-from rotsys.links import HEAD, TAIL, LinkGraph
+from rotsys.tracing import HEAD, TAIL, LinkGraph
 
 
 class Corner(NamedTuple):

@@ -38,7 +38,7 @@ from rotsys.surfaces import (
     OrientedFace,
     SurfaceVertex,
 )
-from rotsys.tracing import LinkTracer, link_tracers, maps_isomorphism, surface_dual
+from rotsys.tracing import LinkGraph, link_graphs, maps_isomorphism, surface_dual
 
 
 class _Incidence(NamedTuple):
@@ -302,7 +302,7 @@ def iota_check(
     c: PreComplex,
     sigma: RotationSystem,
     surfaces: list[LocalSurface] | None = None,
-    tracers: dict[VertexId, LinkTracer] | None = None,
+    links: dict[VertexId, LinkGraph] | None = None,
 ) -> IotaReport:
     """Match every vertex of every local surface to a cell of the link
     complex at the vertex it was cloned from, by equality of the cyclic
@@ -329,14 +329,13 @@ def iota_check(
             corner_words[sv.c_vertex].append(tuple(word))
             total_vertices += 1
 
-    if tracers is None:
-        tracers = link_tracers(c)
+    if links is None:
+        links = link_graphs(c)
     total_cells = 0
     matched = 0
     for v in sorted(c.vertices):
-        tracer = tracers[v]
-        cc = tracer.cell_complex(sigma)
-        lg = tracer.link
+        lg = links[v]
+        cc = lg.cell_complex(sigma)
         cell_words = []
         for orbit in cc.cells:
             cell_words.append(
@@ -382,14 +381,13 @@ def surface_duality_check(
     if dual is None:
         dual = dual_complex(c, sigma)
     d = dual.complex
-    tracers = link_tracers(d)
+    links = link_graphs(d)
     out: dict[str, str] = {}
     for s in dual.surfaces:
-        tracer = tracers[s.id]
-        a = tracer.cell_complex(dual.sigma_c)
+        lg = links[s.id]
+        a = lg.cell_complex(dual.sigma_c)
         b = surface_dual(s.cell_complex())
         gluing_index = {(g.edge, g.seq): k for k, g in enumerate(s.gluings)}
-        lg = tracer.link
         dart_map = [-1] * len(a.dart_vertex)
         for k, (e, t) in enumerate(zip(lg.faces, lg.positions)):
             # dual face = primal edge, corner position

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -97,7 +98,7 @@ def link_fields(lg, labels=None):
     or ``labels`` when given."""
     vertex_labels, edge_labels = labels or (lg.vertex_labels(), lg.edge_labels())
     return {
-        **lg._asdict(),
+        **dataclasses.asdict(lg),
         "ends": [(e, at_tail, list(darts.items())) for e, at_tail, darts in lg.ends],
         "vertex_labels": vertex_labels,
         "edge_labels": edge_labels,

@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import random
-import sys
 import time
 from collections import Counter
 
@@ -23,7 +22,7 @@ from rotsys import (
     search_planar_rotation_system,
     verdict,
 )
-from rotsys import links, search
+from rotsys import search, tracing
 from rotsys.cli import main
 from rotsys.documents import dump_canonical, sigma_to_doc
 from rotsys.errors import CapExceededError, NotConnectedError, NotLocallyConnectedError
@@ -129,7 +128,7 @@ def test_first_returns_lexicographic_least(complexes):
 
     for sigma in enumerate_rotation_systems(c):
         if is_planar_rotation_system(c, sigma)[0]:
-            assert sigma.canonical_key() == found.canonical_key()
+            assert sigma_to_doc(sigma) == sigma_to_doc(found)
             break
 
 
@@ -193,7 +192,7 @@ def test_faceless_edges_do_not_obstruct():
 def test_faceless_edges_search_as_if_removed(monkeypatch):
     """On a complex with faceless edges every search reports what it
     reports on the complex without them, the witness giving each faceless
-    edge the empty order, and reads the link tracers kept in the
+    edge the empty order, and reads the link graphs kept in the
     complex's own table; ``is_planar_rotation_system`` accepts each
     planar witness, reading the links by the search's rule."""
     rng = random.Random(41)
@@ -204,9 +203,9 @@ def test_faceless_edges_search_as_if_removed(monkeypatch):
     compiled_from = []
     original = search._compile_links
 
-    def recorded_compile_links(tracers, *rest):
-        compiled_from.append(tracers)
-        return original(tracers, *rest)
+    def recorded_compile_links(links, *rest):
+        compiled_from.append(links)
+        return original(links, *rest)
 
     monkeypatch.setattr(search, "_compile_links", recorded_compile_links)
     searches = (
@@ -223,7 +222,7 @@ def test_faceless_edges_search_as_if_removed(monkeypatch):
         for run in searches:
             compiled_from.clear()
             got = run(c)
-            assert all(tracers is c.table.tracers for tracers in compiled_from)
+            assert all(links is c.table.links for links in compiled_from)
             reached += bool(compiled_from)
             if run is searches[0] and got.sigma is not None:
                 assert is_planar_rotation_system(c, got.sigma) == (True, None)
@@ -395,9 +394,9 @@ def test_each_option_is_compiled_at_most_once_per_search(monkeypatch):
     compiled = Counter()
     original = search._write
 
-    def counted_write(t, i, trace, slot, start, cand, red):
-        compiled[t.link.center, i, cand, red] += 1
-        return original(t, i, trace, slot, start, cand, red)
+    def counted_write(lg, i, trace, slot, start, cand, red):
+        compiled[lg.center, i, cand, red] += 1
+        return original(lg, i, trace, slot, start, cand, red)
 
     monkeypatch.setattr(search, "_write", counted_write)
     corpus = [generate_random_complex(params) for params, _ in EXHAUSTED] + [
@@ -462,29 +461,30 @@ ROADMAP_WITNESS = {
 }
 
 
-def test_each_complex_builds_each_link_graph_once(monkeypatch, complexes):
+def test_each_complex_builds_each_link_graph_once(
+    monkeypatch, capsys, complexes, fixture_files
+):
     """A complex object walks its links at most once, for the link
-    tracers kept in its table, across ``prs find`` and ``count``, ``gprs
+    graphs kept in its table, across ``prs find`` and ``count``, ``gprs
     find`` with its rotators, ``verdict`` (its re-check of the witness
-    included) and ``euler_identity_report``; each search still runs its
-    planarity precheck once."""
-    built = Counter()
+    included) and ``euler_identity_report``, and so does each complex a
+    command parses or builds, over every command that reads a link; each
+    search still runs its planarity precheck once."""
+    walked = Counter()
     alive = []  # keeps every complex seen, so no id is reused
     prechecks = []
+    original = tracing._walk
 
-    def counted_link_graphs(c):
+    def counted_walk(c):
         alive.append(c)
-        built[id(c)] += 1
+        walked[id(c)] += 1
         return original(c)
 
     def counted_precheck(graphs):
         prechecks.append(1)
         return link_planarity_precheck(graphs)
 
-    original = links.link_graphs
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rotsys" and module.__dict__.get("link_graphs") is original:
-            monkeypatch.setattr(module, "link_graphs", counted_link_graphs)
+    monkeypatch.setattr(tracing, "_walk", counted_walk)
     monkeypatch.setattr(search, "link_planarity_precheck", counted_precheck)
     corpus = list(complexes.values()) + [
         generate_random_complex(
@@ -515,7 +515,18 @@ def test_each_complex_builds_each_link_graph_once(monkeypatch, complexes):
             pass
     # the fixtures' links may have been built by earlier tests
     assert identities >= 10
-    assert max(built.values()) == 1
+    commands = [
+        ["links"], ["prs", "find"], ["prs", "count"], ["gprs", "find"],
+        ["identities", "--prime", "2"], ["verdict", "--primes", "2,3"],
+    ]
+    for name, c in complexes.items():
+        path = str(fixture_files / f"{name}.json")
+        for argv in commands + [["links", "--vertex", c.vertices[0], "--dot"]]:
+            before = len(alive)
+            main([*argv, path])
+            assert len(alive) > before, (name, argv)
+    capsys.readouterr()
+    assert max(walked.values()) == 1
 
 
 def test_searches_and_verdicts_spell_no_link_label(monkeypatch, complexes):
@@ -529,8 +540,8 @@ def test_searches_and_verdicts_spell_no_link_label(monkeypatch, complexes):
     def spelled(self):
         raise AssertionError(f"link labels spelled at {self.center!r}")
 
-    monkeypatch.setattr(links.LinkGraph, "vertex_labels", spelled)
-    monkeypatch.setattr(links.LinkGraph, "edge_labels", spelled)
+    monkeypatch.setattr(tracing.LinkGraph, "vertex_labels", spelled)
+    monkeypatch.setattr(tracing.LinkGraph, "edge_labels", spelled)
     corpus = list(complexes.values()) + [
         generate_random_complex(GenParams(seed=seed, n_vertices=5, target_faces=1 + seed % 8))
         for seed in range(20)
@@ -590,7 +601,7 @@ def walked_rotator_doc(result, c):
 
 
 def test_rotator_doc_matches_the_tracer_reading(complexes):
-    """The tracers' reading against the walk over edge ends, on the
+    """The link graphs' reading against the walk over edge ends, on the
     search's witnesses and on random (sigma, red edges) pairs
     over fixtures, randgen complexes and glued general complexes (loops,
     bigons, a face passing a vertex twice, bare loops that stay
@@ -633,7 +644,7 @@ def test_rotator_doc_matches_the_tracer_reading(complexes):
 
 
 def test_induced_rotator_matches_the_tracer_reading(complexes):
-    """The tracer's reading against the walk, on every edge and endpoint,
+    """The link graph's reading against the walk, on every edge and endpoint,
     under random rotation systems; at a loop, its head end, which loops
     in two or more faces tell from its tail end."""
     rng = random.Random(23)
@@ -660,7 +671,7 @@ def test_induced_rotator_matches_the_tracer_reading(complexes):
 def test_compiled_link_writes_agree_with_sphere_union():
     """The search's tracing arrays, after the writes of any complete
     choice of options (each edge's first pass compiles them into its
-    list), give LinkTracer.sphere_union's verdict on every link; a link
+    list), give LinkGraph.sphere_union's verdict on every link; a link
     left without an array is a sphere union under every choice.  Also on
     glued general complexes with faceless edges, whose links hold
     vertices without darts."""

@@ -315,7 +315,7 @@ def test_same_cycle_decides_as_canonical_words_on_every_short_word():
 
 
 def test_iota_check_with_caller_built_tracers(complexes):
-    """``iota_check`` given tracers asked for one by one with
+    """``iota_check`` given link graphs asked for one by one with
     ``link_tracer``, as a benchmark session holds them, reports what it
     reports when it reads the complex's table itself."""
     corpus = list(complexes.values())

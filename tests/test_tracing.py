@@ -48,7 +48,6 @@ from rotsys.search import (
 from rotsys.tracing import (
     orbits_of,
     link_tracer,
-    link_tracers,
     maps_isomorphism,
     surface_dual_successors,
     traces_sphere_union,
@@ -224,7 +223,8 @@ def test_induced_rotator_requires_incidence(complexes):
 def broken_orders(complexes):
     """Per complex of a corpus with an edge in two or more faces, at one
     such edge: systems whose order there leaves out, repeats or adds a
-    foreign face, or lists a face twice, as (complex, edge, kind, system)."""
+    foreign face, lists a face twice, is empty or is missing, as
+    (complex, edge, kind, system)."""
     rng = random.Random(31)
     corpus = list(complexes.values())
     corpus += [
@@ -247,19 +247,22 @@ def broken_orders(complexes):
             "omitted": faces[1:],
             "repeated": [faces[-1], *faces[1:]],
             "longer": [*faces, faces[0]],
+            "empty": [],
         }
         if foreign:
             bad["foreign"] = [rng.choice(foreign), *faces[1:]]
+        orders = canonical_rotation_system(c).sigma
         for kind, order in bad.items():
-            yield c, e, kind, RotationSystem({**canonical_rotation_system(c).sigma, e: tuple(order)})
+            yield c, e, kind, RotationSystem({**orders, e: tuple(order)})
+        yield c, e, "missing", RotationSystem({f: o for f, o in orders.items() if f != e})
 
 
 def test_link_readers_refuse_an_order_that_is_not_a_cyclic_order(complexes):
     """A hand-built system whose order at an edge leaves out, repeats or
-    adds a face is refused by ``trace_link_complex``,
-    ``induced_rotator`` and ``is_planar_rotation_system`` alike, at
-    either end of the edge."""
-    seen = {"omitted": 0, "repeated": 0, "longer": 0, "foreign": 0}
+    adds a face, or is empty or missing, is refused by
+    ``trace_link_complex``, ``induced_rotator`` and
+    ``is_planar_rotation_system`` alike, at either end of the edge."""
+    seen = dict.fromkeys(["omitted", "repeated", "longer", "foreign", "empty", "missing"], 0)
     for c, e, kind, sigma in broken_orders(complexes):
         for v in set(c.edges[e]):
             with pytest.raises(InvalidRotationSystemError):
@@ -273,21 +276,26 @@ def test_link_readers_refuse_an_order_that_is_not_a_cyclic_order(complexes):
 
 
 def test_link_tracers_refuse_an_order_that_is_not_a_cyclic_order(complexes):
-    """The tracers' own readers check the orders they trace: ``trace``,
+    """A link graph's own readers check the orders they trace: ``trace``,
     ``sphere_union`` and ``cells`` raise on an order that leaves out,
     repeats or adds a face, or lists a face twice, at either end of the
     edge, where a dart no rotator holds would send the orbit walk
-    around forever.  Book3 with ``sigma['v-w']`` cut to its first two
-    faces is such a system."""
+    around forever, and on an empty or missing order at an edge in two
+    or more faces, which no rotation system gives it.  Book3 with
+    ``sigma['v-w']`` cut to its first two faces is such a system, and so
+    is book3 with that order empty or missing: its links there once
+    read as sphere unions of one cell."""
     c = complexes["book3"]
     sigma = canonical_rotation_system(c)
     cut = RotationSystem({**sigma.sigma, "v-w": sigma.sigma["v-w"][:2]})
     cases = [(c, "v-w", "cut", cut), *broken_orders(complexes)]
-    seen = {"cut": 0, "omitted": 0, "repeated": 0, "longer": 0, "foreign": 0}
+    at_book3 = [(e, kind) for d, e, kind, _ in cases if d is c]
+    assert ("v-w", "empty") in at_book3 and ("v-w", "missing") in at_book3
+    seen = dict.fromkeys(["cut", "omitted", "repeated", "longer", "foreign", "empty", "missing"], 0)
     for c, e, kind, sigma in cases:
-        tracers = link_tracers(c)
+        links = link_graphs(c)
         for v in set(c.edges[e]):
-            t = tracers[v]
+            t = links[v]
             for red in (frozenset(), frozenset([e])):
                 with pytest.raises(InvalidRotationSystemError, match=re.escape(repr(e))):
                     t.trace(sigma, red)
@@ -479,9 +487,9 @@ def test_searches_build_no_polygons_and_no_link_labels():
 
 
 def tracer_parts_from_reference_link(c, v):
-    """What the tracer of the link at ``v`` holds, read off the corner
-    reference's link graph: corner ids from the polygon table,
-    components counted by networkx."""
+    """What the link graph at ``v`` holds and counts for its tracing,
+    read off the corner reference's link graph: corner ids from the
+    polygon table, components counted by networkx."""
     lg, _, _ = reference_link_graph(c, v)
     corners = list(zip(lg.faces, lg.positions))
     g = nx.MultiGraph()
@@ -492,7 +500,7 @@ def tracer_parts_from_reference_link(c, v):
     face_start = c.table.polygons.face_start
     return {
         # darts by face in face id order, which an empty order reads
-        "records": [(e, at_tail, list(darts.items())) for e, at_tail, darts in lg.ends],
+        "ends": [(e, at_tail, list(darts.items())) for e, at_tail, darts in lg.ends],
         "dart_vertex": lg.dart_vertex,
         "corners": corners,
         "corner_ids": [face_start[f] + pos for f, pos in corners],
@@ -521,42 +529,43 @@ def walked_corpus(complexes):
 
 
 def test_each_tracer_from_the_walk_equals_one_from_its_link_graph(complexes):
-    """The tracers that ``link_tracers`` and ``link_tracer`` build from
-    the integer walk hold what tracers built from the corner reference's
-    link held, and their link graph is ``link_graph``'s, on
-    ``walked_corpus``."""
+    """The link graphs that ``link_graphs`` walks over integers, read
+    for their tracing, hold and count what the corner reference's link
+    graph does, on ``walked_corpus``; ``link_graph`` and ``link_tracer``
+    hand out the same objects."""
     seen = Counter()
     for c in walked_corpus(complexes):
         graphs = link_graphs(c)
-        tracers = link_tracers(c)
-        assert list(tracers) == list(graphs) == list(c.vertices)
-        for v, t in tracers.items():
+        assert list(graphs) == list(c.vertices)
+        for v, lg in graphs.items():
             expected = tracer_parts_from_reference_link(c, v)
-            for one in (t, link_tracer(c, v)):
-                parts = {part: getattr(one, part, None) for part in expected}
-                parts["records"] = [(e, tail, list(d.items())) for e, tail, d in one.records]
-                parts["corners"] = list(zip(one.link.faces, one.link.positions))
-                assert parts == expected, v
-                assert one.link == link_graph(c, v) == graphs[v]
-            edges = [e for e, _, _ in t.records]
+            parts = {part: getattr(lg, part, None) for part in expected}
+            parts["ends"] = [(e, tail, list(d.items())) for e, tail, d in lg.ends]
+            parts["corners"] = list(zip(lg.faces, lg.positions))
+            assert parts == expected, v
+            assert link_tracer(c, v) is link_graph(c, v) is lg
+            edges = [e for e, _, _ in lg.ends]
             seen["loop"] += len(set(edges)) < len(edges)
-            seen["bare link vertex"] += any(not darts for _, _, darts in t.records)
-            seen["no link vertex"] += not t.records
-            seen["disconnected"] += t.component_count > 1
+            seen["bare link vertex"] += any(not darts for _, _, darts in lg.ends)
+            seen["no link vertex"] += not lg.ends
+            seen["disconnected"] += lg.component_count > 1
     assert min(seen.values()) >= 20, seen
 
 
-def test_link_tracer_is_the_one_link_tracers_keeps(complexes):
-    """``link_tracer`` hands out the tracer kept in the complex's table,
-    so a caller that asks for each vertex's tracer walks the complex
-    once, and it still refuses a vertex the complex does not have."""
+def test_link_tracer_is_the_link_graph_the_table_keeps(complexes):
+    """``link_tracer`` and ``link_graph`` hand out the link graph that
+    ``link_graphs`` keeps in the complex's table, one dict for every
+    call, so a caller that asks for each vertex's link walks the complex
+    once, and both still refuse a vertex the complex does not have."""
     c = complexes["torus-7"]
-    tracers = link_tracers(c)
+    graphs = link_graphs(c)
+    assert link_graphs(c) is graphs is c.table.links
     for v in c.vertices:
-        assert link_tracer(c, v, c.edge_incidences()) is tracers[v]
-        assert link_tracer(c, v) is tracers[v]
-    with pytest.raises(UnknownVertexError):
-        link_tracer(c, "nowhere")
+        assert link_tracer(c, v, c.edge_incidences()) is link_graph(c, v) is graphs[v]
+        assert link_tracer(c, v) is graphs[v]
+    for lookup in (link_tracer, link_graph):
+        with pytest.raises(UnknownVertexError):
+            lookup(c, "nowhere")
 
 
 def test_planarity_precheck_against_networkx_on_the_corner_reference(complexes):
@@ -607,7 +616,7 @@ def reference_rotators(tracer, sigma, red_edges=frozenset()):
     edge is red, and an empty order (or an edge sigma does not list)
     gives the vertex's darts in face id order."""
     out = []
-    for e, at_tail, table in tracer.records:
+    for e, at_tail, table in tracer.ends:
         order = sigma.sigma.get(e, ())
         if not order:
             order = sorted(table)
@@ -631,11 +640,22 @@ def traced(complexes):
 
 
 def check_tracer(tracer, sigma, red):
+    """``rotators`` follows the per-vertex rule; ``trace``,
+    ``sphere_union`` and ``cells`` read the orbits of its map, and
+    raise where an edge in two or more faces has no order."""
+    assert tracer.rotators(sigma, red) == reference_rotators(tracer, sigma, red)
+    if any(len(darts) > 1 and not sigma.sigma.get(e) for e, _, darts in tracer.ends):
+        for read in (tracer.trace, tracer.sphere_union):
+            with pytest.raises(InvalidRotationSystemError):
+                read(sigma, red)
+        with pytest.raises(InvalidRotationSystemError):
+            tracer.cells(sigma)
+        return False
     expected = reference_trace(tracer, sigma, red)
     assert tracer.trace(sigma, red) == expected
-    assert tracer.rotators(sigma, red) == reference_rotators(tracer, sigma, red)
     assert tracer.sphere_union(sigma, red) == traces_sphere_union(expected, tracer.sphere_cells)
     assert tracer.cells(sigma) == orbits_of(reference_trace(tracer, sigma))
+    return True
 
 
 def test_trace_is_the_per_vertex_rule_on_the_traced_corpus(traced):
@@ -644,21 +664,23 @@ def test_trace_is_the_per_vertex_rule_on_the_traced_corpus(traced):
     no red edges and a random set of them, and under a sigma that lists
     only some edges, ``trace`` and ``rotators`` follow the per-vertex
     rule, and ``sphere_union`` and ``cells`` read the orbits of that
-    map."""
+    map; ``trace`` reads an unlisted edge by the rule only when it lies
+    in at most one face, and refuses it otherwise."""
     rng = random.Random(11)
-    seen = {"loop": 0, "faceless": 0, "red": 0, "unlisted": 0}
+    seen = {"loop": 0, "faceless": 0, "red": 0, "refused": 0, "unlisted": 0}
     for c, sigma in traced:
         red = frozenset(e for e in sorted(c.edges) if rng.random() < 0.3)
         # a sigma that leaves some edges out reads their faces in id order
         partial = RotationSystem({e: o for e, o in sigma.sigma.items() if rng.random() < 0.7})
-        for tracer in link_tracers(c).values():
-            check_tracer(tracer, sigma, frozenset())
-            check_tracer(tracer, sigma, red)
-            check_tracer(tracer, partial, red)
+        for tracer in link_graphs(c).values():
+            assert check_tracer(tracer, sigma, frozenset())
+            assert check_tracer(tracer, sigma, red)
+            traced_partial = check_tracer(tracer, partial, red)
             seen["red"] += not tracer.sphere_union(sigma) == tracer.sphere_union(sigma, red)
-        seen["unlisted"] += any(
-            len(incs) > 1 and e not in partial.sigma for e, incs in c.table.incidences.items()
-        )
+            seen["refused"] += not traced_partial
+            seen["unlisted"] += traced_partial and any(
+                e not in partial.sigma for e, _, _ in tracer.ends
+            )
         seen["loop"] += any(t == h for t, h in c.edges.values())
         seen["faceless"] += any(not incs for incs in c.table.incidences.values())
     assert min(seen.values()) >= 10, seen
@@ -669,8 +691,8 @@ def test_trace_is_the_per_vertex_rule_on_the_traced_corpus(traced):
 def test_trace_is_the_per_vertex_rule_under_drawn_red_edges(traced, data):
     c, sigma = data.draw(st.sampled_from(traced))
     red = data.draw(st.frozensets(st.sampled_from(sorted(c.edges))))
-    for tracer in link_tracers(c).values():
-        check_tracer(tracer, sigma, red)
+    for tracer in link_graphs(c).values():
+        assert check_tracer(tracer, sigma, red)
 
 
 # -- one-pass partition and bijection checks against the sorting ones -------
