@@ -2,14 +2,17 @@
 
 Boundary matrices are built as sparse rows (column index -> entry)
 straight from edge ends and face trails.  One integral elimination
-answers every question: it pivots only on +-1 entries, taking at each
-step the entry of least Markowitz cost (row nonzeros - 1) * (column
-nonzeros - 1), ties broken by row and then column, so the order is
-deterministic and fill stays low.  Each pivot splits off a diagonal 1
-of the Smith normal form; only the block left without a +-1 entry goes
-to the dense `snf_diagonal`, with exact big-integer arithmetic.
-(Dumas, Saunders and Villard, "On efficient sparse integer matrix
-Smith normal form computations", J. Symb. Comput. 2001.)
+answers every question: it pivots only on +-1 entries, each keyed by
+its Markowitz cost (row nonzeros - 1) * (column nonzeros - 1) when it
+is pushed and re-keyed lazily, ties broken by row and then column, so
+the order is deterministic and fill stays low (Dumas, Saunders and
+Villard, J. Symb. Comput. 2001).  Each pivot splits off a diagonal 1
+of the Smith normal form; only the block left without a +-1 entry
+goes to the dense `snf_diagonal`.  It runs modulo d, a nonzero r x r
+minor that a fraction-free pass finds (r the rank): the first r
+divisors divide d, so they are those of the rows together with d Z^n,
+and no entry grows past d (Domich, Kannan and Trotter, Math. Oper.
+Res. 1987).
 
 Only d2 is eliminated: d1 is the incidence matrix of a graph, totally
 unimodular, so its rank is |V| - k over F_p and over Z alike (k the
@@ -22,6 +25,7 @@ divides.  The dense `fp_rank` is only a reference for the tests.
 from __future__ import annotations
 
 import heapq
+from math import gcd
 from dataclasses import dataclass, replace
 
 from .complexes import PreComplex
@@ -118,16 +122,18 @@ def sparse_snf_divisors(rows: SparseRows) -> list[int]:
 
     Each pivot clears its column by row operations; the column
     operations that would then clear its row touch no other row, so
-    they are left implicit and the pivot row is dropped.  The caller's
-    rows are not modified.
+    they are left implicit and the pivot row is dropped.  Pivots come
+    in the order of lazy keys: deterministic, but not exactly the
+    least-cost order, which only the work depends on, the Smith form
+    being unique.  The caller's rows are not modified.
     """
     rows = [{j: x for j, x in row.items() if x} for row in rows]
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
             cols.setdefault(j, set()).add(i)
-    # (Markowitz cost, row, column) of every +-1 entry, plus stale
-    # keys: a key counts only while it equals the entry's current cost
+    # (Markowitz cost when pushed, row, column): an entry is pushed as it
+    # becomes +-1, and pushed back when popped if its cost has risen
     heap = [
         ((len(row) - 1) * (len(cols[j]) - 1), i, j)
         for i, row in enumerate(rows)
@@ -140,7 +146,11 @@ def sparse_snf_divisors(rows: SparseRows) -> list[int]:
         cost, r, c = heapq.heappop(heap)
         pivot = rows[r]
         x = pivot.get(c)
-        if x not in (1, -1) or cost != (len(pivot) - 1) * (len(cols[c]) - 1):
+        if x not in (1, -1):
+            continue
+        now = (len(pivot) - 1) * (len(cols[c]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, r, c))
             continue
         pivots += 1
         rows[r] = {}
@@ -152,27 +162,17 @@ def sparse_snf_divisors(rows: SparseRows) -> list[int]:
             row = rows[i]
             f = row.pop(c) * x  # x is its own inverse
             for j, y in pivot.items():
-                z = row.get(j, 0) - f * y
-                if z:
-                    if j not in row:
-                        cols[j].add(i)
-                    row[j] = z
-                else:
+                old = row.get(j, 0)
+                z = old - f * y
+                if not z:
                     del row[j]
                     cols[j].discard(i)
-        # costs changed in the rows that took fill and in the columns
-        # of the pivot row, whose counts moved
-        for i in targets:
-            row = rows[i]
-            for j, y in row.items():
-                if y in (1, -1):
+                    continue
+                if not old:
+                    cols[j].add(i)
+                row[j] = z
+                if z in (1, -1) and old not in (1, -1):
                     heapq.heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
-        for j in pivot:
-            col = cols[j]
-            for i in col - targets:
-                row = rows[i]
-                if row[j] in (1, -1):
-                    heapq.heappush(heap, ((len(row) - 1) * (len(col) - 1), i, j))
     left = [row for row in rows if row]
     if not left:
         return [1] * pivots
@@ -251,70 +251,67 @@ def is_p_nullhomologous(c: PreComplex, p: int) -> bool:
     return homology_summary(c, p).h1_trivial
 
 
+def _rank_and_minor(rows: list[list[int]]) -> tuple[int, int]:
+    """(rank r, |d|) for a nonzero r x r minor d of the matrix, by
+    fraction-free (Bareiss) elimination: each entry it writes is a minor
+    of the original, so each division is exact and entries stay as
+    small as minors."""
+    a = [list(row) for row in rows]
+    n = len(a[0]) if a else 0
+    r, prev = 0, 1
+    for j in range(n):
+        i0 = next((i for i in range(r, len(a)) if a[i][j]), None)
+        if i0 is None:
+            continue
+        a[r], a[i0] = a[i0], a[r]
+        p = a[r][j]
+        for i in range(r + 1, len(a)):
+            f = a[i][j]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[r])]
+        r, prev = r + 1, p
+    return r, abs(prev)
+
+
 def snf_diagonal(rows: list[list[int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form of a dense integer
-    matrix, as positive integers in divisor-chain order.  Exact
-    big-integer arithmetic throughout; cubic in the matrix size, so
-    homology sends it only the block `sparse_snf_divisors` leaves
-    without a unit pivot."""
-    a = [list(row) for row in rows]
+    matrix, in divisor-chain order, by elimination modulo a minor d.
+
+    Each step takes the least entry left as the pivot and clears its
+    column and row by division; a nonzero remainder becomes the next
+    pivot, and a pivot that does not divide some entry left takes in
+    that entry's row.  The divisor is gcd(pivot, d), or d where no
+    entry is left.  Cubic in the matrix size, so homology sends it only
+    the block `sparse_snf_divisors` leaves without a unit pivot."""
+    r, d = _rank_and_minor(rows)
+    a = [[x % d for x in row] for row in rows]
     m = len(a)
-    n = len(a[0]) if a else 0
     diag: list[int] = []
-    t = 0
-    while t < min(m, n):
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (
-                    piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])
-                ):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
+    for t in range(r):
+        p = d
         while True:
-            dirty = False
+            block = [(x, i, j) for i in range(t, m) for j, x in enumerate(a[i][t:], t) if x]
+            if not block:
+                break
+            p, i0, j0 = min(block)
+            a[t], a[i0] = a[i0], a[t]
+            for row in a:
+                row[t], row[j0] = row[j0], row[t]
             for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        for j in range(t, n):
-                            a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for i in range(t, m):
-                            a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for i in range(t, m):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        dirty = True
-            if not dirty:
+                q = a[i][t] // p
+                if q:
+                    a[i] = [(x - q * y) % d for x, y in zip(a[i], a[t])]
+            if any(a[i][t] for i in range(t + 1, m)):
+                continue
+            # with the column clear, the column operations that clear
+            # the pivot row change only that row
+            a[t][t + 1:] = [x % p for x in a[t][t + 1:]]
+            if any(a[t][t + 1:]):
+                continue
+            violator = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1:])), None)
+            if violator is None:
                 break
-        # pivot must divide every remaining entry; fold a violator in
-        violator = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    violator = (i, j)
-                    break
-            if violator:
-                break
-        if violator:
-            i0, j0 = violator
-            for i in range(t, m):
-                a[i][t] += a[i][j0]
-            continue
-        diag.append(abs(a[t][t]))
-        t += 1
+            a[t] = [(x + y) % d for x, y in zip(a[t], a[violator])]
+        diag.append(gcd(p, d))
     for k in range(len(diag) - 1):
         assert diag[k + 1] % diag[k] == 0, "divisor chain broken"
     return diag

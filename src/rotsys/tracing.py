@@ -342,7 +342,10 @@ class LinkGraph:
         return orbits_of(self.trace(sigma))
 
     def cell_complex(self, sigma: RotationSystem) -> CellComplex:
-        return CellComplex.from_rotators(self.rotators(sigma))
+        """The link traced under sigma; it refuses what ``trace`` refuses."""
+        trace = self.trace(sigma)
+        succ = tuple(t ^ 1 for t in trace)
+        return CellComplex(len(self.ends), tuple(self.dart_vertex), succ, tuple(orbits_of(trace)))
 
 
 # the name under which perfbench wraps ``sphere_union``

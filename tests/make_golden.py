@@ -6,6 +6,9 @@ command, the same for the two general inputs of ``GENERAL_INPUTS``
 (``words``, ``gen``), holding its stdout byte for byte, and
 ``exit_codes.json`` with each command's exit code.
 ``test_golden_outputs.py`` replays the same commands and compares.
+It also writes ``sign-loops-16.json`` to tests/golden/inputs/ with its
+``STALL_COMMANDS`` outputs, which ``test_cli.py`` replays in a fresh
+interpreter under a timeout.
 Rewrite the files only for a deliberate change of the output contract.
 """
 
@@ -18,7 +21,7 @@ import random
 import sys
 from pathlib import Path
 
-from general_pieces import GENERAL_PIECES, glued
+from general_pieces import GENERAL_PIECES, complex_from_lists, glued
 from make_fixtures import BUILDERS, FIXTURE_DIR, write_all
 
 from rotsys import emit_complex
@@ -88,6 +91,39 @@ def glued_general() -> str:
 GENERAL_INPUTS = {"torus-7-dual": torus7_dual, "glued-general": glued_general}
 
 
+# face i of sign-loops-16 runs over the loops of row i in column order,
+# along a loop at "+" and against it at "-"
+SIGN_ROWS = """
+0--0-0++00-+-0-0 ++-+--00--0+0+00 -++-+0+--0-000-- 0+---+-0+0+-+0++
+-0-0+-+000+-+0-+ 00+0--00+-+++-++ --+--+--00-0-++0 -00++--++-0--0++
+0+0-+++00+--0--- 00++-0-+0-00-+++ ++0-++-00+-00-0+ +-+++00++00++++-
++---0--+00++0++0 --+-++0+-++0-0-+ 0++-+0+-0--0+-+- +0++000++0--0-+-
+""".split()
+
+
+def sign_loops_16() -> str:
+    """One vertex, 16 loops and 16 faces read off ``SIGN_ROWS``: a valid
+    complex whose d2 leaves a 7 x 7 block without a unit pivot, entries
+    up to 504.  H_1 is Z/16898, so F_2 homology reads rank 15 off it."""
+    loops = [f"e{j:02d}" for j in range(16)]
+    faces = [
+        (f"f{i:02d}", [(e, 1 if x == "+" else -1) for e, x in zip(loops, row) if x != "0"])
+        for i, row in enumerate(SIGN_ROWS)
+    ]
+    return emit_complex(complex_from_lists("general", ["v"], [(e, "v", "v") for e in loops], faces))
+
+
+# golden file suffix -> argv on sign-loops-16, two commands that an
+# elimination without a bound on its entries did not finish.  The input
+# stays out of ``inputs()``: the digest corpus draws the sigma files of
+# those inputs from one random stream, which one more would shift
+STALL_INPUT = INPUT_DIR / "sign-loops-16.json"
+STALL_COMMANDS = {
+    "homology-integral": ["homology", str(STALL_INPUT), "--integral"],
+    "homology-p2": ["homology", str(STALL_INPUT), "--prime", "2"],
+}
+
+
 def inputs() -> list[tuple[str, Path]]:
     """(name, document path) of the fixtures, then of the general inputs."""
     return [(name, FIXTURE_DIR / f"{name}.json") for name in BUILDERS] + [
@@ -131,6 +167,9 @@ def write_golden() -> None:
         (GOLDEN_DIR / filename).write_text(out)
         codes[filename] = code
     (GOLDEN_DIR / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+    STALL_INPUT.write_text(sign_loops_16())
+    for suffix, argv in STALL_COMMANDS.items():
+        (GOLDEN_DIR / f"sign-loops-16.{suffix}.json").write_text(run_cli(argv)[1])
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ import pytest
 from sympy import nextprime
 
 import rotsys
+from make_golden import GOLDEN_DIR, STALL_COMMANDS, STALL_INPUT, sign_loops_16
 from rotsys.cli import main
 
 
@@ -503,6 +504,25 @@ def test_deeply_nested_json_is_a_document_error(depth, target, tmp_path, fixture
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("suffix", sorted(STALL_COMMANDS))
+def test_homology_of_sign_loops_16_finishes(suffix):
+    """``homology --integral`` and ``--prime 2`` on sign-loops-16, whose d2
+    leaves a 7 x 7 block without a unit pivot, give their goldens in a
+    fresh interpreter, under a timeout that fails a stall instead of
+    hanging the suite."""
+    assert STALL_INPUT.read_text() == sign_loops_16()
+    src = str(Path(rotsys.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "rotsys.cli", *STALL_COMMANDS[suffix]],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN_DIR / f"sign-loops-16.{suffix}.json").read_text()
 
 
 def test_verdict_decides_a_large_prime_quickly(capsys, fixture_files):

@@ -277,7 +277,7 @@ def test_link_readers_refuse_an_order_that_is_not_a_cyclic_order(complexes):
 
 def test_link_tracers_refuse_an_order_that_is_not_a_cyclic_order(complexes):
     """A link graph's own readers check the orders they trace: ``trace``,
-    ``sphere_union`` and ``cells`` raise on an order that leaves out,
+    ``sphere_union``, ``cells`` and ``cell_complex`` raise on an order that leaves out,
     repeats or adds a face, or lists a face twice, at either end of the
     edge, where a dart no rotator holds would send the orbit walk
     around forever, and on an empty or missing order at an edge in two
@@ -303,6 +303,8 @@ def test_link_tracers_refuse_an_order_that_is_not_a_cyclic_order(complexes):
                     t.sphere_union(sigma, red)
             with pytest.raises(InvalidRotationSystemError, match=re.escape(repr(e))):
                 t.cells(sigma)
+            with pytest.raises(InvalidRotationSystemError, match=re.escape(repr(e))):
+                t.cell_complex(sigma)
         seen[kind] += 1
     assert seen.pop("cut") == 1 and min(seen.values()) >= 20, seen
 
