@@ -8,7 +8,6 @@ into an embeddability verdict.
 
 from .complexes import (
     DirectedComplex,
-    FaceBoundary,
     PreComplex,
     SignedEdgeRef,
     Violation,

@@ -55,17 +55,10 @@ class SignedEdgeRef:
         return SignedEdgeRef(self.edge, -self.sign)
 
 
-@dataclass(frozen=True)
-class FaceBoundary:
-    """A face id together with its boundary trail.
-
-    The trail as stored is the chosen orientation of the face; rotations
-    of the same cyclic sequence are distinct documents but equivalent
-    complexes.
-    """
-
-    face: FaceId
-    trail: tuple[SignedEdgeRef, ...]
+# A face's boundary trail.  The trail as stored is the chosen orientation
+# of the face; rotations of the same cyclic sequence are distinct
+# documents but equivalent complexes.
+Trail = tuple[SignedEdgeRef, ...]
 
 
 class OrientedFace(NamedTuple):
@@ -73,9 +66,6 @@ class OrientedFace(NamedTuple):
 
     face: FaceId
     sense: int
-
-    def sort_key(self) -> tuple[str, int]:
-        return (self.face, 0 if self.sense == 1 else 1)
 
     def label(self) -> str:
         return f"{self.face}{'+' if self.sense == 1 else '-'}"
@@ -104,7 +94,7 @@ class PreComplex:
     kind: str
     vertices: tuple[VertexId, ...]
     edges: dict[EdgeId, tuple[VertexId, VertexId]]
-    faces: dict[FaceId, FaceBoundary]
+    faces: dict[FaceId, Trail]
 
     def __post_init__(self):
         if self.kind not in (SIMPLICIAL, GENERAL):
@@ -123,16 +113,12 @@ class PreComplex:
                 raise UnknownReferenceError(f"edge {e!r}: unknown tail {tail!r}")
             if head not in seen_v:
                 raise UnknownReferenceError(f"edge {e!r}: unknown head {head!r}")
-        for f, boundary in self.faces.items():
+        for f, trail in self.faces.items():
             if not f:
                 raise UnknownReferenceError("empty face id")
-            if boundary.face != f:
-                raise UnknownReferenceError(
-                    f"face {f!r}: boundary labeled {boundary.face!r}"
-                )
-            self._check_trail(f, boundary.trail)
+            self._check_trail(f, trail)
 
-    def _check_trail(self, f: FaceId, trail: tuple[SignedEdgeRef, ...]) -> None:
+    def _check_trail(self, f: FaceId, trail: Trail) -> None:
         if not trail:
             raise NonClosedTrailError(f"face {f!r}: empty boundary")
         seen_e = set()
@@ -168,7 +154,7 @@ class PreComplex:
         return head if ref.sign == 1 else tail
 
     def face_vertices(self, f: FaceId) -> frozenset[VertexId]:
-        return frozenset(self.ref_start(ref) for ref in self.faces[f].trail)
+        return frozenset(self.ref_start(ref) for ref in self.faces[f])
 
     @cached_property
     def table(self) -> "ComplexTable":
@@ -224,11 +210,11 @@ class DirectedComplex(PreComplex):
         kind: str,
         vertices: tuple[VertexId, ...],
         edges: dict[EdgeId, tuple[VertexId, VertexId]],
-        faces: dict[FaceId, FaceBoundary],
+        faces: dict[FaceId, Trail],
     ) -> "DirectedComplex":
         """A complex its builder guarantees to meet the standing
-        assumptions and to give declared, non-empty ids, known edge ends,
-        boundaries labeled by their face and signs of +1 or -1.  What
+        assumptions and to give declared, non-empty ids, known edge ends
+        and signs of +1 or -1.  What
         that leaves of the structural checks of PreComplex runs, one pass
         per face: its trail is non-empty, no edge comes twice, and each
         ref starts where the one before it ends.  A face that fails goes
@@ -239,8 +225,7 @@ class DirectedComplex(PreComplex):
         object.__setattr__(c, "vertices", vertices)
         object.__setattr__(c, "edges", edges)
         object.__setattr__(c, "faces", faces)
-        for f, boundary in faces.items():
-            trail = boundary.trail
+        for f, trail in faces.items():
             if trail:
                 # an edge's ends in the order a ref runs over them
                 at = edges[trail[-1].edge][:: trail[-1].sign][1]
@@ -282,7 +267,7 @@ class ComplexTable:
         order."""
         out: dict[EdgeId, list[FaceId]] = {e: [] for e in self._edges}
         for f in sorted(self._faces):
-            for ref in self._faces[f].trail:
+            for ref in self._faces[f]:
                 out[ref.edge].append(f)
         return {e: tuple(faces) for e, faces in out.items()}
 
@@ -301,9 +286,9 @@ class PolygonTable:
     is the id of face ``f``'s traversal of edge ``e``, and
     ``dual_refs[e][f]`` the step of dual face ``e`` over dual edge ``f``;
     ``read_order`` reads an order of faces at an edge through either.
-    Oriented face ``m`` is ``members[m]``: the ``m >> 1``-th face, as
-    stored for even ``m`` and reversed for odd ``m``, the order of
-    ``OrientedFace.sort_key``.  The sides of polygon ``m`` are numbered
+    Oriented face ``m`` is ``members[m]``: each face's orientations in
+    face id order, the ``m >> 1``-th face as stored for even ``m`` and
+    reversed for odd ``m``.  The sides of polygon ``m`` are numbered
     from ``side_start[m]`` in polygon order, and its corner ``j``, where
     side ``j`` begins, shares the id of side ``j``.
     """
@@ -311,7 +296,7 @@ class PolygonTable:
     def __init__(
         self,
         edges: dict[EdgeId, tuple[VertexId, VertexId]],
-        faces: dict[FaceId, FaceBoundary],
+        faces: dict[FaceId, Trail],
     ):
         order = sorted(faces)
         # face ids in the complex's order, each to its rank in id order
@@ -328,7 +313,7 @@ class PolygonTable:
         # per oriented face
         self.members: list[OrientedFace] = []
         self.member_id: dict[OrientedFace, int] = {}
-        self.polygon_refs: list[tuple[SignedEdgeRef, ...]] = []
+        self.polygon_refs: list[Trail] = []
         self.side_start: list[int] = []
         # per side (and the corner where it begins)
         self.side_member: list[int] = []
@@ -337,7 +322,7 @@ class PolygonTable:
         self.next_corner: list[int] = []
         self.face_corner: list[int] = []
         for f in order:
-            trail = faces[f].trail
+            trail = faces[f]
             k = len(trail)
             start = self.face_start[f] = len(self.pos_side)
             forward = len(self.side_member)
@@ -415,8 +400,8 @@ def validate(c: PreComplex) -> list[Violation]:
             violations.append(Violation("VertexWithoutEdge", (v,)))
 
     degree = {e: 0 for e in c.edges}
-    for boundary in c.faces.values():
-        for ref in boundary.trail:
+    for trail in c.faces.values():
+        for ref in trail:
             degree[ref.edge] += 1
     for e in sorted(c.edges):
         if degree[e] == 0:
@@ -436,7 +421,7 @@ def validate(c: PreComplex) -> list[Violation]:
         by_support: dict[frozenset[VertexId], list[FaceId]] = {}
         for f in sorted(c.faces):
             support = c.face_vertices(f)
-            if len(c.faces[f].trail) != 3 or len(support) != 3:
+            if len(c.faces[f]) != 3 or len(support) != 3:
                 violations.append(Violation("NonTriangleFace", (f,)))
             by_support.setdefault(support, []).append(f)
         for support, ids in sorted(by_support.items(), key=lambda kv: kv[1]):

@@ -2,10 +2,11 @@
 
 The canonical form is ``json.dumps(..., indent=2, ensure_ascii=False)``
 plus a trailing newline, keys in the fixed order shown below, arrays in
-input order.  ``dump_canonical`` reproduces those bytes, and json's
-TypeError for what it cannot write, with a short recursive writer: json's
-encoder runs in Python generators once it indents.  Documents are trees,
-so json's check for a circular reference is not repeated.
+input order.  ``dump_canonical`` writes those bytes for the value types
+rotsys writes with a short recursive writer, since json's encoder runs
+in Python generators once it indents; json itself writes any other
+document.  Documents are trees, so json's check for a circular
+reference is not repeated.
 ``emit_complex(parse_complex(doc)) == doc`` holds byte-for-byte for
 canonical documents.  Parsing ignores unknown top-level keys so that
 annotated documents (dual complexes carrying their rotation system)
@@ -20,9 +21,9 @@ from typing import Any
 
 from .complexes import (
     DirectedComplex,
-    FaceBoundary,
     PreComplex,
     SignedEdgeRef,
+    Trail,
     GENERAL,
     SIMPLICIAL,
 )
@@ -73,7 +74,7 @@ def _complex_from_doc(doc: dict[str, Any], cls: type[PreComplex]) -> PreComplex:
         if eid in edges:
             raise DocumentError(f"duplicate edge id {eid!r}")
         edges[eid] = (tail, head)
-    faces: dict[str, FaceBoundary] = {}
+    faces: dict[str, Trail] = {}
     for entry in _list(doc["faces"], "faces"):
         try:
             fid = entry["id"]
@@ -92,7 +93,7 @@ def _complex_from_doc(doc: dict[str, Any], cls: type[PreComplex]) -> PreComplex:
             raise DocumentError(f"face id must be a string, got {fid!r}")
         if fid in faces:
             raise DocumentError(f"duplicate face id {fid!r}")
-        faces[fid] = FaceBoundary(fid, tuple(trail))
+        faces[fid] = tuple(trail)
     return cls(kind, vertices, edges, faces)
 
 
@@ -119,51 +120,32 @@ def complex_to_doc(c: PreComplex) -> dict[str, Any]:
             {
                 "id": f,
                 "boundary": [
-                    {"edge": ref.edge, "dir": ref.sign} for ref in boundary.trail
+                    {"edge": ref.edge, "dir": ref.sign} for ref in trail
                 ],
             }
-            for f, boundary in c.faces.items()
+            for f, trail in c.faces.items()
         ],
     }
 
 
-_INF = float("inf")
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (_INF, -_INF):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
-# json's text of a scalar, by its exact type
+# json's text of a scalar that rotsys writes, by its exact type
 _TEXT = {
     str: _quote,
     int: int.__repr__,
-    float: _float_text,
-    bool: _CONSTANTS.__getitem__,
-    type(None): _CONSTANTS.__getitem__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
 }
 
 
-def _scalar_text(o: Any) -> str | None:
-    """json's text of ``o`` when it is a scalar, a subclass of str, int
-    or float included, and None when it is not."""
-    text = _TEXT.get(type(o))
-    if text is not None:
-        return text(o)
-    for kind, text in ((str, _quote), (int, int.__repr__), (float, _float_text)):
-        if isinstance(o, kind):
-            return text(o)
-    return None
+class _Unwritten(Exception):
+    """A value or key that rotsys does not write itself."""
 
 
 def _write(o: Any, out: list[str], newline: str) -> None:
     """Append json's text of ``o`` to ``out``; ``newline`` is the line
-    break and indent that ``o``'s closing bracket follows."""
+    break and indent that ``o``'s closing bracket follows.  Raises
+    _Unwritten at a value or key outside the types of ``_TEXT``,
+    lists, tuples and dicts with str keys."""
     if isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
@@ -187,14 +169,7 @@ def _write(o: Any, out: list[str], newline: str) -> None:
         sep = "{" + inner
         for key, value in o.items():
             if not isinstance(key, str):
-                # json writes a scalar key as the string of its text
-                text = _scalar_text(key)
-                if text is None:
-                    raise TypeError(
-                        "keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}"
-                    )
-                key = text
+                raise _Unwritten
             text = _TEXT.get(type(value))
             if text is not None:
                 out.append(sep + _quote(key) + ": " + text(value))
@@ -204,15 +179,18 @@ def _write(o: Any, out: list[str], newline: str) -> None:
             sep = "," + inner
         out.append(newline + "}")
     else:
-        text = _scalar_text(o)
+        text = _TEXT.get(type(o))
         if text is None:
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-        out.append(text)
+            raise _Unwritten
+        out.append(text(o))
 
 
 def dump_canonical(doc: dict[str, Any]) -> str:
     out: list[str] = []
-    _write(doc, out, "\n")
+    try:
+        _write(doc, out, "\n")
+    except _Unwritten:
+        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
     out.append("\n")
     return "".join(out)
 

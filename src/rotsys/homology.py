@@ -200,7 +200,7 @@ def boundary_rows(c: PreComplex) -> tuple[SparseRows, SparseRows, list[str], lis
     d2 = []
     for f in faces:
         row: dict[int, int] = {}
-        for ref in c.faces[f].trail:
+        for ref in c.faces[f]:
             j = e_index[ref.edge]
             row[j] = row.get(j, 0) + ref.sign
         d2.append({j: x for j, x in row.items() if x})
@@ -431,8 +431,8 @@ def euler_identity_report(
     lhs = nv - ne + nf - nvd
     hc, hd = homology_summary(c, p), homology_summary(d, p)
     z_c, z_d = hc.z_c, hd.z_c
-    sum_deg_f = sum(len(b.trail) for b in c.faces.values())
-    sum_deg_e = sum(len(b.trail) for b in d.faces.values())
+    sum_deg_f = sum(map(len, c.faces.values()))
+    sum_deg_e = sum(map(len, d.faces.values()))
     assert sum_deg_f == sum_deg_e, "incidence count must be self-transpose"
 
     a, planar = _total_link_cells(c, sigma)

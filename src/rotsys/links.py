@@ -41,8 +41,8 @@ def _supports(
     index = {e: i for i, e in enumerate(loops)}
     pairs = [
         (index[ref.edge], len(loops) + k)
-        for k, boundary in enumerate(c.faces.values())
-        for ref in boundary.trail
+        for k, trail in enumerate(c.faces.values())
+        for ref in trail
         if ref.edge in index
     ]
     for members in connected_classes(len(cells), pairs):
@@ -64,7 +64,7 @@ def space_adjacency(c: PreComplex) -> dict[VertexId, set[VertexId]]:
         adj[head].add(tail)
     loop_support, face_support = _supports(c)
     joins = list(loop_support.values())
-    joins += [vs for f, vs in face_support.items() if len(vs) < len(c.faces[f].trail)]
+    joins += [vs for f, vs in face_support.items() if len(vs) < len(c.faces[f])]
     for vs in joins:
         for u in vs:
             adj[u] |= vs
@@ -180,10 +180,10 @@ def subcomplexes(c: PreComplex, vertex_sets: list[set[VertexId]]) -> list[PreCom
         if i is not None:
             edges[i][e] = ends
     faces: list[dict] = [{} for _ in vertex_sets]
-    for f, boundary in c.faces.items():
+    for f, trail in c.faces.items():
         i = first_holder(face_support[f])
         if i is not None:
-            faces[i][f] = boundary
+            faces[i][f] = trail
     return [
         PreComplex(c.kind, tuple(vs), es, fs)
         for vs, es, fs in zip(vertices, edges, faces)

@@ -85,7 +85,7 @@ def face_words(c: PreComplex, generator_index: dict[str, int]) -> list[Word]:
     words = []
     for f in sorted(c.faces):
         word = []
-        for ref in c.faces[f].trail:
+        for ref in c.faces[f]:
             g = generator_index.get(ref.edge)
             if g is not None:
                 word.append(g * ref.sign)

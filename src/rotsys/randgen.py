@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .complexes import (
     DirectedComplex,
-    FaceBoundary,
     SIMPLICIAL,
     SignedEdgeRef,
 )
@@ -88,12 +87,9 @@ def generate_random_complex(params: GenParams) -> DirectedComplex:
     faces = {}
     for a, b, c in chosen:
         fid = f"{names[a]}-{names[b]}-{names[c]}"
-        faces[fid] = FaceBoundary(
-            fid,
-            (
-                SignedEdgeRef(edge_id(a, b), 1),
-                SignedEdgeRef(edge_id(b, c), 1),
-                SignedEdgeRef(edge_id(a, c), -1),
-            ),
+        faces[fid] = (
+            SignedEdgeRef(edge_id(a, b), 1),
+            SignedEdgeRef(edge_id(b, c), 1),
+            SignedEdgeRef(edge_id(a, c), -1),
         )
     return DirectedComplex(SIMPLICIAL, vertices, edges, faces)

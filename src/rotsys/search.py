@@ -225,8 +225,8 @@ def _search(
     closed_at: list[list[tuple[EdgeId, ...]]] = [[] for _ in edge_order]
     if True in colours:  # only red edges can make a face odd
         position = {e: i for i, e in enumerate(edge_order)}
-        for boundary in c.faces.values():
-            face = tuple(ref.edge for ref in boundary.trail)
+        for trail in c.faces.values():
+            face = tuple(ref.edge for ref in trail)
             closed_at[max(position[e] for e in face)].append(face)
 
     if not edge_order:

@@ -41,13 +41,13 @@ from typing import NamedTuple
 from .complexes import (
     DirectedComplex,
     EdgeId,
-    FaceBoundary,
     FaceId,
     GENERAL,
     OrientedFace,
     PolygonTable,
     PreComplex,
     SignedEdgeRef,
+    Trail,
     VertexId,
     connected_classes,
 )
@@ -176,13 +176,13 @@ class LocalSurface:
         for g in self.gluings:
             side_gluing[(index[g.pos_member], g.pos_side)] = (g, 1)
             side_gluing[(index[g.neg_member], g.neg_side)] = (g, -1)
-        faces: dict[str, FaceBoundary] = {}
+        faces: dict[str, Trail] = {}
         for m, member in enumerate(self.members):
             refs = []
             for j in range(self.polygon_lengths[m]):
                 g, sign = side_gluing[(m, j)]
                 refs.append(SignedEdgeRef(g.label(), sign))
-            faces[member.label()] = FaceBoundary(member.label(), tuple(refs))
+            faces[member.label()] = tuple(refs)
         return DirectedComplex(
             GENERAL,
             tuple(sv.label for sv in self.vertices),
@@ -330,16 +330,16 @@ def dual_complex(
     }
     # faceless edges of a PreComplex have no dual face
     orders = sigma.sigma
-    faces: dict[str, FaceBoundary] = {}
+    faces: dict[str, Trail] = {}
     for e, refs in p.dual_refs.items():
         order = orders[e] if len(refs) >= 2 else refs
-        faces[e] = FaceBoundary(e, tuple(p.read_order(e, order, refs)))
+        faces[e] = tuple(p.read_order(e, order, refs))
     dual = DirectedComplex.valid_by_construction(GENERAL, vertices, edges, faces)
     if p.dual_sigma is None:
         p.dual_sigma = RotationSystem(
             {
-                f: tuple(ref.edge for ref in b.trail) if len(b.trail) >= 2 else ()
-                for f, b in c.faces.items()
+                f: tuple(ref.edge for ref in trail) if len(trail) >= 2 else ()
+                for f, trail in c.faces.items()
             }
         )
     return DualComplex(dual, p.dual_sigma, tuple(surfaces), class_of)

@@ -386,7 +386,7 @@ def _walk(c: PreComplex) -> dict[VertexId, LinkGraph]:
         ends[e] = (pair[1], pair[0])
     corner = 0
     for f in sorted(c.faces):
-        trail = c.faces[f].trail
+        trail = c.faces[f]
         # corner pos, between refs pos - 1 and pos: the face arrives over
         # its previous ref, at the edge's head when it runs along the
         # edge, and leaves over its next ref, from the edge's tail when it

@@ -2,7 +2,7 @@
 faces, bigons and a face that passes one vertex twice, glued in trees;
 and the oracle for how a complex falls apart at a vertex."""
 
-from rotsys import FaceBoundary, PreComplex, SignedEdgeRef
+from rotsys import PreComplex, SignedEdgeRef
 
 
 def complex_from_lists(kind, vertices, edges, faces):
@@ -12,10 +12,7 @@ def complex_from_lists(kind, vertices, edges, faces):
         kind,
         tuple(vertices),
         {e: (t, h) for e, t, h in edges},
-        {
-            f: FaceBoundary(f, tuple(SignedEdgeRef(e, d) for e, d in trail))
-            for f, trail in faces
-        },
+        {f: tuple(SignedEdgeRef(e, d) for e, d in trail) for f, trail in faces},
     )
 
 
@@ -117,7 +114,7 @@ def parts_without(c, v):
                 adj[kind, x].add(("v", u))
                 adj["v", u].add((kind, x))
         elif kind == "f":
-            for ref in c.faces[x].trail:
+            for ref in c.faces[x]:
                 adj[kind, x].add(("e", ref.edge))
                 adj["e", ref.edge].add((kind, x))
     parts, vertexless = [], (set(), set())
@@ -151,7 +148,7 @@ def glued(rng, pieces, disjoint=0.0):
         vertices += [v for v in vmap.values() if v not in vertices]
         edges.update({f"{k}.{e}": (vmap[t], vmap[h]) for e, (t, h) in p.edges.items()})
         for f, b in p.faces.items():
-            trail = tuple(SignedEdgeRef(f"{k}.{r.edge}", r.sign) for r in b.trail)
-            faces[f"{k}.{f}"] = FaceBoundary(f"{k}.{f}", trail)
+            trail = tuple(SignedEdgeRef(f"{k}.{r.edge}", r.sign) for r in b)
+            faces[f"{k}.{f}"] = trail
     kind = "general" if any(p.kind == "general" for p in pieces) else "simplicial"
     return PreComplex(kind, tuple(vertices), edges, faces)

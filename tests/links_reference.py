@@ -28,7 +28,7 @@ class Corner(NamedTuple):
 
 
 def reference_corners(c, f):
-    trail = c.faces[f].trail
+    trail = c.faces[f]
     return [Corner(f, i, c.ref_start(ref), trail[i - 1], ref) for i, ref in enumerate(trail)]
 
 

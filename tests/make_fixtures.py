@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from pathlib import Path
 
-from rotsys import DirectedComplex, FaceBoundary, SignedEdgeRef, emit_complex
+from rotsys import DirectedComplex, SignedEdgeRef, emit_complex
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -32,13 +32,10 @@ def _triangle_complex(
     for t in sorted(tuple(sorted(t)) for t in triangles):
         a, b, c = t
         fid = f"{names[a]}-{names[b]}-{names[c]}"
-        faces[fid] = FaceBoundary(
-            fid,
-            (
-                SignedEdgeRef(edge_id(a, b), 1),
-                SignedEdgeRef(edge_id(b, c), 1),
-                SignedEdgeRef(edge_id(a, c), -1),
-            ),
+        faces[fid] = (
+            SignedEdgeRef(edge_id(a, b), 1),
+            SignedEdgeRef(edge_id(b, c), 1),
+            SignedEdgeRef(edge_id(a, c), -1),
         )
     used = sorted({i for t in triangles for i in t})
     return DirectedComplex(

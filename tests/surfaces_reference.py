@@ -17,7 +17,6 @@ from rotsys.complexes import (
     GENERAL,
     DirectedComplex,
     EdgeId,
-    FaceBoundary,
     FaceId,
     PreComplex,
     SignedEdgeRef,
@@ -52,7 +51,7 @@ class _Incidence(NamedTuple):
 def _edge_incidences(c: PreComplex) -> dict[EdgeId, list[_Incidence]]:
     out: dict[EdgeId, list[_Incidence]] = {e: [] for e in c.edges}
     for f in sorted(c.faces):
-        for i, ref in enumerate(c.faces[f].trail):
+        for i, ref in enumerate(c.faces[f]):
             out[ref.edge].append(_Incidence(f, i))
     return out
 
@@ -73,7 +72,7 @@ def _order_incidences(
 
 
 def polygon_refs(c: PreComplex, member: OrientedFace) -> tuple[SignedEdgeRef, ...]:
-    trail = c.faces[member.face].trail
+    trail = c.faces[member.face]
     if member.sense == 1:
         return trail
     return tuple(ref.reversed() for ref in reversed(trail))
@@ -82,7 +81,7 @@ def polygon_refs(c: PreComplex, member: OrientedFace) -> tuple[SignedEdgeRef, ..
 def _positive_member(c: PreComplex, inc: _Incidence) -> OrientedFace:
     """The orientation of the face that traverses the edge of ``inc``
     along its chosen direction."""
-    sign = c.faces[inc.face].trail[inc.pos].sign
+    sign = c.faces[inc.face][inc.pos].sign
     return OrientedFace(inc.face, sign)
 
 
@@ -90,7 +89,7 @@ def _side_of_edge(c: PreComplex, member: OrientedFace, trail_pos: int) -> int:
     """Polygon position of the side over the trail ref at ``trail_pos``."""
     if member.sense == 1:
         return trail_pos
-    return len(c.faces[member.face].trail) - 1 - trail_pos
+    return len(c.faces[member.face]) - 1 - trail_pos
 
 
 def related_pairs(c: PreComplex, sigma: RotationSystem) -> list[Gluing]:
@@ -144,7 +143,7 @@ def local_surfaces(c: PreComplex, sigma: RotationSystem) -> list[LocalSurface]:
     """The local surfaces of ``(c, sigma)``, ordered by least member."""
     members_all = sorted(
         (OrientedFace(f, s) for f in c.faces for s in (1, -1)),
-        key=OrientedFace.sort_key,
+        key=lambda m: (m.face, m.sense != 1),
     )
     index = {m: i for i, m in enumerate(members_all)}
     pairs = related_pairs(c, sigma)
@@ -263,7 +262,7 @@ def dual_complex(
         for f in c.faces
     }
     incidences = _edge_incidences(c)
-    faces: dict[str, FaceBoundary] = {}
+    faces: dict[str, tuple[SignedEdgeRef, ...]] = {}
     for e in c.edges:
         entries = incidences[e]
         if not entries:
@@ -272,23 +271,23 @@ def dual_complex(
         if len(entries) >= 2:
             order = _order_incidences(e, sigma.sigma[e], entries)
         refs = tuple(
-            SignedEdgeRef(inc.face, c.faces[inc.face].trail[inc.pos].sign)
+            SignedEdgeRef(inc.face, c.faces[inc.face][inc.pos].sign)
             for inc in order
         )
-        faces[e] = FaceBoundary(e, refs)
+        faces[e] = refs
     dual = DirectedComplex(GENERAL, vertices, edges, faces)
 
     # sigma of the dual: the boundary trail of each primal face, as
     # incidences into the dual faces it traverses, listed by dual face
     pos_in_dual_face: dict[tuple[EdgeId, FaceId], int] = {}
     for e, boundary in faces.items():
-        for t, ref in enumerate(boundary.trail):
+        for t, ref in enumerate(boundary):
             pos_in_dual_face[(e, ref.edge)] = t
     sigma_map: dict[FaceId, tuple[EdgeId, ...]] = {}
     for f, boundary in c.faces.items():
         seq = tuple(
             _Incidence(ref.edge, pos_in_dual_face[(ref.edge, f)])
-            for ref in boundary.trail
+            for ref in boundary
         )
         sigma_map[f] = tuple(inc.face for inc in seq) if len(seq) >= 2 else ()
     return DualComplex(dual, RotationSystem(sigma_map), tuple(surfaces), class_of)
@@ -318,7 +317,7 @@ def iota_check(
     corner_words: dict[VertexId, list[tuple]] = {v: [] for v in c.vertices}
     total_vertices = 0
     for s in surfaces:
-        trail_lens = {m.face: len(c.faces[m.face].trail) for m in s.members}
+        trail_lens = {m.face: len(c.faces[m.face]) for m in s.members}
         for sv in s.vertices:
             word = []
             for (m, j) in sv.corners:
@@ -391,7 +390,7 @@ def surface_duality_check(
         dart_map = [-1] * len(a.dart_vertex)
         for k, (e, t) in enumerate(zip(lg.faces, lg.positions)):
             # dual face = primal edge, corner position
-            deg = len(d.faces[e].trail)
+            deg = len(d.faces[e])
             g_idx = gluing_index[(e, (t - 1) % deg)]
             dart_map[2 * k] = 2 * g_idx       # u side <-> positive side
             dart_map[2 * k + 1] = 2 * g_idx + 1

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from rotsys import (
     DirectedComplex,
-    FaceBoundary,
     PreComplex,
     SignedEdgeRef,
     emit_complex,
@@ -57,7 +56,7 @@ def test_identifiers_and_trails_preserved_verbatim():
     c = parse_complex(text)
     assert c.vertices == ("b", "a")
     assert list(c.edges) == ["e2", "e1"]
-    assert c.faces["f"].trail == (SignedEdgeRef("e2", 1), SignedEdgeRef("e1", 1))
+    assert c.faces["f"] == (SignedEdgeRef("e2", 1), SignedEdgeRef("e1", 1))
 
 
 def test_non_closed_trail_rejected():
@@ -177,7 +176,7 @@ CLOSED = (("x", 1), ("y", 1), ("z", 1))
 
 def guard_faces(*trails):
     return {
-        f"f{i}": FaceBoundary(f"f{i}", tuple(SignedEdgeRef(e, s) for e, s in trail))
+        f"f{i}": tuple(SignedEdgeRef(e, s) for e, s in trail)
         for i, trail in enumerate(trails)
     }
 

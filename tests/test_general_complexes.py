@@ -5,7 +5,6 @@ behavior for user-supplied ones too.
 """
 
 from rotsys import (
-    FaceBoundary,
     DirectedComplex,
     SignedEdgeRef,
     dual_complex,
@@ -28,7 +27,7 @@ def loop_disc():
         "general",
         ("v",),
         {"e": ("v", "v")},
-        {"f": FaceBoundary("f", (SignedEdgeRef("e", 1),))},
+        {"f": (SignedEdgeRef("e", 1),)},
     )
 
 
@@ -38,7 +37,7 @@ def bigon():
         "general",
         ("a", "b"),
         {"e1": ("a", "b"), "e2": ("a", "b")},
-        {"f": FaceBoundary("f", (SignedEdgeRef("e1", 1), SignedEdgeRef("e2", -1)))},
+        {"f": (SignedEdgeRef("e1", 1), SignedEdgeRef("e2", -1))},
     )
 
 
@@ -82,11 +81,7 @@ def test_two_loops_one_vertex_theta():
         "general",
         ("v",),
         {"e1": ("v", "v"), "e2": ("v", "v")},
-        {
-            "f": FaceBoundary(
-                "f", (SignedEdgeRef("e1", 1), SignedEdgeRef("e2", 1))
-            )
-        },
+        {"f": (SignedEdgeRef("e1", 1), SignedEdgeRef("e2", 1))},
     )
     assert validate(c) == []
     sigma = canonical_rotation_system(c)

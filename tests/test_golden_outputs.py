@@ -9,6 +9,8 @@ The same commands on two general inputs: the dual of torus-7 and a
 glued complex with a loop, a face that passes a vertex twice and edges
 in one face.  Without a fixture: ``words`` and ``gen``.  Each against tests/golden/,
 written by ``make_golden.py``: stdout, exit code and an empty stderr.
+Each case runs with ``json.dumps`` made to raise, so every document the
+CLI writes takes the canonical writer's own path, never json's.
 """
 
 import json
@@ -25,7 +27,11 @@ def test_every_case_has_a_golden_output():
 
 
 @pytest.mark.parametrize("filename, argv", cases(), ids=[name for name, _ in cases()])
-def test_output_matches_golden(filename, argv):
+def test_output_matches_golden(filename, argv, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CLI document reached json.dumps")
+
+    monkeypatch.setattr(json, "dumps", refuse)
     code, out, err = run_cli(argv)
     assert err == ""
     assert code == EXIT_CODES[filename]

@@ -148,10 +148,10 @@ def test_link_graph_equals_the_corner_reference(complexes):
             assert c.face_vertices(f) == reference_face_vertices(c, f), f
         degree = {e: 0 for e in c.edges}
         for b in c.faces.values():
-            for ref in b.trail:
+            for ref in b:
                 degree[ref.edge] += 1
         seen["loop"] += any(tail == head for tail, head in c.edges.values())
-        seen["one-ref face"] += any(len(b.trail) == 1 for b in c.faces.values())
+        seen["one-ref face"] += any(len(b) == 1 for b in c.faces.values())
         seen["faceless"] += 0 in degree.values()
         seen["isolated"] += "isolated" in c.vertices
         seen["simplicial"] += c.kind == "simplicial"
@@ -198,7 +198,7 @@ def test_cut_vertices_against_oracle_on_general_complexes():
         cuts = cut_vertices(c)
         assert cuts == brute_cut_vertices(c)
         with_cuts += bool(cuts)
-        crossing += any(len(c.face_vertices(f)) < len(b.trail) for f, b in c.faces.items())
+        crossing += any(len(c.face_vertices(f)) < len(b) for f, b in c.faces.items())
     assert with_cuts >= 30 and crossing >= 40
 
 
@@ -218,7 +218,7 @@ def test_cut_vertices_against_oracle_on_loops_joining_faces():
             e
             for e, (tail, head) in c.edges.items()
             if tail == head
-            and sum(ref.edge == e for b in c.faces.values() for ref in b.trail) > 1
+            and sum(ref.edge == e for b in c.faces.values() for ref in b) > 1
         ]
         joined += any(c.edges[e][0] not in cuts for e in shared)
     assert with_cuts >= 30 and joined >= 20

@@ -9,7 +9,6 @@ from collections import Counter
 import pytest
 
 from rotsys import (
-    FaceBoundary,
     GenParams,
     PreComplex,
     RotationSystem,
@@ -53,7 +52,7 @@ def brute_force_gprs(c):
     face_masks = []
     for b in c.faces.values():
         mask = 0
-        for ref in b.trail:
+        for ref in b:
             mask ^= 1 << edges.index(ref.edge)
         face_masks.append(mask)
     even = [
@@ -156,13 +155,10 @@ def triangle_with_faceless_edge():
             "az": ("a", "z"),
         },
         {
-            "f": FaceBoundary(
-                "f",
-                (
-                    SignedEdgeRef("ab", 1),
-                    SignedEdgeRef("bc", 1),
-                    SignedEdgeRef("ac", -1),
-                ),
+            "f": (
+                SignedEdgeRef("ab", 1),
+                SignedEdgeRef("bc", 1),
+                SignedEdgeRef("ac", -1),
             )
         },
     )
@@ -260,7 +256,7 @@ def test_gprs_soundness_reverified(complexes):
     for v in c.vertices:
         assert link_tracer(c, v).sphere_union(result.sigma, red)
     for f, boundary in c.faces.items():
-        assert sum(1 for ref in boundary.trail if ref.edge in red) % 2 == 0
+        assert sum(1 for ref in boundary if ref.edge in red) % 2 == 0
 
 
 def test_search_soundness_every_found_verified(complexes):
@@ -570,7 +566,7 @@ def _corner_of(c, f, e, end):
     """The corner of face ``f`` where its traversal of edge ``e`` meets
     the edge's end ``end``: the next corner when the face arrives there
     (at the head when it runs along the edge), its own when it leaves."""
-    trail = c.faces[f].trail
+    trail = c.faces[f]
     pos = next(i for i, ref in enumerate(trail) if ref.edge == e)
     arrives = "h" if trail[pos].sign == 1 else "t"
     return (pos + 1) % len(trail) if end == arrives else pos

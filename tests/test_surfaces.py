@@ -175,7 +175,7 @@ def test_duals_of_a_complex_share_one_rotation_system(complexes):
     shared = 0
     for c in corpus:
         trails = {
-            f: tuple(ref.edge for ref in b.trail) if len(b.trail) >= 2 else ()
+            f: tuple(ref.edge for ref in b) if len(b) >= 2 else ()
             for f, b in c.faces.items()
         }
         duals = [dual_complex(c, s) for s in itertools.islice(enumerate_rotation_systems(c), 8)]
@@ -190,11 +190,11 @@ def test_dual_incidence_transpose(complexes):
         c = complexes[name]
         d = dual_complex(c, canonical_rotation_system(c)).complex
         primal = sorted(
-            (ref.edge, f) for f, b in c.faces.items() for ref in b.trail
+            (ref.edge, f) for f, b in c.faces.items() for ref in b
         )
         # a dual face is a primal edge; its trail runs over primal faces
         dual_inc = [
-            (ref.edge, e) for e, b in d.faces.items() for ref in b.trail
+            (ref.edge, e) for e, b in d.faces.items() for ref in b
         ]
         assert sorted((e, f) for f, e in dual_inc) == primal, name
 

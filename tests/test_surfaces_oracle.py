@@ -145,7 +145,7 @@ def test_surfaces_match_the_reference_on_glued_general_complexes():
         seen["faceless"] += any(not incs for incs in incidences.values())
         seen["one incidence"] += any(len(incs) == 1 for incs in incidences.values())
         seen["revisit"] += any(
-            len(c.face_vertices(f)) < len(b.trail) for f, b in c.faces.items()
+            len(c.face_vertices(f)) < len(b) for f, b in c.faces.items()
         )
         seen["choice"] += check_every_system(c, Counter()) > 1
     assert min(seen.values()) >= 10, seen

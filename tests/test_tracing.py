@@ -99,7 +99,7 @@ def test_tetrahedron_links_against_oracle(complexes):
         # direction does not matter for two-cycles)
         spokes = sorted(e for e, (tail, head) in c.edges.items() if v in (tail, head))
         faces_at = {
-            e: [f for f in sorted(c.faces) if any(r.edge == e for r in c.faces[f].trail)]
+            e: [f for f in sorted(c.faces) if any(r.edge == e for r in c.faces[f])]
             for e in spokes
         }
         rotators = {
@@ -112,7 +112,7 @@ def test_tetrahedron_links_against_oracle(complexes):
             rot = []
             for f in faces_at[e]:
                 other = next(
-                    x for x in spokes if x != e and any(r.edge == x for r in c.faces[f].trail)
+                    x for x in spokes if x != e and any(r.edge == x for r in c.faces[f])
                 )
                 rot.append((f, 0 if e < other else 1))
             oracle_rot[e] = rot

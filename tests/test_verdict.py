@@ -108,7 +108,7 @@ def test_monotone_in_primes(complexes):
 def glue_at_vertex(a, b, va, vb):
     """Identify vertex va of a with vb of b, disjointifying everything
     else with prefixes."""
-    from rotsys import FaceBoundary, PreComplex, SignedEdgeRef
+    from rotsys import PreComplex, SignedEdgeRef
 
     def rename(c, prefix, shared):
         vmap = {v: ("z" if v == shared else f"{prefix}{v}") for v in c.vertices}
@@ -116,10 +116,7 @@ def glue_at_vertex(a, b, va, vb):
             f"{prefix}{e}": (vmap[t], vmap[h]) for e, (t, h) in c.edges.items()
         }
         faces = {
-            f"{prefix}{f}": FaceBoundary(
-                f"{prefix}{f}",
-                tuple(SignedEdgeRef(f"{prefix}{r.edge}", r.sign) for r in bd.trail),
-            )
+            f"{prefix}{f}": tuple(SignedEdgeRef(f"{prefix}{r.edge}", r.sign) for r in bd)
             for f, bd in c.faces.items()
         }
         return vmap, edges, faces
@@ -322,7 +319,7 @@ def _shuffled(rng, c):
     emap = dict(zip(c.edges, rng.sample(range(len(c.edges)), len(c.edges))))
     edges = [(f"e{emap[e]}", vmap[t], vmap[h]) for e, (t, h) in c.edges.items()]
     faces = [
-        (f"f{k}", [(f"e{emap[r.edge]}", r.sign) for r in b.trail])
+        (f"f{k}", [(f"e{emap[r.edge]}", r.sign) for r in b])
         for k, b in zip(rng.sample(range(len(c.faces)), len(c.faces)), c.faces.values())
     ]
     rng.shuffle(edges)
@@ -410,7 +407,7 @@ def test_split_matches_recursive_oracle_on_general_complexes():
             len(c.face_vertices(f)) == 1 and c.face_vertices(f) <= cuts for f in c.faces
         )
         seen["face passing a vertex twice"] += any(
-            len(c.face_vertices(f)) < len(bd.trail) for f, bd in c.faces.items()
+            len(c.face_vertices(f)) < len(bd) for f, bd in c.faces.items()
         )
         assert sum(len(b.faces) for _, b in blocks) == len(c.faces)
     assert all(seen.values()), seen
