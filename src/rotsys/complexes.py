@@ -119,27 +119,43 @@ class PreComplex:
             self._check_trail(f, trail)
 
     def _check_trail(self, f: FaceId, trail: Trail) -> None:
+        """Raise unless ``trail`` is a closed trail over this complex's
+        edges, in one pass: an unknown edge, a direction other than +1
+        or -1 or a repeated edge as the pass reaches it, then the first
+        gap in index order, gap 0 lying between the last ref and the
+        first."""
         if not trail:
             raise NonClosedTrailError(f"face {f!r}: empty boundary")
+        edges = self.edges
+        # where the last ref ends: its head at +1, its tail at -1 (an
+        # unknown edge or a bad sign is raised when the pass reaches it)
+        at = edges.get(trail[-1].edge, (None, None))[trail[-1].sign == 1]
         seen_e = set()
+        gap = None
         for ref in trail:
-            if ref.edge not in self.edges:
-                raise UnknownReferenceError(f"face {f!r}: unknown edge {ref.edge!r}")
-            if ref.sign not in (1, -1):
+            e, sign = ref.edge, ref.sign
+            ends = edges.get(e)
+            if ends is None:
+                raise UnknownReferenceError(f"face {f!r}: unknown edge {e!r}")
+            if sign != 1 and sign != -1:
                 raise UnknownReferenceError(
-                    f"face {f!r}: bad direction {ref.sign!r} at edge {ref.edge!r}"
+                    f"face {f!r}: bad direction {sign!r} at edge {e!r}"
                 )
-            if ref.edge in seen_e:
+            if e in seen_e:
                 raise NonClosedTrailError(
-                    f"face {f!r}: edge {ref.edge!r} traversed twice (not a trail)"
+                    f"face {f!r}: edge {e!r} traversed twice (not a trail)"
                 )
-            seen_e.add(ref.edge)
-        for i, ref in enumerate(trail):
-            prev = trail[i - 1]
-            if self.ref_end(prev) != self.ref_start(ref):
-                raise NonClosedTrailError(
-                    f"face {f!r}: refs {prev.edge!r} and {ref.edge!r} do not meet"
-                )
+            seen_e.add(e)
+            start, end = ends if sign == 1 else (ends[1], ends[0])
+            if start != at and gap is None:
+                gap = ref
+            at = end
+        if gap is not None:
+            # no edge repeats, so the ref is found by its edge and sign
+            prev = trail[trail.index(gap) - 1]
+            raise NonClosedTrailError(
+                f"face {f!r}: refs {prev.edge!r} and {gap.edge!r} do not meet"
+            )
 
     # -- traversal geometry -------------------------------------------------
 
@@ -147,11 +163,6 @@ class PreComplex:
         """Vertex where the traversal described by ``ref`` begins."""
         tail, head = self.edges[ref.edge]
         return tail if ref.sign == 1 else head
-
-    def ref_end(self, ref: SignedEdgeRef) -> VertexId:
-        """Vertex where the traversal described by ``ref`` ends."""
-        tail, head = self.edges[ref.edge]
-        return head if ref.sign == 1 else tail
 
     def face_vertices(self, f: FaceId) -> frozenset[VertexId]:
         return frozenset(self.ref_start(ref) for ref in self.faces[f])
@@ -214,30 +225,15 @@ class DirectedComplex(PreComplex):
     ) -> "DirectedComplex":
         """A complex its builder guarantees to meet the standing
         assumptions and to give declared, non-empty ids, known edge ends
-        and signs of +1 or -1.  What
-        that leaves of the structural checks of PreComplex runs, one pass
-        per face: its trail is non-empty, no edge comes twice, and each
-        ref starts where the one before it ends.  A face that fails goes
-        through ``_check_trail``, which raises the full check's error;
-        :func:`validate` does not run."""
+        and signs of +1 or -1.  Of the structural checks of PreComplex
+        only each face's ``_check_trail`` runs; :func:`validate` does
+        not."""
         c = object.__new__(cls)
         object.__setattr__(c, "kind", kind)
         object.__setattr__(c, "vertices", vertices)
         object.__setattr__(c, "edges", edges)
         object.__setattr__(c, "faces", faces)
         for f, trail in faces.items():
-            if trail:
-                # an edge's ends in the order a ref runs over them
-                at = edges[trail[-1].edge][:: trail[-1].sign][1]
-                seen = set()
-                for ref in trail:
-                    start, end = edges[ref.edge][:: ref.sign]
-                    if start != at or ref.edge in seen:
-                        break
-                    seen.add(ref.edge)
-                    at = end
-                else:
-                    continue
             c._check_trail(f, trail)
         return c
 
@@ -399,12 +395,9 @@ def validate(c: PreComplex) -> list[Violation]:
         if edges_of_vertex[v] == 0:
             violations.append(Violation("VertexWithoutEdge", (v,)))
 
-    degree = {e: 0 for e in c.edges}
-    for trail in c.faces.values():
-        for ref in trail:
-            degree[ref.edge] += 1
+    incidences = c.table.incidences
     for e in sorted(c.edges):
-        if degree[e] == 0:
+        if not incidences[e]:
             violations.append(Violation("EdgeWithoutFace", (e,)))
 
     if c.kind == SIMPLICIAL:

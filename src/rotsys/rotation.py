@@ -46,24 +46,13 @@ class RotationSystem:
 
 
 def check_rotation_system(c: PreComplex, sigma: RotationSystem) -> None:
-    """Raise unless ``sigma`` is a rotation system of ``c``."""
-    incs = c.table.incidences
-    if set(sigma.sigma) != set(incs):
-        missing = sorted(set(incs) - set(sigma.sigma))
-        extra = sorted(set(sigma.sigma) - set(incs))
-        raise InvalidRotationSystemError(
-            f"edge set mismatch: missing {missing}, unknown {extra}"
-        )
-    for e, expected in incs.items():
-        got = sigma.sigma[e]
-        if len(expected) == 1:
-            if got != ():
-                raise InvalidRotationSystemError(
-                    f"edge {e!r} has a single incident face; sigma must be empty"
-                )
-            continue
-        if sorted(got) != sorted(expected):
-            raise not_listed_once(e)
+    """Raise unless ``sigma`` is a rotation system of ``c``: it must
+    hold an order for every edge of ``c``, and
+    :func:`rotation_system_from_face_lists` checks each order."""
+    missing = c.table.incidences.keys() - sigma.sigma.keys()
+    if missing:
+        raise InvalidRotationSystemError(f"sigma has no order for edges {sorted(missing)}")
+    rotation_system_from_face_lists(c, sigma.sigma)
 
 
 def not_listed_once(e: EdgeId) -> InvalidRotationSystemError:
@@ -76,11 +65,12 @@ def not_listed_once(e: EdgeId) -> InvalidRotationSystemError:
 def rotation_system_from_face_lists(
     c: PreComplex, face_lists: dict[EdgeId, list[FaceId]]
 ) -> RotationSystem:
-    """Build a rotation system from per-edge face-id lists.
-
-    Edges of degree <= 2 may be omitted; their order is forced.  Every
-    edge is checked here, so the result is a rotation system of ``c``
-    without a `check_rotation_system` pass.
+    """Build a rotation system from per-edge face-id lists, each edge
+    checked by the one per-edge rule, which ``check_rotation_system``
+    applies too: a listed edge must be an edge of ``c``, and its order
+    must list each of its faces exactly once, or be empty when it has
+    one face or none.  Edges of degree <= 2 may be omitted; their order
+    is forced.
     """
     incs = c.table.incidences
     sigma: dict[EdgeId, tuple[FaceId, ...]] = {}

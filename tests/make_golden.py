@@ -8,7 +8,8 @@ command, the same for the two general inputs of ``GENERAL_INPUTS``
 ``test_golden_outputs.py`` replays the same commands and compares.
 It also writes ``sign-loops-16.json`` to tests/golden/inputs/ with its
 ``STALL_COMMANDS`` outputs, which ``test_cli.py`` replays in a fresh
-interpreter under a timeout.
+interpreter under a timeout, and ``broken-trail.json`` with the stderr
+of its ``validate``.
 Rewrite the files only for a deliberate change of the output contract.
 """
 
@@ -124,6 +125,34 @@ STALL_COMMANDS = {
 }
 
 
+# a face whose trail has a gap after its last ref and another further
+# on, so that `validate` must name the last ref and the first; kept out
+# of ``inputs()`` for the same reason, its stderr is the golden
+BROKEN_TRAIL_INPUT = INPUT_DIR / "broken-trail.json"
+BROKEN_TRAIL_ARGV = ["validate", str(BROKEN_TRAIL_INPUT)]
+BROKEN_TRAIL_ERR = GOLDEN_DIR / "broken-trail.validate.err"
+
+
+def broken_trail() -> str:
+    edges = [("x", "a", "b"), ("y", "b", "c"), ("z", "c", "a")]
+    doc = {
+        "kind": "general",
+        "vertices": ["a", "b", "c"],
+        "edges": [{"id": e, "tail": t, "head": h} for e, t, h in edges],
+        "faces": [
+            {
+                "id": "f",
+                "boundary": [
+                    {"edge": "y", "dir": 1},
+                    {"edge": "z", "dir": 1},
+                    {"edge": "x", "dir": -1},
+                ],
+            }
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def inputs() -> list[tuple[str, Path]]:
     """(name, document path) of the fixtures, then of the general inputs."""
     return [(name, FIXTURE_DIR / f"{name}.json") for name in BUILDERS] + [
@@ -170,6 +199,8 @@ def write_golden() -> None:
     STALL_INPUT.write_text(sign_loops_16())
     for suffix, argv in STALL_COMMANDS.items():
         (GOLDEN_DIR / f"sign-loops-16.{suffix}.json").write_text(run_cli(argv)[1])
+    BROKEN_TRAIL_INPUT.write_text(broken_trail())
+    BROKEN_TRAIL_ERR.write_text(run_cli(BROKEN_TRAIL_ARGV)[2])
 
 
 if __name__ == "__main__":

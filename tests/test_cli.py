@@ -9,7 +9,16 @@ import pytest
 from sympy import nextprime
 
 import rotsys
-from make_golden import GOLDEN_DIR, STALL_COMMANDS, STALL_INPUT, sign_loops_16
+from make_golden import (
+    BROKEN_TRAIL_ARGV,
+    BROKEN_TRAIL_ERR,
+    BROKEN_TRAIL_INPUT,
+    GOLDEN_DIR,
+    STALL_COMMANDS,
+    STALL_INPUT,
+    broken_trail,
+    sign_loops_16,
+)
 from rotsys.cli import main
 
 
@@ -523,6 +532,16 @@ def test_homology_of_sign_loops_16_finishes(suffix):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (GOLDEN_DIR / f"sign-loops-16.{suffix}.json").read_text()
+
+
+def test_validate_names_the_first_gap_of_a_broken_trail(capsys):
+    """A face whose trail has a gap after its last ref and another
+    further on: ``validate`` exits 1 and names the last ref and the
+    first, the gap at index 0, as the console script must in CI."""
+    assert BROKEN_TRAIL_INPUT.read_text() == broken_trail()
+    code, out, err = run(capsys, *BROKEN_TRAIL_ARGV)
+    assert (code, out) == (1, "")
+    assert err == BROKEN_TRAIL_ERR.read_text() == "error: face 'f': refs 'x' and 'y' do not meet\n"
 
 
 def test_verdict_decides_a_large_prime_quickly(capsys, fixture_files):

@@ -1,7 +1,8 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from complexes_reference import check_trail
+from hypothesis import example, given, strategies as st
 
 from rotsys import (
     DirectedComplex,
@@ -231,3 +232,44 @@ def test_dual_trail_guard_decides_like_the_full_check(trails):
         full.edges,
         full.faces,
     )
+
+
+def raised(check, *args):
+    """The type and message of what ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except (NonClosedTrailError, UnknownReferenceError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@example([[("y", 1), ("z", 1), ("x", -1)]])  # gaps after x, the last ref, and after z
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.sampled_from([*sorted(GUARD_EDGES), "u"]),
+                st.sampled_from([1, -1, 0, 2, True]),
+            ),
+            max_size=5,
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_one_pass_trail_check_raises_what_the_two_passes_raise(trails):
+    """Each face's trail check raises the two-pass reference's error,
+    type and message, on unknown edges, bad signs, repeated refs, gaps
+    and empty trails, in PreComplex and, where the builder's guarantees
+    hold (known edges, signs +1 or -1), in ``valid_by_construction``."""
+    faces = guard_faces(*trails)
+    want = next(
+        filter(None, (raised(check_trail, GUARD_EDGES, f, t) for f, t in faces.items())),
+        None,
+    )
+    assert raised(PreComplex, GENERAL, GUARD_VERTICES, GUARD_EDGES, faces) == want
+    if all(e in GUARD_EDGES and type(s) is int and s in (1, -1) for t in trails for e, s in t):
+        got = raised(
+            DirectedComplex.valid_by_construction, GENERAL, GUARD_VERTICES, GUARD_EDGES, faces
+        )
+        assert got == want

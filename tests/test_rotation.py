@@ -1,13 +1,19 @@
 import itertools
+import random
 
 import pytest
+import rotation_reference
+from general_pieces import GENERAL_PIECES, LOOP_PIECES, glued
 from hypothesis import given, strategies as st
+from test_tracing import broken_orders
 
 from rotsys.documents import sigma_to_doc
 from rotsys.errors import InvalidRotationSystemError
 from rotsys.rotation import (
+    RotationSystem,
     canonical_cycle,
     canonical_rotation_system,
+    check_rotation_system,
     enumerate_rotation_systems,
     rotation_system_from_face_lists,
     sigma_candidates,
@@ -100,3 +106,48 @@ def test_enumeration_is_lexicographic(complexes):
     for sigma in itertools.islice(enumerate_rotation_systems(c), 50):
         seen.append(tuple(sigma.sigma[e] for e in sorted(sigma.sigma)))
     assert seen == sorted(seen)
+
+
+def refuses(check, c, sigma):
+    try:
+        check(c, sigma)
+    except InvalidRotationSystemError:
+        return True
+    return False
+
+
+def test_check_rotation_system_refuses_what_the_edge_by_edge_check_refused(complexes):
+    """``check_rotation_system``, an edge-set check and the per-edge rule
+    of ``rotation_system_from_face_lists``, refuses exactly the systems
+    the reference refuses: every system of the fixtures, broken orders,
+    an unknown edge, a non-empty order at a single-face edge, and
+    gluings with faceless edges."""
+    cases = [(c, sigma) for c in complexes.values() for sigma in enumerate_rotation_systems(c)]
+    cases += [(c, sigma) for c, _, _, sigma in broken_orders(complexes)]
+    for c in complexes.values():
+        orders = canonical_rotation_system(c).sigma
+        cases.append((c, RotationSystem({**orders, "unknown": ()})))
+        single = [e for e, faces in c.table.incidences.items() if len(faces) == 1]
+        if single:
+            e = single[0]
+            cases.append((c, RotationSystem({**orders, e: c.table.incidences[e]})))
+    rng = random.Random(31)
+    pieces = GENERAL_PIECES + LOOP_PIECES
+    faceless = 0
+    for _ in range(60):
+        c = glued(rng, [pieces[1], *rng.choices(pieces, k=rng.randint(1, 3))])
+        orders = canonical_rotation_system(c).sigma
+        bare = [e for e, faces in c.table.incidences.items() if not faces]
+        faceless += len(bare)
+        e = rng.choice(bare)
+        cases += [
+            (c, RotationSystem(orders)),
+            (c, RotationSystem({**orders, e: (rng.choice(sorted(c.faces) or ["f"]),)})),
+            (c, RotationSystem({f: o for f, o in orders.items() if f != e})),
+        ]
+    refused = 0
+    for c, sigma in cases:
+        want = refuses(rotation_reference.check_rotation_system, c, sigma)
+        assert refuses(check_rotation_system, c, sigma) == want, (c, sigma)
+        refused += want
+    assert faceless >= 60 and refused >= 300, (faceless, refused, len(cases))
